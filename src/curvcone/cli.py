@@ -100,9 +100,9 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _check_record(m, params, tol):
+def _check_record(m, params):
     f1, f2, f3 = hat_f(m, params)
-    lv = lower_bound_l(m, params, tol=tol)
+    lv = lower_bound_l(m, params)
     _, cert = two_nonneg_flag(m, 1, seed=0)
     try:
         pinch = ricci_pinch_check(m, params)
@@ -131,7 +131,7 @@ def cmd_check(args) -> int:
     all_member = True
     try:
         for _, m in _read_operators(args.input):
-            rec = _check_record(m, params, args.tol)
+            rec = _check_record(m, params)
             all_member = all_member and rec["member"]
             out.write(json.dumps(rec) + "\n")
     finally:
@@ -147,7 +147,7 @@ def cmd_l(args) -> int:
     out = _open_out(args.output)
     try:
         for _, m in _read_operators(args.input):
-            lv = lower_bound_l(m, params, tol=args.tol)
+            lv = lower_bound_l(m, params)
             out.write(json.dumps({"l": _finite_or_none(lv)}) + "\n")
     finally:
         if out is not sys.stdout:
@@ -284,14 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("check", help="cone membership report per operator")
     _add_io_flags(c)
     _add_cone_flags(c)
-    c.add_argument("--tol", type=float, default=1e-9, help="bisection tolerance for l")
     c.add_argument("--require-member", action="store_true", help="exit 1 unless every operator is a member")
     c.set_defaults(func=cmd_check)
 
     lp = sub.add_parser("l", help="lower-bound functional l per operator")
     _add_io_flags(lp)
     _add_cone_flags(lp)
-    lp.add_argument("--tol", type=float, default=1e-9)
     lp.set_defaults(func=cmd_l)
 
     e = sub.add_parser("evolve", help="integrate the reaction ODE from the first input operator")

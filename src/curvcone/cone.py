@@ -18,8 +18,9 @@ boundary points count as inside.
 
 The lower-bound functional l(R) is the least alpha >= 0 with R + alpha*I in
 the cone.  Shifting by the identity moves every block eigenvalue by alpha
-and leaves B alone, so l reduces to a scalar bisection on the shifted
-closed forms after a single decomposition.
+and leaves B alone, so after a single decomposition each closed form is a
+linear (F2, F3) or quadratic (F1) function of alpha, and l is the largest
+of their explicit roots.
 """
 
 from __future__ import annotations
@@ -133,13 +134,6 @@ def frame_functionals(m, octet: FrameOctet, validate: bool = True) -> ConeFuncti
     )
 
 
-def _hat_f_from_spectra(ea, ec, sb, params: ConeParams):
-    f1 = params.eta * (ea[0] + ea[1]) * (ec[0] + ec[1]) - (sb[1] + sb[2]) ** 2
-    f2 = params.mu * (ea[0] + ea[1]) - (ea[1] + ea[2])
-    f3 = params.mu * (ec[0] + ec[1]) - (ec[1] + ec[2])
-    return float(f1), float(f2), float(f3)
-
-
 def hat_f(m, params: ConeParams, blocks=None):
     """(F1, F2, F3) closed forms from the block spectra.
 
@@ -151,7 +145,20 @@ def hat_f(m, params: ConeParams, blocks=None):
         ea, ec, sb = blocks.eigs_a, blocks.eigs_c, blocks.svals_b
     else:
         ea, ec, sb = block_spectra(m)
-    return _hat_f_from_spectra(ea, ec, sb, params)
+    f1 = params.eta * (ea[0] + ea[1]) * (ec[0] + ec[1]) - (sb[1] + sb[2]) ** 2
+    f2 = params.mu * (ea[0] + ea[1]) - (ea[1] + ea[2])
+    f3 = params.mu * (ec[0] + ec[1]) - (ec[1] + ec[2])
+    return float(f1), float(f2), float(f3)
+
+
+def _member_from_spectra(ea, ec, sb, params: ConeParams, tol_abs: float = 0.0) -> bool:
+    x, y, z = ea[0] + ea[1], ec[0] + ec[1], sb[1] + sb[2]
+    if params.mu * x - (ea[1] + ea[2]) < -tol_abs or params.mu * y - (ec[1] + ec[2]) < -tol_abs:
+        return False
+    # F1 as (z - s)(z + s) <= tol_abs with s = sqrt(eta x y), which forms no
+    # square and so cannot overflow to inf - inf
+    s = math.sqrt(params.eta) * math.sqrt(max(x, 0.0)) * math.sqrt(max(y, 0.0))
+    return bool(z <= s or (z - s) * (z + s) <= tol_abs)
 
 
 def is_member(m, params: ConeParams, tol_abs: float = 0.0, blocks=None) -> bool:
@@ -160,10 +167,9 @@ def is_member(m, params: ConeParams, tol_abs: float = 0.0, blocks=None) -> bool:
     ``tol_abs`` slackens all three inequalities additively; the default 0
     gives exact-boundary semantics.
     """
-    f1, f2, f3 = hat_f(m, params, blocks=blocks)
-    if f2 < -tol_abs or f3 < -tol_abs:
-        return False
-    return f1 >= -tol_abs
+    if blocks is not None:
+        return _member_from_spectra(blocks.eigs_a, blocks.eigs_c, blocks.svals_b, params, tol_abs)
+    return _member_from_spectra(*block_spectra(m), params, tol_abs)
 
 
 def shifted_membership(m, alpha0: float, params: ConeParams) -> bool:
@@ -250,66 +256,31 @@ def sampled_inf(m, params: ConeParams, n: int, seed: int):
 # lower-bound functional l
 # ---------------------------------------------------------------------------
 
-def _shifted_hat_f(ea, ec, sb, params: ConeParams, alpha: float):
-    # R + alpha*I shifts every block eigenvalue by alpha and fixes B.
-    return _hat_f_from_spectra(ea + alpha, ec + alpha, sb, params)
+def lower_bound_l(m, params: ConeParams, tol: float | None = None) -> float:
+    """Least alpha >= 0 with R + alpha*I in the cone, in closed form.
 
-
-def lower_bound_l(m, params: ConeParams, tol: float = 1e-9) -> float:
-    """Least alpha >= 0 with R + alpha*I in the cone, within tol.
-
-    Bisection over the shifted closed forms (one decomposition suffices,
-    see module docstring); the bracket starts at c_eta |R| + 1, which the
-    linear bound guarantees is a member, and doubles defensively.  Requires
-    eta > 0 for a finite answer on operators with a nonzero mixed block;
-    at eta = 0 the functional is infinite there and otherwise falls back to
-    the eta-free F2/F3 bracket.
+    Zero exactly on members, else the largest root of the shifted faces (see
+    module docstring); with x = A_1+A_2, y = C_1+C_2, z = B_2+B_3 the F1
+    root, past which both factors of eta x y stay nonnegative, is
+    (hypot(x-y, 2z/sqrt(eta)) - (x+y))/4.  At eta = 0 a mixed block that is
+    nonzero relative to the spectra makes l infinite.  ``tol`` is accepted
+    and ignored; it stays only because the benchmark's workload script
+    (perfbench/workloads.py) still passes it.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    m = np.asarray(m, dtype=float)
     ea, ec, sb = block_spectra(m)
-    nrm = frobenius(m)
-
-    if params.eta == 0.0:
-        if sb[1] + sb[2] > 1e-10 * max(1.0, nrm):
-            return math.inf
-
-        def member_at(alpha):
-            _, f2, f3 = _shifted_hat_f(ea, ec, sb, params, alpha)
-            return f2 >= 0.0 and f3 >= 0.0
-
-        hi = 1.0 + max(
-            0.0,
-            (ea[1] + ea[2] - params.mu * (ea[0] + ea[1])) / (2.0 * (params.mu - 1.0)),
-            (ec[1] + ec[2] - params.mu * (ec[0] + ec[1])) / (2.0 * (params.mu - 1.0)),
-        )
-    else:
-
-        def member_at(alpha):
-            f1, f2, f3 = _shifted_hat_f(ea, ec, sb, params, alpha)
-            return f2 >= 0.0 and f3 >= 0.0 and f1 >= 0.0
-
-        hi = params.c_eta * nrm + 1.0
-
-    if member_at(0.0):
+    if _member_from_spectra(ea, ec, sb, params):
         return 0.0
-    hi0 = hi
-    while not member_at(hi):
-        hi *= 2.0
-        if hi > hi0 * 2.0**60:
-            raise RuntimeError(
-                "membership did not become true under identity shifts; "
-                "monotonicity of the shifted membership is broken"
-            )
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if member_at(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    x, y, z = ea[0] + ea[1], ec[0] + ec[1], sb[1] + sb[2]
+    mu = params.mu
+    alpha = max(
+        0.0,
+        (ea[1] + ea[2] - mu * x) / (2.0 * (mu - 1.0)),
+        (ec[1] + ec[2] - mu * y) / (2.0 * (mu - 1.0)),
+    )
+    if params.eta > 0.0:
+        return float(max(alpha, (math.hypot(x - y, 2.0 * z / math.sqrt(params.eta)) - (x + y)) / 4.0))
+    scale = max(np.abs(ea).max(), np.abs(ec).max(), sb[2])
+    return math.inf if z > 1e-10 * scale else float(alpha)
 
 
 # ---------------------------------------------------------------------------

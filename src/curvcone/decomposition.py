@@ -13,9 +13,11 @@ block-level #-products together with the identities tying them back to the
 full 6x6 picture (sharp block identity, Weyl extraction, |traceless Ricci|
 = 2 |B|).
 
-Spectral data is computed by a cyclic 3x3 Jacobi eigensolver (closed-form
-cubics behave badly near repeated eigenvalues) and a 3x3 SVD built on it,
-with deterministic sign fixing so repeated runs are bit-identical.
+Spectral data comes from LAPACK (``eigh``/``eigvalsh`` for A and C, ``svd``
+for B), which scales its input internally and so stays accurate for |R|
+anywhere from 1e-300 to 1e300.  One sign rule -- the largest-magnitude
+component of each frame column is positive -- makes the frames
+deterministic, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -96,114 +98,30 @@ def canonical_selfdual_basis() -> SelfDualBasis:
 
 
 # ---------------------------------------------------------------------------
-# 3x3 symmetric eigensolver (cyclic Jacobi) and SVD built on it
+# 3x3 spectral frames (LAPACK) with one deterministic sign rule
 # ---------------------------------------------------------------------------
 
-def _fix_column_signs(v: list[list[float]]) -> None:
-    # Largest-magnitude component of each column made positive (first index
-    # wins ties); keeps eigenframes deterministic across runs.
-    for j in range(3):
-        k, best = 0, abs(v[0][j])
-        for i in (1, 2):
-            if abs(v[i][j]) > best:
-                k, best = i, abs(v[i][j])
-        if v[k][j] < 0.0:
-            for i in range(3):
-                v[i][j] = -v[i][j]
+def _column_signs(v: np.ndarray) -> np.ndarray:
+    # +-1 per column making its largest-magnitude component positive (first
+    # index wins ties)
+    pivots = v[np.argmax(np.abs(v), axis=0), [0, 1, 2]]
+    return np.where(pivots < 0.0, -1.0, 1.0)
 
 
-def jacobi_eigh3(m, vectors: bool = True):
-    """Eigenvalues (ascending) and eigenvector columns of a symmetric 3x3.
-
-    Cyclic Jacobi sweeps to machine precision; plain-float implementation,
-    deterministic including eigenvector signs.
-    """
-    a = [
-        [float(m[0][0]), 0.5 * (float(m[0][1]) + float(m[1][0])), 0.5 * (float(m[0][2]) + float(m[2][0]))],
-        [0.0, float(m[1][1]), 0.5 * (float(m[1][2]) + float(m[2][1]))],
-        [0.0, 0.0, float(m[2][2])],
-    ]
-    a[1][0], a[2][0], a[2][1] = a[0][1], a[0][2], a[1][2]
-    v = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]] if vectors else None
-
-    norm2 = sum(a[i][j] * a[i][j] for i in range(3) for j in range(3))
-    tol2 = (1e-15 * 1e-15) * norm2
-    for _ in range(40):
-        off2 = a[0][1] ** 2 + a[0][2] ** 2 + a[1][2] ** 2
-        if off2 <= tol2:
-            break
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            apq = a[p][q]
-            if apq == 0.0:
-                continue
-            theta = (a[q][q] - a[p][p]) / (2.0 * apq)
-            t = 1.0 / (abs(theta) + math.sqrt(1.0 + theta * theta))
-            if theta < 0.0:
-                t = -t
-            c = 1.0 / math.sqrt(1.0 + t * t)
-            s = t * c
-            r = 3 - p - q
-            a[p][p] -= t * apq
-            a[q][q] += t * apq
-            a[p][q] = a[q][p] = 0.0
-            arp, arq = a[r][p], a[r][q]
-            a[r][p] = a[p][r] = c * arp - s * arq
-            a[r][q] = a[q][r] = s * arp + c * arq
-            if vectors:
-                for i in range(3):
-                    vip, viq = v[i][p], v[i][q]
-                    v[i][p] = c * vip - s * viq
-                    v[i][q] = s * vip + c * viq
-
-    vals = [a[0][0], a[1][1], a[2][2]]
-    order = sorted(range(3), key=vals.__getitem__)
-    w = np.array([vals[k] for k in order])
-    if not vectors:
-        return w, None
-    vv = [[v[i][k] for k in order] for i in range(3)]
-    _fix_column_signs(vv)
-    return w, np.array(vv)
+def eigh3(m):
+    """Eigenvalues (ascending) and eigenvector columns of a symmetric 3x3."""
+    w, v = np.linalg.eigh(m)
+    return w, v * _column_signs(v)
 
 
 def svd3(b):
-    """Singular values (ascending) and frames of a general 3x3 matrix.
+    """Singular values (ascending) and frames with u_i^T B v_i = s_i.
 
-    Via the eigendecomposition of B^T B; left vectors are B v / |B v| where
-    that is well conditioned, completed orthonormally otherwise, so that
-    u_i^T B v_i = s_i >= 0 with deterministic signs throughout.
+    The sign rule fixes each right vector; its left partner flips with it.
     """
-    b = np.asarray(b, dtype=float)
-    btb = b.T @ b
-    lam, v = jacobi_eigh3(0.5 * (btb + btb.T))
-    bnorm = frobenius(b)
-    u = np.zeros((3, 3))
-    s = np.zeros(3)
-    pending = []
-    for i in range(3):
-        w = b @ v[:, i]
-        n = float(np.linalg.norm(w))
-        if n > 1e-13 * max(bnorm, 1e-300):
-            u[:, i] = w / n
-            s[i] = n
-        else:
-            pending.append(i)
-    for i in pending:
-        cand = None
-        for e in np.eye(3):
-            res = e.copy()
-            for j in range(3):
-                if j != i and np.any(u[:, j]):
-                    res -= float(res @ u[:, j]) * u[:, j]
-            n = float(np.linalg.norm(res))
-            if n > 0.5:
-                cand = res / n
-                break
-        if cand is None:  # pragma: no cover - defensive, cannot happen
-            raise RuntimeError("orthonormal completion failed")
-        k = int(np.argmax(np.abs(cand)))
-        u[:, i] = cand if cand[k] >= 0 else -cand
-    order = np.argsort(s, kind="stable")
-    return s[order], u[:, order], v[:, order]
+    u, s, vt = np.linalg.svd(b)
+    sign = _column_signs(vt[::-1].T)
+    return s[::-1], u[:, ::-1] * sign, vt[::-1].T * sign
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +171,8 @@ def _blocks_of(m: np.ndarray):
 def decompose(m) -> BlockData:
     """Block decomposition with sorted spectra and spectral frames."""
     a, b, c = _blocks_of(m)
-    eigs_a, vecs_a = jacobi_eigh3(a)
-    eigs_c, vecs_c = jacobi_eigh3(c)
+    eigs_a, vecs_a = eigh3(a)
+    eigs_c, vecs_c = eigh3(c)
     svals, left, right = svd3(b)
     return BlockData(a, b, c, eigs_a, eigs_c, svals, vecs_a, vecs_c, left, right)
 
@@ -262,11 +180,8 @@ def decompose(m) -> BlockData:
 def block_spectra(m):
     """(eigs_a, eigs_c, svals_b), each ascending; cheaper than decompose."""
     a, b, c = _blocks_of(m)
-    eigs_a, _ = jacobi_eigh3(a, vectors=False)
-    eigs_c, _ = jacobi_eigh3(c, vectors=False)
-    btb = b.T @ b
-    lam, _ = jacobi_eigh3(0.5 * (btb + btb.T), vectors=False)
-    return eigs_a, eigs_c, np.sqrt(np.maximum(lam, 0.0))
+    svals = np.linalg.svd(b, compute_uv=False)[::-1]
+    return np.linalg.eigvalsh(a), np.linalg.eigvalsh(c), svals
 
 
 def reassemble(a, b, c) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import ConeParams, FrameOctet, hat_f, is_member
+from .cone import FACE_DEGREE, ConeParams, FrameOctet, hat_f, is_member
 from .decomposition import block_spectra, canonical_selfdual_basis, decompose, reassemble
 from .wedge import project_bianchi
 
@@ -203,13 +203,14 @@ def boundary_member(cfg: SamplerConfig, params: ConeParams, face: str, index: in
     """Member on the named face of the cone, plus an active-face certificate.
 
     Starts from an interior member and moves along a face-specific ray --
-    inflating the mixed block for F1, lowering the smallest A (resp. C)
-    eigenvalue for F2 (resp. F3) -- bisecting on the ray parameter until the
-    named closed form lands in [1e-12, 1e-10] x max(1, |R|^degree), a window
-    wide enough to survive reassembly rounding while staying on the member
-    side.  The other two closed forms remain nonnegative (for the F2/F3
-    rays the mixed block is pre-shrunk so the isotropic inequality holds
-    along the whole ray).  Returns (operator, certificate dict).
+    scaling the mixed block for F1, lowering the smallest A (resp. C)
+    eigenvalue for F2 (resp. F3).  The named closed form is explicit in the
+    ray parameter, which is solved for directly to put that form at
+    1e-11 x max(1, |R|^degree): the middle of a [0, 1e-10] window wide
+    enough to survive reassembly rounding while staying on the member side.
+    The other two closed forms remain nonnegative (for the F2/F3 rays the
+    mixed block is pre-shrunk so the isotropic inequality holds along the
+    whole ray).  Returns (operator, certificate dict).
     """
     if face not in FACE_TAGS:
         raise ValueError(f"face must be one of {FACE_TAGS}, got {face!r}")
@@ -226,8 +227,7 @@ def boundary_member(cfg: SamplerConfig, params: ConeParams, face: str, index: in
         f = hat_f(m, params)
         named = f[FACE_TAGS.index(face)]
         nrm = float(np.linalg.norm(m))
-        deg = 2 if face == "F1" else 1
-        face_tol = 1e-10 * max(1.0, nrm**deg)
+        face_tol = 1e-10 * max(1.0, nrm ** FACE_DEGREE[face])
         if 0.0 <= named <= face_tol and is_member(m, params):
             cert = {"face": face, "F1": f[0], "F2": f[1], "F3": f[2], "norm": nrm}
             return m, cert
@@ -236,78 +236,32 @@ def boundary_member(cfg: SamplerConfig, params: ConeParams, face: str, index: in
 
 
 def _boundary_ray(eigs_a, eigs_c, svals, params: ConeParams, face: str):
-    """Drive the named closed form to the boundary window on cached spectra."""
+    """Spectra moved along the named face's ray to the window's middle, or None."""
     sum_a = eigs_a[0] + eigs_a[1]
     sum_c = eigs_c[0] + eigs_c[1]
-    deg = 2 if face == "F1" else 1
     scale_r = max(1.0, float(np.sqrt(np.sum(eigs_a**2) + np.sum(eigs_c**2) + 2 * np.sum(svals**2))))
-    window_hi = 1e-10 * scale_r**deg
-    window_lo = 1e-2 * window_hi
+    target = 1e-11 * scale_r ** FACE_DEGREE[face]
 
     if face == "F1":
-        if svals[1] + svals[2] <= 1e-8 * scale_r:
+        z = svals[1] + svals[2]
+        room = params.eta * sum_a * sum_c - target
+        if z <= 1e-8 * scale_r or room < 0.0:
             return None
+        return eigs_a, eigs_c, (np.sqrt(room) / z) * svals
 
-        def fhat(s):
-            return params.eta * sum_a * sum_c - (s * (svals[1] + svals[2])) ** 2
-
-        def apply(s):
-            return eigs_a, eigs_c, s * svals
-
-        lo = 1.0
-    elif face == "F2":
-        root = sum_a - (eigs_a[1] + eigs_a[2]) / params.mu
-        cap = 0.9 * params.eta * (sum_a - root) * sum_c
-        if (svals[1] + svals[2]) ** 2 > cap:
-            if cap <= 0:
-                return None
-            svals = svals * np.sqrt(cap / (svals[1] + svals[2]) ** 2)
-
-        def fhat(s):
-            return params.mu * (sum_a - s) - (eigs_a[1] + eigs_a[2])
-
-        def apply(s):
-            ea = eigs_a.copy()
-            ea[0] -= s
-            return ea, eigs_c, svals
-
-        lo = 0.0
-    else:
-        root = sum_c - (eigs_c[1] + eigs_c[2]) / params.mu
-        cap = 0.9 * params.eta * sum_a * (sum_c - root)
-        if (svals[1] + svals[2]) ** 2 > cap:
-            if cap <= 0:
-                return None
-            svals = svals * np.sqrt(cap / (svals[1] + svals[2]) ** 2)
-
-        def fhat(s):
-            return params.mu * (sum_c - s) - (eigs_c[1] + eigs_c[2])
-
-        def apply(s):
-            ec = eigs_c.copy()
-            ec[0] -= s
-            return eigs_a, ec, svals
-
-        lo = 0.0
-
-    if fhat(lo) <= window_hi:
-        return apply(lo) if fhat(lo) >= 0.0 else None
-    hi = max(lo, 1.0)
-    for _ in range(200):
-        if fhat(hi) < 0.0:
-            break
-        hi = 2.0 * hi + 1.0
-    else:
+    eigs, other = (eigs_a, sum_c) if face == "F2" else (eigs_c, sum_a)
+    upper = eigs[1] + eigs[2]
+    # the moved sum ends at (upper + target) / mu: cap the mixed block there
+    # (cap > 0, as member draws have positive eigenvalue sums)
+    cap = 0.9 * params.eta * (upper / params.mu) * other
+    if (svals[1] + svals[2]) ** 2 > cap:
+        svals = svals * np.sqrt(cap / (svals[1] + svals[2]) ** 2)
+    s = eigs[0] + eigs[1] - (upper + target) / params.mu
+    if s < 0.0:
         return None
-    for _ in range(400):
-        if window_lo <= fhat(lo) <= window_hi:
-            return apply(lo)
-        mid = 0.5 * (lo + hi)
-        if fhat(mid) >= window_lo:
-            lo = mid
-        else:
-            hi = mid
-    return None
+    moved = eigs.copy()
+    moved[0] -= s
+    return (moved, eigs_c, svals) if face == "F2" else (eigs_a, moved, svals)
 
 
 def random_frame_octet(cfg: SamplerConfig, index: int = 0) -> FrameOctet:

@@ -187,7 +187,7 @@ def suite_cone(seed: int, n: int) -> list[dict]:
     i6 = np.eye(6)
 
     c = _Check("cone", "l-minus-identity", "l(-I) = 1", "residual", 1e-8, seed)
-    c.add(abs(cn.lower_bound_l(-i6, cn.ConeParams(1.0, 2.0), tol=1e-9) - 1.0))
+    c.add(abs(cn.lower_bound_l(-i6, cn.ConeParams(1.0, 2.0)) - 1.0))
     checks.append(c.done())
 
     for eta_mu in PARAM_SETS:
@@ -205,7 +205,7 @@ def suite_cone(seed: int, n: int) -> list[dict]:
                 any(cn.is_member(c_ * m, params) != base for c_ in (0.1, 10.0)),
                 index=i, operator=m,
             )
-            lv = cn.lower_bound_l(m, params, tol=1e-9)
+            lv = cn.lower_bound_l(m, params)
             seen_member = False
             bad = False
             for alpha in np.linspace(0.0, 2.0 * lv + 1.0, 100):
@@ -217,16 +217,15 @@ def suite_cone(seed: int, n: int) -> list[dict]:
             c_mono.count(bad, index=i, operator=m)
             q = smp.random_rotation(smp.substream(seed, "cone-rot", i), 4)
             m2 = wg.rotate_operator(m, q)
-            lv2 = cn.lower_bound_l(m2, params, tol=1e-12)
-            lv1 = cn.lower_bound_l(m, params, tol=1e-12)
+            lv2 = cn.lower_bound_l(m2, params)
             c_rot.count(
                 cn.is_member(m2, params) != base
-                or abs(lv1 - lv2) > 1e-10 * max(1.0, wg.frobenius(m)) + 2e-12,
+                or abs(lv - lv2) > 1e-10 * max(1.0, wg.frobenius(m)) + 2e-12,
                 index=i, operator=m,
             )
             for c_ in (0.1, 10.0):
                 c_homl.add(
-                    abs(cn.lower_bound_l(c_ * m, params, tol=1e-9) - c_ * lv)
+                    abs(cn.lower_bound_l(c_ * m, params) - c_ * lv)
                     / max(1.0, c_ * wg.frobenius(m)),
                     index=i, operator=m, context=f"c={c_}",
                 )
@@ -254,7 +253,7 @@ def suite_cone(seed: int, n: int) -> list[dict]:
             if c_pinch is not None:
                 c_pinch.add((cn.ricci_pinch_check(m, params) + tol) / max(1.0, nrm), index=i, operator=m)
             mb = smp.random_bianchi(cfg, index=3000 + i)
-            lb = cn.lower_bound_l(mb, params, tol=1e-9)
+            lb = cn.lower_bound_l(mb, params)
             c_linb.add(params.c_eta * wg.frobenius(mb) + 1e-6 - lb, index=i, operator=mb)
         checks += [c.done() for c in (c_mid, c_wpic, c_flag, c_upic)]
         if c_pinch is not None:

@@ -336,6 +336,9 @@ def operator_from_json_dict(obj) -> np.ndarray:
         n = len(upper) if isinstance(upper, (list, tuple)) else "no"
         raise ValueError(f'"upper" must hold exactly 21 numbers, got {n}')
     try:
-        return operator_from_upper([float(x) for x in upper])
+        vals = [float(x) for x in upper]
     except (TypeError, ValueError) as exc:
         raise ValueError(f'"upper" must hold exactly 21 numbers: {exc}') from exc
+    if not np.all(np.isfinite(vals)):
+        raise ValueError('"upper" must hold finite numbers (no NaN or infinity)')
+    return operator_from_upper(vals)

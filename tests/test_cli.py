@@ -1,12 +1,15 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from curvcone import cli
 from curvcone import verify as vf
+from curvcone.cone import ConeParams
+from curvcone.sampling import SamplerConfig, random_nonmember
 from curvcone.wedge import operator_from_upper, operator_to_json_dict
 
 I6 = np.eye(6)
@@ -83,6 +86,30 @@ class TestCheck:
         assert rc == 0
 
 
+class TestRobustInput:
+    @pytest.mark.parametrize("cmd", ["check", "l"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_entry_exits_2(self, tmp_path, capsys, cmd, bad):
+        vals = [0.0] * 21
+        vals[3] = bad
+        p = tmp_path / "bad.jsonl"
+        p.write_text(json.dumps({"basis": "wedge4", "upper": vals}) + "\n")
+        assert cli.main([cmd, "--input", str(p)]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["check", "l"])
+    def test_large_non_member_is_quick(self, tmp_path, cmd):
+        m = operator_from_upper(np.random.default_rng(9).standard_normal(21))
+        m = -1e9 * (m @ m + I6)
+        p = tmp_path / "big.jsonl"
+        write_ops(p, m)
+        out = tmp_path / "out.jsonl"
+        t0 = time.perf_counter()
+        assert cli.main([cmd, "--input", str(p), "--output", str(out)]) == 0
+        assert time.perf_counter() - t0 < 1.0
+        assert json.loads(out.read_text())["l"] > 1e9
+
+
 class TestEvolve:
     def test_identity_trajectory_csv(self, tmp_path, ops_file):
         out = tmp_path / "traj.csv"
@@ -115,6 +142,16 @@ class TestEvolve:
             "evolve", "--input", str(p), "--t-max", "5.0", "--blowup-norm", "1000",
             "--output", str(out),
         ])
+        assert rc == 0
+        assert "status=blowup-stopped" in capsys.readouterr().err
+
+    def test_overflowing_trial_step_shrinks(self, tmp_path, capsys):
+        # a non-member at |R| = 3e7 overflows trial steps on its way to the
+        # default blow-up norm 1e8; those steps must be rejected, not kept
+        m = random_nonmember(SamplerConfig(seed=1), ConeParams(1.0, 2.0), index=0)
+        p = tmp_path / "big.jsonl"
+        write_ops(p, m * (3e7 / np.linalg.norm(m)))
+        rc = cli.main(["evolve", "--input", str(p), "--t-max", "100", "--output", str(tmp_path / "t.csv")])
         assert rc == 0
         assert "status=blowup-stopped" in capsys.readouterr().err
 

@@ -219,6 +219,76 @@ class TestLowerBound:
         assert cn.is_member(m + (lv + 1e-8) * I6, p0, tol_abs=1e-12)
 
 
+def _bisected_l(m, p, tol_abs=0.0):
+    """Independent oracle for l: bisection over is_member(R + alpha I)."""
+    if cn.is_member(m, p, tol_abs=tol_abs):
+        return 0.0
+    hi = max(1.0, np.linalg.norm(m))
+    for _ in range(64):
+        if cn.is_member(m + hi * I6, p, tol_abs=tol_abs):
+            break
+        hi *= 2.0
+    else:
+        return math.inf
+    lo = 0.0
+    while hi - lo > 1e-13 * hi:
+        mid = 0.5 * (lo + hi)
+        if cn.is_member(m + mid * I6, p, tol_abs=tol_abs):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+class TestLowerBoundClosedForm:
+    @pytest.mark.parametrize("p", PARAM_SETS + (cn.ConeParams(4.0, 5.0),), ids=str)
+    def test_matches_bisection_oracle(self, p):
+        positive = 0
+        for i in range(60):
+            m = random_bianchi(CFG, index=5000 + i)
+            if i % 3 == 0:
+                m = m + 2.0 * I6
+            lv = cn.lower_bound_l(m, p)
+            positive += lv > 0.0
+            assert abs(lv - _bisected_l(m, p)) <= 1e-11 * max(1.0, np.linalg.norm(m))
+        assert positive >= 30
+
+    def test_eta_zero_against_oracle(self):
+        p0 = cn.ConeParams(0.0, 1.5)
+        for i in range(20):
+            m = random_bianchi(CFG, index=5100 + i)
+            assert cn.lower_bound_l(m, p0) == math.inf == _bisected_l(m, p0)
+        rng = substream(34, "eta0")
+        for i in range(20):
+            q_a, q_c = random_rotation(rng, 3), random_rotation(rng, 3)
+            a = q_a @ np.diag(np.sort(rng.normal(size=3))) @ q_a.T
+            c = q_c @ np.diag(np.sort(rng.normal(size=3))) @ q_c.T
+            m = dc.reassemble(a, np.zeros((3, 3)), c)
+            lv = cn.lower_bound_l(m, p0)
+            # reassembly leaves a rounding-level mixed block, which eta = 0
+            # only forgives with a slack on F1
+            assert math.isfinite(lv)
+            assert abs(lv - _bisected_l(m, p0, tol_abs=1e-24)) <= 1e-11 * max(1.0, np.linalg.norm(m))
+
+    @pytest.mark.parametrize("c", [1e-300, 1e-150, 1e6, 1e12, 1e300])
+    def test_scale_homogeneity_across_range(self, c):
+        for p in PARAM_SETS:
+            for i in range(20):
+                m = random_bianchi(CFG, index=5200 + i) if i % 2 else random_member(CFG, p, index=5200 + i)
+                base = cn.is_member(m, p)
+                assert cn.is_member(c * m, p) == base
+                lv = cn.lower_bound_l(m, p)
+                assert (lv == 0.0) == base
+                assert abs(cn.lower_bound_l(c * m, p) / c - lv) <= 1e-12 * lv
+        p0 = cn.ConeParams(0.0, 1.5)
+        m = random_bianchi(CFG, index=5300)
+        assert cn.lower_bound_l(c * m, p0) == math.inf
+        m = dc.reassemble(np.diag([-1.0, 0.5, 2.0]), np.zeros((3, 3)), np.diag([0.4, 0.5, 0.6]))
+        lv = cn.lower_bound_l(m, p0)
+        assert 0.0 < lv < math.inf
+        assert abs(cn.lower_bound_l(c * m, p0) / c - lv) <= 1e-12 * lv
+
+
 class TestNullVector:
     @pytest.mark.parametrize("face", ["F1", "F2", "F3"])
     def test_boundary_slack(self, face):

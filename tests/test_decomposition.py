@@ -66,29 +66,46 @@ class TestHodgeStar:
         np.testing.assert_allclose(np.sort(vals), [-1, -1, -1, 1, 1, 1], atol=1e-14)
 
 
-class TestJacobiEigh:
+class TestEigh3:
     def test_against_numpy(self):
         rng = substream(22, "jac")
         for _ in range(500):
             g = rng.standard_normal((3, 3))
             s = 0.5 * (g + g.T)
-            vals, vecs = dc.jacobi_eigh3(s)
+            vals, vecs = dc.eigh3(s)
             np.testing.assert_allclose(vals, np.linalg.eigvalsh(s), atol=1e-13 * max(1, np.linalg.norm(s)))
             np.testing.assert_allclose(vecs.T @ vecs, np.eye(3), atol=1e-12)
             np.testing.assert_allclose(s @ vecs, vecs @ np.diag(vals), atol=1e-10 * max(1, np.linalg.norm(s)))
 
     def test_degenerate_spectra(self):
         for s in (np.eye(3), np.zeros((3, 3)), np.diag([2.0, 2.0, -1.0])):
-            vals, vecs = dc.jacobi_eigh3(s)
+            vals, vecs = dc.eigh3(s)
             np.testing.assert_allclose(np.sort(np.diag(s)), vals, atol=1e-15)
             np.testing.assert_allclose(vecs.T @ vecs, np.eye(3), atol=1e-14)
 
     def test_deterministic(self):
         g = substream(23, "det").standard_normal((3, 3))
         s = 0.5 * (g + g.T)
-        v1, w1 = dc.jacobi_eigh3(s)
-        v2, w2 = dc.jacobi_eigh3(s.copy())
+        v1, w1 = dc.eigh3(s)
+        v2, w2 = dc.eigh3(s.copy())
         assert np.array_equal(v1, v2) and np.array_equal(w1, w2)
+
+    def test_sign_rule(self):
+        g = substream(23, "sign").standard_normal((3, 3))
+        _, vecs = dc.eigh3(0.5 * (g + g.T))
+        assert np.all(vecs[np.argmax(np.abs(vecs), axis=0), [0, 1, 2]] > 0.0)
+
+    @pytest.mark.parametrize("c", [1e-300, 1e300])
+    def test_extreme_scales(self, c):
+        rng = substream(25, "jac-scale")
+        for _ in range(50):
+            g = rng.standard_normal((3, 3))
+            s = 0.5 * (g + g.T)
+            vals, vecs = dc.eigh3(c * s)
+            ref, _ = dc.eigh3(s)
+            np.testing.assert_allclose(vals / c, ref, atol=1e-13 * np.linalg.norm(s))
+            np.testing.assert_allclose(vecs.T @ vecs, np.eye(3), atol=1e-12)
+            np.testing.assert_allclose(s @ vecs, vecs @ np.diag(vals / c), atol=1e-10 * np.linalg.norm(s))
 
 
 class TestSvd3:
@@ -111,6 +128,27 @@ class TestSvd3:
         s, u, v = dc.svd3(np.zeros((3, 3)))
         assert np.all(s == 0.0)
         np.testing.assert_allclose(u.T @ u, np.eye(3), atol=0)
+
+    def test_deterministic_with_sign_rule(self):
+        b = substream(26, "svd-det").standard_normal((3, 3))
+        s1, u1, v1 = dc.svd3(b)
+        s2, u2, v2 = dc.svd3(b.copy())
+        assert np.array_equal(s1, s2) and np.array_equal(u1, u2) and np.array_equal(v1, v2)
+        assert np.all(v1[np.argmax(np.abs(v1), axis=0), [0, 1, 2]] > 0.0)
+
+    @pytest.mark.parametrize("c", [1e-300, 1e300])
+    def test_extreme_scales(self, c):
+        rng = substream(27, "svd-scale")
+        for _ in range(50):
+            b = rng.standard_normal((3, 3))
+            s, u, v = dc.svd3(c * b)
+            ref = np.sort(np.linalg.svd(b, compute_uv=False))
+            np.testing.assert_allclose(s / c, ref, atol=1e-12 * np.linalg.norm(b))
+            np.testing.assert_allclose(u.T @ u, np.eye(3), atol=1e-11)
+            np.testing.assert_allclose(v.T @ v, np.eye(3), atol=1e-11)
+            np.testing.assert_allclose(u.T @ b @ v, np.diag(s / c), atol=1e-11 * np.linalg.norm(b))
+            np.testing.assert_allclose(dc.block_spectra(c * dc.reassemble(np.eye(3), b, np.eye(3)))[2] / c,
+                                       ref, atol=1e-12 * np.linalg.norm(b))
 
 
 class TestDecompose:
