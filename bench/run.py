@@ -1,0 +1,168 @@
+"""Kernel timings of curvcone: microseconds per operator, single and stacked.
+
+    python3 bench/run.py --label batched --baseline-src OTHER/src --baseline-label 4261e7c
+
+Run from the root of a source checkout.  Each kernel is timed with
+``time.perf_counter`` as the best of REPEATS runs: once as a loop of
+N_SINGLE single-operator calls, and once as one call on a stack of N_STACKED
+operators (indices for the samplers).  Wall times are taken for each
+``verify`` suite at the CLI default ``--samples 1000`` and for ``evolve``'s
+integration of a blow-up from |R| = 3e7.  With ``--baseline-src`` the
+single-operator kernels and the wall times are also taken for another
+checkout's package, in a subprocess, and stored next to this one's.  Writes ``BENCH_<label>.json``;
+a full run takes a minute or two.
+
+Not a test and not a gate: the numbers depend on the machine and its load.
+BLAS is pinned to one thread, as in ``perfbench/run.py``.
+"""
+
+from __future__ import annotations
+
+import os
+
+os.environ.update({v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+SUITES = ("algebra", "cone", "nullvector", "flow", "cutoff")
+SUITE_SAMPLES = 1000
+N_SINGLE = 1000
+N_STACKED = 10_000
+REPEATS = 5
+SUITE_REPEATS = 3
+
+
+def best_of(fn, repeats: int) -> float:
+    """Least wall time of ``repeats`` calls of ``fn``, in seconds."""
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def inputs(n: int):
+    """Members, non-members and the cone parameters, all from seed 0."""
+    from curvcone import cone, sampling
+
+    cfg = sampling.SamplerConfig(seed=0)
+    params = cone.ConeParams(1.0, 2.0)
+    members = np.array([sampling.random_member(cfg, params, index=i) for i in range(n)])
+    raw = np.array([sampling.random_bianchi(cfg, index=i) for i in range(n)])
+    nonmembers = raw - 3.0 * np.eye(6)  # shifted so that every one has l > 0
+    return cfg, params, members, nonmembers
+
+
+def kernels(cfg, params, members, nonmembers):
+    """name -> (single-operator call on operator/index i, stacked call)."""
+    from curvcone import cone, decomposition, flow, sampling, wedge
+
+    idx = np.arange(len(members))
+    return {
+        "q_operator": (lambda i: wedge.q_operator(members[i]), lambda: wedge.q_operator(members)),
+        "block_spectra": (lambda i: decomposition.block_spectra(members[i]),
+                          lambda: decomposition.block_spectra(members)),
+        "decompose": (lambda i: decomposition.decompose(members[i]), lambda: decomposition.decompose(members)),
+        "hat_f": (lambda i: cone.hat_f(members[i], params), lambda: cone.hat_f(members, params)),
+        "is_member": (lambda i: cone.is_member(members[i], params), lambda: cone.is_member(members, params)),
+        "lower_bound_l (member)": (lambda i: cone.lower_bound_l(members[i], params),
+                                   lambda: cone.lower_bound_l(members, params)),
+        "lower_bound_l (non-member)": (lambda i: cone.lower_bound_l(nonmembers[i], params),
+                                       lambda: cone.lower_bound_l(nonmembers, params)),
+        "random_member": (lambda i: sampling.random_member(cfg, params, index=i),
+                          lambda: sampling.random_member(cfg, params, index=idx)),
+        "boundary_member": (lambda i: sampling.boundary_member(cfg, params, "F1", index=i),
+                            lambda: sampling.boundary_member(cfg, params, "F1", index=idx)),
+        "rk4_step": (lambda i: flow._rk4_step(members[i], 1e-3), lambda: flow._rk4_step(members, 1e-3)),
+    }
+
+
+def time_kernels(stacked: bool) -> dict:
+    cfg, params, members, nonmembers = inputs(N_STACKED if stacked else N_SINGLE)
+    single = kernels(cfg, params, members[:N_SINGLE], nonmembers[:N_SINGLE])
+    out = {}
+    for name, (one, _) in single.items():
+        secs = best_of(lambda: [one(i) for i in range(N_SINGLE)], REPEATS)
+        out[name] = {"per_operator_us": 1e6 * secs / N_SINGLE}
+    if stacked:
+        many = kernels(cfg, params, members, nonmembers)
+        for name, (_, stack) in many.items():
+            out[name]["stacked_us"] = 1e6 * best_of(stack, REPEATS) / N_STACKED
+    return out
+
+
+def time_wall() -> dict:
+    from curvcone import cone, flow, sampling, verify, wedge
+
+    out = {}
+    for name in SUITES:
+        out[f"verify {name} (samples={SUITE_SAMPLES})"] = best_of(
+            lambda: verify.run(name, 1, SUITE_SAMPLES), SUITE_REPEATS)
+    params = cone.ConeParams(1.0, 2.0)
+    m = sampling.random_nonmember(sampling.SamplerConfig(seed=0), params, index=0)
+    start = m * (3e7 / wedge.frobenius(m))
+    cfg = flow.TrajectoryConfig(dt=1e-3, t_max=100.0)
+    out["evolve blow-up from |R| = 3e7"] = best_of(lambda: flow.integrate(start, cfg, params=params), SUITE_REPEATS)
+    return out
+
+
+def environment() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "cpu_count": os.cpu_count(),
+        "machine": platform.machine(),
+    }
+
+
+def measure(src: str, stacked: bool) -> dict:
+    sys.path.insert(0, str(Path(src).resolve()))
+    return {"kernels": time_kernels(stacked), "wall_s": time_wall()}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--label", default="local")
+    ap.add_argument("--src", default=str(ROOT / "src"), help="package source to time")
+    ap.add_argument("--single-only", action="store_true", dest="single_only",
+                    help="skip the stacked calls (for packages without them)")
+    ap.add_argument("--baseline-src", default=None, dest="baseline_src")
+    ap.add_argument("--baseline-label", default="baseline", dest="baseline_label")
+    ap.add_argument("--output", default=None, help="default BENCH_<label>.json; '-' prints")
+    args = ap.parse_args(argv)
+
+    result = {
+        "label": args.label,
+        "method": (f"best of {REPEATS} perf_counter runs; per-operator: a loop of "
+                   f"{N_SINGLE} single calls; stacked: one call on {N_STACKED} operators "
+                   f"(indices for the samplers); wall_s: best of {SUITE_REPEATS}"),
+        "environment": environment(),
+        **measure(args.src, not args.single_only),
+    }
+    if args.baseline_src:
+        cmd = [sys.executable, __file__, "--src", args.baseline_src, "--single-only", "--output", "-"]
+        base = json.loads(subprocess.run(cmd, capture_output=True, text=True, check=True).stdout)
+        result["baseline"] = {"label": args.baseline_label, "kernels": base["kernels"], "wall_s": base["wall_s"]}
+    text = json.dumps(result, indent=2) + "\n"
+    if args.output == "-":
+        sys.stdout.write(text)
+    else:
+        Path(args.output or ROOT / f"BENCH_{args.label}.json").write_text(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

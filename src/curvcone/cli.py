@@ -24,9 +24,19 @@ import sys
 import numpy as np
 
 from . import verify as vf
-from .cone import ConeParams, hat_f, implies_wpic, is_member, lower_bound_l, ricci_pinch_check, two_nonneg_flag, uniform_pic_check
+from .cone import (
+    ConeParams,
+    hat_f,
+    implies_wpic,
+    is_member,
+    l_face,
+    lower_bound_l,
+    ricci_pinch_check,
+    two_nonneg_flag,
+    uniform_pic_check,
+)
 from .cutoff import CutoffFunction, CutoffSpec, theorem_variant_check, verify_cutoff
-from .decomposition import decompose
+from .decomposition import block_spectra, decompose
 from .flow import StepUnderflowError, TrajectoryConfig, integrate
 from .sampling import SamplerConfig, boundary_member, random_bianchi, random_member
 from .wedge import (
@@ -101,27 +111,30 @@ def cmd_decompose(args) -> int:
 
 
 def _check_record(m, params):
-    f1, f2, f3 = hat_f(m, params)
-    lv = lower_bound_l(m, params)
-    _, cert = two_nonneg_flag(m, 1, seed=0)
+    # one block_spectra serves every field; a non-finite number is written
+    # as null, since strict JSON has no NaN or infinity
+    spectra = block_spectra(m)
+    f1, f2, f3 = hat_f(m, params, blocks=spectra)
+    _, cert = two_nonneg_flag(m, 1, seed=0, blocks=spectra)
     try:
-        pinch = ricci_pinch_check(m, params)
+        pinch = ricci_pinch_check(m, params, blocks=spectra)
     except ValueError:
         pinch = None
     try:
-        upic = uniform_pic_check(m, params)
+        upic = uniform_pic_check(m, params, blocks=spectra)
     except ValueError:
         upic = None
     return {
-        "member": is_member(m, params),
-        "F1": f1,
-        "F2": f2,
-        "F3": f3,
-        "l": _finite_or_none(lv),
-        "wpic": implies_wpic(m, params),
-        "flag2_certificate": cert,
-        "ricci_pinch_slack": pinch,
-        "upic_slack": upic,
+        "member": is_member(m, params, blocks=spectra),
+        "F1": _finite_or_none(f1),
+        "F2": _finite_or_none(f2),
+        "F3": _finite_or_none(f3),
+        "l": _finite_or_none(lower_bound_l(m, params, blocks=spectra)),
+        "l_face": l_face(m, params, blocks=spectra),
+        "wpic": implies_wpic(m, params, blocks=spectra),
+        "flag2_certificate": _finite_or_none(cert),
+        "ricci_pinch_slack": _finite_or_none(pinch),
+        "upic_slack": _finite_or_none(upic),
     }
 
 

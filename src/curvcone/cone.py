@@ -21,6 +21,17 @@ the cone.  Shifting by the identity moves every block eigenvalue by alpha
 and leaves B alone, so after a single decomposition each closed form is a
 linear (F2, F3) or quadratic (F1) function of alpha, and l is the largest
 of their explicit roots.
+
+Stacks: :func:`hat_f`, :func:`is_member`, :func:`lower_bound_l`,
+:func:`l_face`, :func:`implies_wpic`, :func:`extremal_frame`,
+:func:`frame_functionals`, :func:`null_vector_verify` and
+:func:`hamilton_intermediate_slack` take operators of shape ``(..., 6, 6)``.
+A single 6x6 operator gives today's types (floats, bools, a tuple, a
+report of floats); a stack gives arrays over the leading axes in the same
+places, and each entry carries the bits of the single call on that slice.
+The spectra-based functions also take ``blocks=``: a :class:`BlockData` or
+the triple :func:`block_spectra` returns, so that one decomposition serves
+several of them.
 """
 
 from __future__ import annotations
@@ -31,6 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decomposition import (
+    BlockData,
     block_spectra,
     canonical_selfdual_basis,
     decompose,
@@ -41,6 +53,29 @@ from .wedge import frobenius, q_operator, ricci, scalar
 _FACES = ("F1", "F2", "F3")
 #: homogeneity degree of each face functional in the operator
 FACE_DEGREE = {"F1": 2, "F2": 1, "F3": 1}
+
+#: v ** 2 as a float64 scalar computes it, with the C library's pow (inf on
+#: overflow); an array's ** 2 multiplies instead and differs in the last bit
+#: on about one value in a thousand, so F1 keeps pow for stacks too
+_POW2 = np.frompyfunc(lambda v: np.float64(v) ** 2, 1, 1)
+#: math.hypot is correctly rounded; np.hypot is not, and differs from it in
+#: the last bit on about one pair in two hundred
+_HYPOT = np.frompyfunc(math.hypot, 2, 1)
+
+
+def _scalar_or_array(v, kind=float):
+    # a Python scalar for the result of one operator, an array for a stack
+    v = np.asarray(v)
+    return kind(v) if v.ndim == 0 else v
+
+
+def _spectra(m, blocks):
+    # (eigs_a, eigs_c, svals_b): from a BlockData, a block_spectra triple, or m
+    if blocks is None:
+        return block_spectra(m)
+    if isinstance(blocks, BlockData):
+        return blocks.eigs_a, blocks.eigs_c, blocks.svals_b
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -84,7 +119,7 @@ class FrameOctet:
     orthogonality within each consecutive pair.
     """
 
-    xi: np.ndarray  # (8, 6)
+    xi: np.ndarray  # (8, 6), or (..., 8, 6) for the frames of a stack
 
     def validate(self, tol: float = 1e-10) -> None:
         xi = np.asarray(self.xi, dtype=float)
@@ -118,19 +153,20 @@ def frame_functionals(m, octet: FrameOctet, validate: bool = True) -> ConeFuncti
     """X, Y, Z, W, V of a symmetric form at an octet.
 
     X pairs (xi_1, xi_2), W pairs (xi_3, xi_4), Y pairs (xi_5, xi_6),
-    V pairs (xi_7, xi_8), and Z = R(xi_7, xi_3) + R(xi_8, xi_4).
+    V pairs (xi_7, xi_8), and Z = R(xi_7, xi_3) + R(xi_8, xi_4).  Stacked
+    octets (from :func:`extremal_frame` on a stack) need ``validate=False``.
     """
     if validate:
         octet.validate(1e-10)
     m = np.asarray(m, dtype=float)
     xi = octet.xi
-    mx = xi @ m @ xi.T
+    mx = xi @ m @ xi.swapaxes(-1, -2)
     return ConeFunctionals(
-        x=float(mx[0, 0] + mx[1, 1]),
-        y=float(mx[4, 4] + mx[5, 5]),
-        z=float(mx[6, 2] + mx[7, 3]),
-        w=float(mx[2, 2] + mx[3, 3]),
-        v=float(mx[6, 6] + mx[7, 7]),
+        x=_scalar_or_array(mx[..., 0, 0] + mx[..., 1, 1]),
+        y=_scalar_or_array(mx[..., 4, 4] + mx[..., 5, 5]),
+        z=_scalar_or_array(mx[..., 6, 2] + mx[..., 7, 3]),
+        w=_scalar_or_array(mx[..., 2, 2] + mx[..., 3, 3]),
+        v=_scalar_or_array(mx[..., 6, 6] + mx[..., 7, 7]),
     )
 
 
@@ -139,37 +175,50 @@ def hat_f(m, params: ConeParams, blocks=None):
 
     The F1 value is the true frame infimum only where F2, F3 >= 0; callers
     that need a membership decision should use :func:`is_member`, which
-    orders the tests accordingly.
+    orders the tests accordingly.  Past |R| ~ 1e154 the products in F1
+    overflow; only where that leaves F1 non-finite for finite spectra is it
+    recomputed from the sums divided by their largest magnitude, which gives
+    its sign, and its value wherever that fits in a double.
     """
-    if blocks is not None:
-        ea, ec, sb = blocks.eigs_a, blocks.eigs_c, blocks.svals_b
-    else:
-        ea, ec, sb = block_spectra(m)
-    f1 = params.eta * (ea[0] + ea[1]) * (ec[0] + ec[1]) - (sb[1] + sb[2]) ** 2
-    f2 = params.mu * (ea[0] + ea[1]) - (ea[1] + ea[2])
-    f3 = params.mu * (ec[0] + ec[1]) - (ec[1] + ec[2])
-    return float(f1), float(f2), float(f3)
+    ea, ec, sb = _spectra(m, blocks)
+    x, y, z = ea[..., 0] + ea[..., 1], ec[..., 0] + ec[..., 1], sb[..., 1] + sb[..., 2]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        f1 = params.eta * x * y - np.asarray(_POW2(z), dtype=float)
+        if not np.isfinite(f1).all():
+            redo = ~np.isfinite(f1) & np.isfinite(x) & np.isfinite(y) & np.isfinite(z)
+            s = np.maximum(np.maximum(np.abs(x), np.abs(y)), z)
+            xs, ys, zs = x / s, y / s, z / s
+            f1 = np.where(redo, (params.eta * xs * ys - zs * zs) * s * s, f1)
+    f2 = params.mu * x - (ea[..., 1] + ea[..., 2])
+    f3 = params.mu * y - (ec[..., 1] + ec[..., 2])
+    return _scalar_or_array(f1), _scalar_or_array(f2), _scalar_or_array(f3)
 
 
-def _member_from_spectra(ea, ec, sb, params: ConeParams, tol_abs: float = 0.0) -> bool:
-    x, y, z = ea[0] + ea[1], ec[0] + ec[1], sb[1] + sb[2]
-    if params.mu * x - (ea[1] + ea[2]) < -tol_abs or params.mu * y - (ec[1] + ec[2]) < -tol_abs:
-        return False
+# The private helpers below work on spectra; the public functions calling
+# them silence overflow warnings, since past |R| ~ 1e154 a product may
+# overflow to inf on its way to a correct comparison.
+
+def _member_from_spectra(ea, ec, sb, params: ConeParams, tol_abs: float = 0.0):
+    x, y, z = ea[..., 0] + ea[..., 1], ec[..., 0] + ec[..., 1], sb[..., 1] + sb[..., 2]
+    faces = ~(
+        (params.mu * x - (ea[..., 1] + ea[..., 2]) < -tol_abs)
+        | (params.mu * y - (ec[..., 1] + ec[..., 2]) < -tol_abs)
+    )
     # F1 as (z - s)(z + s) <= tol_abs with s = sqrt(eta x y), which forms no
     # square and so cannot overflow to inf - inf
-    s = math.sqrt(params.eta) * math.sqrt(max(x, 0.0)) * math.sqrt(max(y, 0.0))
-    return bool(z <= s or (z - s) * (z + s) <= tol_abs)
+    s = math.sqrt(params.eta) * np.sqrt(np.maximum(x, 0.0)) * np.sqrt(np.maximum(y, 0.0))
+    return faces & ((z <= s) | ((z - s) * (z + s) <= tol_abs))
 
 
-def is_member(m, params: ConeParams, tol_abs: float = 0.0, blocks=None) -> bool:
+def is_member(m, params: ConeParams, tol_abs: float = 0.0, blocks=None):
     """Closed-cone membership; boundary points (F = 0) count as inside.
 
     ``tol_abs`` slackens all three inequalities additively; the default 0
     gives exact-boundary semantics.
     """
-    if blocks is not None:
-        return _member_from_spectra(blocks.eigs_a, blocks.eigs_c, blocks.svals_b, params, tol_abs)
-    return _member_from_spectra(*block_spectra(m), params, tol_abs)
+    spectra = _spectra(m, blocks)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _scalar_or_array(_member_from_spectra(*spectra, params, tol_abs), bool)
 
 
 def shifted_membership(m, alpha0: float, params: ConeParams) -> bool:
@@ -193,29 +242,29 @@ def extremal_frame(m, target: str, blocks=None) -> FrameOctet:
     bd = decompose(m) if blocks is None else blocks
     basis = canonical_selfdual_basis()
 
-    def sd(vec3):
-        return vec3 @ basis.plus
+    def sd(frame, k):
+        return (frame[..., None, :, k] @ basis.plus)[..., 0, :]
 
-    def asd(vec3):
-        return vec3 @ basis.minus
+    def asd(frame, k):
+        return (frame[..., None, :, k] @ basis.minus)[..., 0, :]
 
     va, vc = bd.vecs_a, bd.vecs_c
     if target == "F1":
         rows = [
-            sd(va[:, 0]), sd(va[:, 1]),
-            sd(bd.left_b[:, 2]), sd(bd.left_b[:, 1]),
-            asd(vc[:, 0]), asd(vc[:, 1]),
-            asd(bd.right_b[:, 2]), asd(bd.right_b[:, 1]),
+            sd(va, 0), sd(va, 1),
+            sd(bd.left_b, 2), sd(bd.left_b, 1),
+            asd(vc, 0), asd(vc, 1),
+            asd(bd.right_b, 2), asd(bd.right_b, 1),
         ]
     else:
         # one frame attains both eigenvalue-sum closed forms (F2 and F3)
         rows = [
-            sd(va[:, 0]), sd(va[:, 1]),
-            sd(va[:, 1]), sd(va[:, 2]),
-            asd(vc[:, 0]), asd(vc[:, 1]),
-            asd(vc[:, 1]), asd(vc[:, 2]),
+            sd(va, 0), sd(va, 1),
+            sd(va, 1), sd(va, 2),
+            asd(vc, 0), asd(vc, 1),
+            asd(vc, 1), asd(vc, 2),
         ]
-    return FrameOctet(np.array(rows))
+    return FrameOctet(np.stack(rows, axis=-2))
 
 
 def sampled_inf(m, params: ConeParams, n: int, seed: int):
@@ -256,7 +305,23 @@ def sampled_inf(m, params: ConeParams, n: int, seed: int):
 # lower-bound functional l
 # ---------------------------------------------------------------------------
 
-def lower_bound_l(m, params: ConeParams, tol: float | None = None) -> float:
+def _face_roots(ea, ec, sb, params: ConeParams):
+    # identity shifts (alpha_1, alpha_2, alpha_3) past which F1, F2, F3 hold;
+    # at eta = 0, alpha_1 is inf for a mixed block that is nonzero relative
+    # to the spectra and -inf (never binding) otherwise
+    x, y, z = ea[..., 0] + ea[..., 1], ec[..., 0] + ec[..., 1], sb[..., 1] + sb[..., 2]
+    mu = params.mu
+    a2 = (ea[..., 1] + ea[..., 2] - mu * x) / (2.0 * (mu - 1.0))
+    a3 = (ec[..., 1] + ec[..., 2] - mu * y) / (2.0 * (mu - 1.0))
+    if params.eta > 0.0:
+        a1 = (np.asarray(_HYPOT(x - y, 2.0 * z / math.sqrt(params.eta)), dtype=float) - (x + y)) / 4.0
+    else:
+        scale = np.maximum(np.maximum(np.abs(ea).max(axis=-1), np.abs(ec).max(axis=-1)), sb[..., 2])
+        a1 = np.where(z > 1e-10 * scale, math.inf, -math.inf)
+    return a1, a2, a3
+
+
+def lower_bound_l(m, params: ConeParams, tol: float | None = None, blocks=None):
     """Least alpha >= 0 with R + alpha*I in the cone, in closed form.
 
     Zero exactly on members, else the largest root of the shifted faces (see
@@ -267,20 +332,37 @@ def lower_bound_l(m, params: ConeParams, tol: float | None = None) -> float:
     and ignored; it stays only because the benchmark's workload script
     (perfbench/workloads.py) still passes it.
     """
-    ea, ec, sb = block_spectra(m)
-    if _member_from_spectra(ea, ec, sb, params):
-        return 0.0
-    x, y, z = ea[0] + ea[1], ec[0] + ec[1], sb[1] + sb[2]
-    mu = params.mu
-    alpha = max(
-        0.0,
-        (ea[1] + ea[2] - mu * x) / (2.0 * (mu - 1.0)),
-        (ec[1] + ec[2] - mu * y) / (2.0 * (mu - 1.0)),
-    )
-    if params.eta > 0.0:
-        return float(max(alpha, (math.hypot(x - y, 2.0 * z / math.sqrt(params.eta)) - (x + y)) / 4.0))
-    scale = max(np.abs(ea).max(), np.abs(ec).max(), sb[2])
-    return math.inf if z > 1e-10 * scale else float(alpha)
+    ea, ec, sb = _spectra(m, blocks)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a1, a2, a3 = _face_roots(ea, ec, sb, params)
+        # max(0, alpha_2, alpha_3, alpha_1), each replacing the running
+        # value only when strictly larger
+        lv = np.where(a2 > 0.0, a2, 0.0)
+        lv = np.where(a3 > lv, a3, lv)
+        lv = np.where(a1 > lv, a1, lv)
+        return _scalar_or_array(np.where(_member_from_spectra(ea, ec, sb, params), 0.0, lv))
+
+
+def _l_each(ms, params: ConeParams) -> list[float]:
+    # l of each operator of a stack, from the stack's spectra taken in one
+    # call: lower_bound_l itself takes stacks, but the traced benchmark
+    # (perfbench/tracer.py) tags every lower_bound_l call with float(result),
+    # so the suites and monitors call it once per operator
+    ea, ec, sb = block_spectra(ms)
+    return [lower_bound_l(m, params, blocks=(ea[i], ec[i], sb[i])) for i, m in enumerate(ms)]
+
+
+def l_face(m, params: ConeParams, blocks=None):
+    """The face whose root sets l: "F1", "F2" or "F3", or None on members.
+
+    Ties go to the first face in that order.
+    """
+    ea, ec, sb = _spectra(m, blocks)
+    with np.errstate(over="ignore", invalid="ignore"):
+        roots = np.stack(_face_roots(ea, ec, sb, params), axis=-1)
+        member = _member_from_spectra(ea, ec, sb, params)
+    faces = np.where(member, None, np.array(_FACES, dtype=object)[np.argmax(roots, axis=-1)])
+    return faces.item() if faces.ndim == 0 else faces
 
 
 # ---------------------------------------------------------------------------
@@ -296,80 +378,88 @@ class NullVectorReport:
     fhat: tuple[float, float, float]
 
 
-def null_vector_verify(m, params: ConeParams, which: str) -> NullVectorReport:
+def _boundary_message(f, nrm: float, which: str) -> str:
+    # why an operator with closed forms f and norm nrm is not a member on
+    # the face ``which``, or "" when it is
+    msgs = []
+    for face, val in zip(_FACES, f):
+        if val < -1e-8 * max(1.0, nrm ** FACE_DEGREE[face]):
+            msgs.append(f"{face} = {val:.3e} < 0: not a cone member")
+    named = f[_FACES.index(which)]
+    face_tol = 1e-8 * max(1.0, nrm ** FACE_DEGREE[which])
+    if abs(named) > face_tol:
+        msgs.append(f"{which} = {named:.3e} is not on the boundary (tol {face_tol:.1e})")
+    return "; ".join(msgs)
+
+
+def null_vector_verify(m, params: ConeParams, which: str, blocks=None, q=None) -> NullVectorReport:
     """Slack of the reaction-term inequality at a boundary operator.
 
     For an operator on the F1 face (eta X Y = Z^2) the quantity
     eta Y X^Q + eta X Y^Q - 2 Z Z^Q, evaluated with Q = Q(R) at the
     extremal frame of R, is nonnegative; on the F2 (resp. F3) face the
     quantity is mu X^Q - W^Q (resp. mu Y^Q - V^Q).  Precondition failures
-    are reported in the result, not raised.
+    are reported in the result, not raised.  ``blocks`` (from
+    :func:`decompose`) and ``q`` (Q(R)) are used when given.  For a stack,
+    ``slack``, ``precondition_ok`` and ``message`` are arrays.
     """
     if which not in _FACES:
         raise ValueError(f"which must be one of {_FACES}, got {which!r}")
     m = np.asarray(m, dtype=float)
-    bd = decompose(m)
+    bd = decompose(m) if blocks is None else blocks
     f = hat_f(m, params, blocks=bd)
-    nrm = frobenius(m)
-    named = f[_FACES.index(which)]
-    deg = FACE_DEGREE[which]
-    face_tol = 1e-8 * max(1.0, nrm**deg)
-    msgs = []
-    for face, val in zip(_FACES, f):
-        dtol = 1e-8 * max(1.0, nrm ** FACE_DEGREE[face])
-        if val < -dtol:
-            msgs.append(f"{face} = {val:.3e} < 0: not a cone member")
-    if abs(named) > face_tol:
-        msgs.append(f"{which} = {named:.3e} is not on the boundary (tol {face_tol:.1e})")
+    fs = np.stack(np.broadcast_arrays(*f), axis=-1).reshape(-1, 3).tolist()
+    norms = np.reshape(frobenius(m), -1).tolist()
+    msgs = [_boundary_message(fi, nrm, which) for fi, nrm in zip(fs, norms)]
     octet = extremal_frame(m, which, blocks=bd)
     fr = frame_functionals(m, octet, validate=False)
-    fq = frame_functionals(q_operator(m), octet, validate=False)
+    fq = frame_functionals(q_operator(m) if q is None else q, octet, validate=False)
     if which == "F1":
         slack = params.eta * (fr.y * fq.x + fr.x * fq.y) - 2.0 * fr.z * fq.z
     elif which == "F2":
         slack = params.mu * fq.x - fq.w
     else:
         slack = params.mu * fq.y - fq.v
-    return NullVectorReport(
-        face=which,
-        slack=float(slack),
-        precondition_ok=not msgs,
-        message="; ".join(msgs),
-        fhat=f,
-    )
+    if m.ndim == 2:
+        return NullVectorReport(which, float(slack), not msgs[0], msgs[0], f)
+    message = np.array(msgs, dtype=object).reshape(m.shape[:-2])
+    return NullVectorReport(which, slack, message == "", message, f)
 
 
-def hamilton_intermediate_slack(m, blocks=None) -> float:
+def hamilton_intermediate_slack(m, blocks=None, q=None):
     """Slack of X^Q >= A_1^2 + A_2^2 + 2(A_1+A_2)A_3 + 2B_1^2.
 
     X^Q is evaluated at a frame whose first pair consists of the A_1, A_2
     eigenvectors; the bound holds for every Bianchi operator there.
+    ``blocks`` (from :func:`decompose`) and ``q`` (Q(R)) are used when given.
     """
     bd = decompose(m) if blocks is None else blocks
     octet = extremal_frame(m, "F2", blocks=bd)
-    xq = frame_functionals(q_operator(m), octet, validate=False).x
-    a1, a2, a3 = (float(v) for v in bd.eigs_a)
-    b1 = float(bd.svals_b[0])
-    return float(xq - (a1 * a1 + a2 * a2 + 2.0 * (a1 + a2) * a3 + 2.0 * b1 * b1))
+    xq = frame_functionals(q_operator(m) if q is None else q, octet, validate=False).x
+    a1, a2, a3 = bd.eigs_a[..., 0], bd.eigs_a[..., 1], bd.eigs_a[..., 2]
+    b1 = bd.svals_b[..., 0]
+    return _scalar_or_array(xq - (a1 * a1 + a2 * a2 + 2.0 * (a1 + a2) * a3 + 2.0 * b1 * b1))
 
 
 # ---------------------------------------------------------------------------
 # implied curvature conditions
 # ---------------------------------------------------------------------------
 
-def implies_wpic(m, params: ConeParams) -> bool:
+def implies_wpic(m, params: ConeParams, blocks=None):
     """Weak positive-isotropic-curvature shadow: A_1+A_2, C_1+C_2 >= -tol.
 
     Always true for cone members (F2, F3 >= 0 force both sums nonnegative
     since mu > 1); computed directly so non-members get an honest answer.
     """
     del params  # the test itself is parameter-free; members always pass
-    ea, ec, _ = block_spectra(m)
-    tol = 1e-10 * max(1.0, frobenius(m))
-    return bool(ea[0] + ea[1] >= -tol and ec[0] + ec[1] >= -tol)
+    ea, ec, _ = _spectra(m, blocks)
+    tol = 1e-10 * np.maximum(1.0, frobenius(m))
+    return _scalar_or_array(
+        (ea[..., 0] + ea[..., 1] >= -tol) & (ec[..., 0] + ec[..., 1] >= -tol), bool
+    )
 
 
-def two_nonneg_flag(m, n_frames: int, seed: int):
+def two_nonneg_flag(m, n_frames: int, seed: int, blocks=None):
     """(sampled minimum, certificate) for two-nonnegative flag curvature.
 
     Samples R_1313 + R_2323 over random orthonormal 3-frames and returns the
@@ -390,12 +480,12 @@ def two_nonneg_flag(m, n_frames: int, seed: int):
     vals = np.einsum("na,ab,nb->n", w13, m, w13) + np.einsum(
         "na,ab,nb->n", w23, m, w23
     )
-    ea, ec, sb = block_spectra(m)
+    ea, ec, sb = _spectra(m, blocks)
     cert = 0.5 * (ea[0] + ea[1] + ec[0] + ec[1] - 2.0 * (sb[1] + sb[2]))
     return float(vals.min()), float(cert)
 
 
-def ricci_pinch_check(m, params: ConeParams) -> float:
+def ricci_pinch_check(m, params: ConeParams, blocks=None) -> float:
     """Slack of Ric >= (1 - 4 sqrt(eta)/3) (scal/4) g, for eta < 9/16.
 
     Requires nonnegative scalar curvature and the first cone inequality;
@@ -408,7 +498,7 @@ def ricci_pinch_check(m, params: ConeParams) -> float:
     sc = scalar(m)
     if sc < -1e-10 * max(1.0, nrm):
         raise ValueError(f"requires nonnegative scalar curvature, got {sc:.3e}")
-    ea, ec, sb = block_spectra(m)
+    ea, ec, sb = _spectra(m, blocks)
     lhs = (sb[1] + sb[2]) ** 2
     rhs = params.eta * (ea[0] + ea[1]) * (ec[0] + ec[1])
     if lhs > rhs + 1e-10 * max(1.0, nrm * nrm):
@@ -418,14 +508,14 @@ def ricci_pinch_check(m, params: ConeParams) -> float:
     return lam_min - const * sc / 4.0
 
 
-def uniform_pic_check(m, params: ConeParams) -> float:
+def uniform_pic_check(m, params: ConeParams, blocks=None) -> float:
     """Slack of max(A_3, B_3, C_3) <= lambda_pic * min(A_1+A_2, C_1+C_2).
 
     Nonzero members have max(A_3, B_3, C_3) > 0; a (numerically) zero
     operator is rejected because the strict positivity clause is empty.
     """
     m = np.asarray(m, dtype=float)
-    ea, ec, sb = block_spectra(m)
+    ea, ec, sb = _spectra(m, blocks)
     mx = max(float(ea[2]), float(ec[2]), float(sb[2]))
     if mx <= 1e-12 * max(1.0, frobenius(m)):
         raise ValueError("uniform-isotropic check needs max(A_3, B_3, C_3) > 0")

@@ -18,6 +18,13 @@ for B), which scales its input internally and so stays accurate for |R|
 anywhere from 1e-300 to 1e300.  One sign rule -- the largest-magnitude
 component of each frame column is positive -- makes the frames
 deterministic, so repeated runs are bit-identical.
+
+Stacks: :func:`decompose`, :func:`block_spectra`, :func:`reassemble`,
+:func:`eigh3` and :func:`svd3` take operators of shape ``(..., 6, 6)`` (blocks
+``(..., 3, 3)``) and return the same structure with the leading axes in
+front of every array.  A stack of n operators gives, slice for slice, the
+bits of n single calls: LAPACK and the matrix products run per 6x6 (or 3x3)
+slice, and everything else is elementwise.
 """
 
 from __future__ import annotations
@@ -93,6 +100,11 @@ _CANONICAL = SelfDualBasis(
 )
 
 
+#: the canonical change of basis (columns phi+_1..3, phi-_1..3), built once
+_P = _CANONICAL.matrix
+_P.flags.writeable = False
+
+
 def canonical_selfdual_basis() -> SelfDualBasis:
     return _CANONICAL
 
@@ -102,14 +114,15 @@ def canonical_selfdual_basis() -> SelfDualBasis:
 # ---------------------------------------------------------------------------
 
 def _column_signs(v: np.ndarray) -> np.ndarray:
-    # +-1 per column making its largest-magnitude component positive (first
-    # index wins ties)
-    pivots = v[np.argmax(np.abs(v), axis=0), [0, 1, 2]]
-    return np.where(pivots < 0.0, -1.0, 1.0)
+    # +-1 per column of each (..., 3, 3) frame, shaped to multiply it, making
+    # the column's largest-magnitude component positive (first index wins ties)
+    cols = v.swapaxes(-1, -2).reshape(-1, 3)
+    pivots = cols[np.arange(len(cols)), np.abs(cols).argmax(axis=-1)]
+    return np.where(pivots < 0.0, -1.0, 1.0).reshape(v.shape[:-2] + (1, 3))
 
 
 def eigh3(m):
-    """Eigenvalues (ascending) and eigenvector columns of a symmetric 3x3."""
+    """Eigenvalues (ascending) and eigenvector columns of symmetric (..., 3, 3)."""
     w, v = np.linalg.eigh(m)
     return w, v * _column_signs(v)
 
@@ -120,8 +133,9 @@ def svd3(b):
     The sign rule fixes each right vector; its left partner flips with it.
     """
     u, s, vt = np.linalg.svd(b)
-    sign = _column_signs(vt[::-1].T)
-    return s[::-1], u[:, ::-1] * sign, vt[::-1].T * sign
+    right = vt[..., ::-1, :].swapaxes(-1, -2)
+    sign = _column_signs(right)
+    return s[..., ::-1], u[..., ::-1] * sign, right * sign
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +174,12 @@ class BlockData:
 
 
 def _blocks_of(m: np.ndarray):
-    p = _CANONICAL.matrix
-    blk = p.T @ np.asarray(m, dtype=float) @ p
-    a = 0.5 * (blk[:3, :3] + blk[:3, :3].T)
-    c = 0.5 * (blk[3:, 3:] + blk[3:, 3:].T)
-    b = 0.5 * (blk[:3, 3:] + blk[3:, :3].T)
+    blk = _P.T @ np.asarray(m, dtype=float) @ _P
+    a = blk[..., :3, :3]
+    c = blk[..., 3:, 3:]
+    a = 0.5 * (a + a.swapaxes(-1, -2))
+    c = 0.5 * (c + c.swapaxes(-1, -2))
+    b = 0.5 * (blk[..., :3, 3:] + blk[..., 3:, :3].swapaxes(-1, -2))
     return a, b, c
 
 
@@ -180,19 +195,19 @@ def decompose(m) -> BlockData:
 def block_spectra(m):
     """(eigs_a, eigs_c, svals_b), each ascending; cheaper than decompose."""
     a, b, c = _blocks_of(m)
-    svals = np.linalg.svd(b, compute_uv=False)[::-1]
+    svals = np.linalg.svd(b, compute_uv=False)[..., ::-1]
     return np.linalg.eigvalsh(a), np.linalg.eigvalsh(c), svals
 
 
 def reassemble(a, b, c) -> np.ndarray:
     """Wedge-basis operator with the given blocks in the canonical SD basis."""
+    b = np.asarray(b, dtype=float)
     blk = np.block([
-        [np.asarray(a, dtype=float), np.asarray(b, dtype=float)],
-        [np.asarray(b, dtype=float).T, np.asarray(c, dtype=float)],
+        [np.asarray(a, dtype=float), b],
+        [b.swapaxes(-1, -2), np.asarray(c, dtype=float)],
     ])
-    p = _CANONICAL.matrix
-    m = p @ blk @ p.T
-    return 0.5 * (m + m.T)
+    m = _P @ blk @ _P.T
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +251,7 @@ def block_sharp_identity(m) -> float:
     from the 3x3 block products; contract <= 1e-10 * |R|^2 for Bianchi input.
     """
     bd = decompose(m)
-    p = _CANONICAL.matrix
-    lhs = p.T @ sharp_coord(m) @ p
+    lhs = _P.T @ sharp_coord(m) @ _P
     bsharp = mixed_sharp3(bd.b)
     rhs = 2.0 * np.block(
         [

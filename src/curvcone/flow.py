@@ -9,8 +9,9 @@ c(t) = c0 / (1 - 6 c0 t), which anchors the exactness and convergence-order
 tests.
 
 Monitors recompute their diagnostics from the stored operators -- the
-lower-bound functional l is re-derived from its closed form at every sample,
-never propagated -- so nothing in a report can drift away from the
+lower-bound functional l is re-derived from its closed form at every sample
+(from the spectra of all stored operators, taken in one call), never
+propagated -- so nothing in a report can drift away from the
 trajectory data.  The differential inequality for l pairs dR/dt = 2 Q(R) with the
 right-hand side (scal) l + 6 l^2; the multiple-of-identity trajectories
 saturate that inequality exactly, which pins the constant pairing.
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import ConeParams, is_member, lower_bound_l
+from .cone import ConeParams, _l_each, is_member, lower_bound_l
 from .decomposition import block_spectra
 from .wedge import bianchi_residual, frobenius, q_operator, scalar
 
@@ -95,11 +96,12 @@ def _rk4_step(y: np.ndarray, h: float) -> np.ndarray:
 
 
 def _make_sample(t, y, params) -> TrajectorySample:
-    ea, _, _ = block_spectra(y)
+    spectra = block_spectra(y)
+    ea = spectra[0]
     l_val = member = None
     if params is not None:
-        member = is_member(y, params)
-        l_val = 0.0 if member else lower_bound_l(y, params)
+        member = is_member(y, params, blocks=spectra)
+        l_val = 0.0 if member else lower_bound_l(y, params, blocks=spectra)
     return TrajectorySample(
         t=float(t),
         operator=y.copy(),
@@ -179,7 +181,12 @@ def invariance_monitor(traj: Trajectory, params: ConeParams) -> float:
     of the integrator and the spectra: the cone is invariant under the
     reaction flow.
     """
-    return max(lower_bound_l(s.operator, params) for s in traj.samples)
+    return max(_l_each(_operators(traj), params))
+
+
+def _operators(traj: Trajectory) -> np.ndarray:
+    # the stored operators as one (n, 6, 6) stack
+    return np.stack([s.operator for s in traj.samples])
 
 
 @dataclass(frozen=True)
@@ -203,7 +210,9 @@ class LInequalityReport:
 def l_inequality_monitor(traj: Trajectory, params: ConeParams) -> LInequalityReport:
     """Check D+ l <= (scal) l + 6 l^2 + 1e-3 (1 + |R|^3) dt along a trajectory."""
     samples = traj.samples
-    ls = [lower_bound_l(s.operator, params) for s in samples]
+    ops = _operators(traj)
+    ls = _l_each(ops, params)
+    norms = frobenius(ops).tolist()
     rhs = [s.scalar * li + 6.0 * li * li for s, li in zip(samples, ls)]
     worst = worst_left = np.inf
     steps = 0
@@ -212,7 +221,7 @@ def l_inequality_monitor(traj: Trajectory, params: ConeParams) -> LInequalityRep
         if dt_i <= 0.0 or not (np.isfinite(ls[i]) and np.isfinite(ls[i + 1])):
             continue
         quot = (ls[i + 1] - ls[i]) / dt_i
-        tol_slack = 1e-3 * (1.0 + frobenius(samples[i].operator) ** 3) * dt_i
+        tol_slack = 1e-3 * (1.0 + norms[i] ** 3) * dt_i
         worst = min(worst, max(rhs[i], rhs[i + 1]) + tol_slack - quot)
         worst_left = min(worst_left, rhs[i] + tol_slack - quot)
         steps += 1
@@ -234,7 +243,7 @@ def strong_max_monitor(traj: Trajectory) -> StrongMaxReport:
     gate.
     """
     samples = traj.samples
-    spectra = [block_spectra(s.operator)[0] for s in samples]
+    spectra = block_spectra(_operators(traj))[0]
     rhs = [2.0 * (ea[0] + ea[1]) * (2.0 * ea[2] + ea[0]) for ea in spectra]
     worst = np.inf
     ok = 0

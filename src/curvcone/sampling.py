@@ -13,6 +13,12 @@ isotropic inequality, and the blocks are conjugated by independent random
 rotations.  The one caveat is the trace-matching shift, which can erode the
 C margins; those draws are resampled (bounded retries) rather than solved
 for, and retry counts are exposed for diagnostics.
+
+:func:`random_member` and :func:`boundary_member` also take an array of
+indices.  Each index still draws from its own substream, in the same order as
+alone; only the arithmetic after the draws (rotations, assembly and the final
+verification) runs over the stack, in rounds over the indices still pending.
+So every operator and every retry count equals the one-index result.
 """
 
 from __future__ import annotations
@@ -24,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import FACE_DEGREE, ConeParams, FrameOctet, hat_f, is_member
-from .decomposition import block_spectra, canonical_selfdual_basis, decompose, reassemble
-from .wedge import project_bianchi
+from .decomposition import block_spectra, canonical_selfdual_basis, reassemble
+from .wedge import frobenius, project_bianchi
 
 log = logging.getLogger(__name__)
 
@@ -72,11 +78,14 @@ def substream(seed: int, *path) -> np.random.Generator:
 
 def random_rotation(rng: np.random.Generator, n: int) -> np.ndarray:
     """Rotation matrix (det +1) from the QR of a Gaussian draw."""
-    g = rng.standard_normal((n, n))
+    return _rotations(rng.standard_normal((n, n)))
+
+
+def _rotations(g: np.ndarray) -> np.ndarray:
+    # rotations (det +1) from the QRs of Gaussian draws g of shape (..., n, n)
     q, r = np.linalg.qr(g)
-    q = q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    if np.linalg.det(q) < 0.0:
-        q[:, -1] = -q[:, -1]
+    q = q * np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)[..., None, :]
+    q[..., -1] = np.where((np.linalg.det(q) < 0.0)[..., None], -q[..., -1], q[..., -1])
     return q
 
 
@@ -153,7 +162,7 @@ def _draw_member_data(rng: np.random.Generator, params: ConeParams, scale: float
         sum_c = eigs_c[0] + eigs_c[1]
         f3 = params.mu * sum_c - (eigs_c[1] + eigs_c[2])
         if sum_c < 0.5 * margin * scale or f3 < margin * (params.mu - 1.0) * sum_c:
-            RETRY_COUNTS["trace-shift"] = RETRY_COUNTS.get("trace-shift", 0) + 1
+            _count_retry("trace-shift")
             log.debug("trace-matching shift broke the C margins; resampling")
             continue
         sum_a = eigs_a[0] + eigs_a[1]
@@ -169,37 +178,63 @@ def _draw_member_data(rng: np.random.Generator, params: ConeParams, scale: float
     )
 
 
-def _assemble(rng: np.random.Generator, eigs_a, eigs_c, svals):
-    rot_a = random_rotation(rng, 3)
-    rot_c = random_rotation(rng, 3)
-    rot_u = random_rotation(rng, 3)
-    rot_v = random_rotation(rng, 3)
-    a = rot_a @ np.diag(eigs_a) @ rot_a.T
-    c = rot_c @ np.diag(eigs_c) @ rot_c.T
-    b = rot_u @ np.diag(svals) @ rot_v.T
-    return reassemble(0.5 * (a + a.T), b, 0.5 * (c + c.T))
+def _diag(v: np.ndarray) -> np.ndarray:
+    # (..., 3) -> (..., 3, 3) diagonal matrices
+    d = np.zeros(v.shape + (3,))
+    d[..., [0, 1, 2], [0, 1, 2]] = v
+    return d
 
 
-def random_member(cfg: SamplerConfig, params: ConeParams, index: int = 0) -> np.ndarray:
+def _assemble(g: np.ndarray, eigs_a, eigs_c, svals) -> np.ndarray:
+    """Operators with the given block spectra (..., 3), rotated by the QRs of
+    the Gaussian draws g (..., 4, 3, 3) for A, C and B's two frames."""
+    rot = _rotations(g)
+    rot_a, rot_c, rot_u, rot_v = (rot[..., k, :, :] for k in range(4))
+    a = rot_a @ _diag(eigs_a) @ rot_a.swapaxes(-1, -2)
+    c = rot_c @ _diag(eigs_c) @ rot_c.swapaxes(-1, -2)
+    b = rot_u @ _diag(svals) @ rot_v.swapaxes(-1, -2)
+    return reassemble(
+        0.5 * (a + a.swapaxes(-1, -2)), b, 0.5 * (c + c.swapaxes(-1, -2))
+    )
+
+
+def _count_retry(reason: str, n: int = 1) -> None:
+    if n:
+        RETRY_COUNTS[reason] = RETRY_COUNTS.get(reason, 0) + n
+
+
+def random_member(cfg: SamplerConfig, params: ConeParams, index=0) -> np.ndarray:
     """Strictly interior cone member; requires eta > 0.
 
     The construction (not rejection) guarantees membership; the final
     operator is still verified and in the measure-zero event of a rounding
-    failure the draw is repeated from the same substream.
+    failure the draw is repeated from the same substream.  An array of
+    indices gives a stack of shape ``index.shape + (6, 6)``.
     """
     if not params.eta > 0:
         raise ValueError("member sampling requires eta > 0")
-    rng = substream(cfg.seed, "member", index)
+    index = np.asarray(index)
+    rngs = [substream(cfg.seed, "member", i) for i in index.ravel().tolist()]
+    out = np.empty((len(rngs), 6, 6))
+    pending = np.arange(len(rngs))
     for _ in range(16):
-        data = _draw_member_data(rng, params, cfg.scale, cfg.margin)
-        m = _assemble(rng, *data)
-        if is_member(m, params):
-            return m
-        RETRY_COUNTS["member-verify"] = RETRY_COUNTS.get("member-verify", 0) + 1
-    raise RuntimeError("member sampling failed verification repeatedly")  # pragma: no cover
+        if not pending.size:
+            break
+        data, draws = [], []
+        for k in pending.tolist():
+            data.append(_draw_member_data(rngs[k], params, cfg.scale, cfg.margin))
+            draws.append(rngs[k].standard_normal((4, 3, 3)))
+        ms = _assemble(np.array(draws), *(np.array(v) for v in zip(*data)))
+        ok = is_member(ms, params)
+        out[pending[ok]] = ms[ok]
+        _count_retry("member-verify", int(np.count_nonzero(~ok)))
+        pending = pending[~ok]
+    if pending.size:
+        raise RuntimeError("member sampling failed verification repeatedly")  # pragma: no cover
+    return out.reshape(index.shape + (6, 6))
 
 
-def boundary_member(cfg: SamplerConfig, params: ConeParams, face: str, index: int = 0):
+def boundary_member(cfg: SamplerConfig, params: ConeParams, face: str, index=0):
     """Member on the named face of the cone, plus an active-face certificate.
 
     Starts from an interior member and moves along a face-specific ray --
@@ -210,29 +245,51 @@ def boundary_member(cfg: SamplerConfig, params: ConeParams, face: str, index: in
     enough to survive reassembly rounding while staying on the member side.
     The other two closed forms remain nonnegative (for the F2/F3 rays the
     mixed block is pre-shrunk so the isotropic inequality holds along the
-    whole ray).  Returns (operator, certificate dict).
+    whole ray).  Returns (operator, certificate dict); an array of indices
+    gives a stack of shape ``index.shape + (6, 6)`` and a flat list of
+    certificates.
     """
     if face not in FACE_TAGS:
         raise ValueError(f"face must be one of {FACE_TAGS}, got {face!r}")
     if not params.eta > 0:
         raise ValueError("boundary sampling requires eta > 0")
-    rng = substream(cfg.seed, "boundary", face, index)
-    for _ in range(64):
-        eigs_a, eigs_c, svals = _draw_member_data(rng, params, cfg.scale, cfg.margin)
-        data = _boundary_ray(eigs_a, eigs_c, svals, params, face)
-        if data is None:
-            RETRY_COUNTS["boundary-ray"] = RETRY_COUNTS.get("boundary-ray", 0) + 1
-            continue
-        m = _assemble(rng, *data)
-        f = hat_f(m, params)
-        named = f[FACE_TAGS.index(face)]
-        nrm = float(np.linalg.norm(m))
-        face_tol = 1e-10 * max(1.0, nrm ** FACE_DEGREE[face])
-        if 0.0 <= named <= face_tol and is_member(m, params):
-            cert = {"face": face, "F1": f[0], "F2": f[1], "F3": f[2], "norm": nrm}
-            return m, cert
-        RETRY_COUNTS["boundary-verify"] = RETRY_COUNTS.get("boundary-verify", 0) + 1
-    raise RuntimeError(f"boundary sampling failed for face {face}")  # pragma: no cover
+    index = np.asarray(index)
+    rngs = [substream(cfg.seed, "boundary", face, i) for i in index.ravel().tolist()]
+    out = np.empty((len(rngs), 6, 6))
+    certs = [None] * len(rngs)
+    attempts = [0] * len(rngs)
+    pending = np.arange(len(rngs))
+    deg = FACE_DEGREE[face]
+    while pending.size:
+        data, draws = [], []
+        for k in pending.tolist():
+            while True:
+                if attempts[k] == 64:
+                    raise RuntimeError(f"boundary sampling failed for face {face}")  # pragma: no cover
+                attempts[k] += 1
+                ray = _boundary_ray(*_draw_member_data(rngs[k], params, cfg.scale, cfg.margin), params, face)
+                if ray is not None:
+                    break
+                _count_retry("boundary-ray")
+            data.append(ray)
+            draws.append(rngs[k].standard_normal((4, 3, 3)))
+        ms = _assemble(np.array(draws), *(np.array(v) for v in zip(*data)))
+        spectra = block_spectra(ms)
+        f = np.stack(hat_f(ms, params, blocks=spectra), axis=-1).tolist()
+        member = is_member(ms, params, blocks=spectra).tolist()
+        norms = frobenius(ms).tolist()
+        ok = np.zeros(len(pending), dtype=bool)
+        for j, k in enumerate(pending.tolist()):
+            named = f[j][FACE_TAGS.index(face)]
+            if 0.0 <= named <= 1e-10 * max(1.0, norms[j] ** deg) and member[j]:
+                out[k] = ms[j]
+                certs[k] = {"face": face, "F1": f[j][0], "F2": f[j][1], "F3": f[j][2], "norm": norms[j]}
+                ok[j] = True
+        _count_retry("boundary-verify", int(np.count_nonzero(~ok)))
+        pending = pending[~ok]
+    if index.ndim == 0:
+        return out[0], certs[0]
+    return out.reshape(index.shape + (6, 6)), certs
 
 
 def _boundary_ray(eigs_a, eigs_c, svals, params: ConeParams, face: str):

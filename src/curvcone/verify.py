@@ -6,7 +6,10 @@ record per claim: a worst observed value, the tolerance it must meet, and
 replayable failure artifacts (substream index plus the offending operator
 serialized as JSON).  Reports contain no timestamps and all randomness is
 keyed by (seed, tag, index) substreams, so a fixed seed yields
-byte-identical JSON across runs regardless of execution order.
+byte-identical JSON across runs regardless of execution order.  Suites
+draw per index as listed and then evaluate each check over the stack of
+draws; the stacked kernels give each operator the bits of a single call, so
+the report does not depend on how the work is batched.
 
 Check kinds:
 * ``residual`` passes when worst <= tol,
@@ -77,6 +80,19 @@ class _Check:
     def count(self, violated, index=None, operator=None, context=None):
         self.add(1.0 if violated else 0.0, index=index, operator=operator, context=context)
 
+    def add_many(self, values, operators=None, indices=None, contexts=None):
+        """``add`` for each value in order; failures keep their replay index."""
+        for k, value in enumerate(values):
+            self.add(
+                value,
+                index=None if indices is None else int(indices[k]),
+                operator=None if operators is None else operators[k],
+                context=None if contexts is None else contexts[k],
+            )
+
+    def count_many(self, violated, operators=None, indices=None, contexts=None):
+        self.add_many([1.0 if v else 0.0 for v in violated], operators, indices, contexts)
+
     def done(self):
         rec = self.record
         if rec["worst"] is None:
@@ -96,6 +112,10 @@ def _params(eta_mu):
 
 def _tag(eta_mu):
     return f"eta{eta_mu[0]}-mu{eta_mu[1]}"
+
+
+def _bianchi_stack(cfg, indices) -> np.ndarray:
+    return np.array([smp.random_bianchi(cfg, index=i) for i in indices.tolist()]).reshape(-1, 6, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -198,37 +218,39 @@ def suite_cone(seed: int, n: int) -> list[dict]:
         c_mono = _Check("cone", f"shift-monotonicity-{tag}", "alpha -> is_member(R + alpha I) is monotone", "count", 0.0, seed)
         c_rot = _Check("cone", f"rotation-invariance-{tag}", "membership and l are rotation invariant", "count", 0.0, seed)
         c_homl = _Check("cone", f"l-homogeneity-{tag}", "l(c R) = c l(R) for c in {0.1, 10}", "residual", 1e-6, seed)
-        for i in range(small):
-            m = smp.random_bianchi(cfg, index=1000 + i)
-            base = cn.is_member(m, params)
-            c_scale.count(
-                any(cn.is_member(c_ * m, params) != base for c_ in (0.1, 10.0)),
-                index=i, operator=m,
-            )
-            lv = cn.lower_bound_l(m, params)
-            seen_member = False
-            bad = False
-            for alpha in np.linspace(0.0, 2.0 * lv + 1.0, 100):
-                now = cn.is_member(m + alpha * i6, params)
-                if seen_member and not now:
-                    bad = True
-                    break
-                seen_member = seen_member or now
-            c_mono.count(bad, index=i, operator=m)
-            q = smp.random_rotation(smp.substream(seed, "cone-rot", i), 4)
-            m2 = wg.rotate_operator(m, q)
-            lv2 = cn.lower_bound_l(m2, params)
-            c_rot.count(
-                cn.is_member(m2, params) != base
-                or abs(lv - lv2) > 1e-10 * max(1.0, wg.frobenius(m)) + 2e-12,
-                index=i, operator=m,
-            )
-            for c_ in (0.1, 10.0):
-                c_homl.add(
-                    abs(cn.lower_bound_l(c_ * m, params) - c_ * lv)
-                    / max(1.0, c_ * wg.frobenius(m)),
-                    index=i, operator=m, context=f"c={c_}",
-                )
+        idx = np.arange(small)
+        ms = _bianchi_stack(cfg, 1000 + idx)
+        norms = wg.frobenius(ms).tolist()
+        base = cn.is_member(ms, params)
+        lv = cn._l_each(ms, params)
+        c_scale.count_many(
+            (cn.is_member(0.1 * ms, params) != base) | (cn.is_member(10.0 * ms, params) != base),
+            ms, idx,
+        )
+        mono = []
+        for m, l_i in zip(ms, lv):
+            alphas = np.linspace(0.0, 2.0 * l_i + 1.0, 100)
+            inside = cn.is_member(m + alphas[:, None, None] * i6, params)
+            # once a shift is inside, every larger shift must be too
+            mono.append(bool(inside.any() and not inside[np.argmax(inside):].all()))
+        c_mono.count_many(mono, ms, idx)
+        m2s = np.stack([
+            wg.rotate_operator(m, smp.random_rotation(smp.substream(seed, "cone-rot", i), 4))
+            for i, m in enumerate(ms)
+        ])
+        rot_member = cn.is_member(m2s, params)
+        lv2 = cn._l_each(m2s, params)
+        c_rot.count_many(
+            [bool(rot_member[i] != base[i]) or abs(lv[i] - lv2[i]) > 1e-10 * max(1.0, norms[i]) + 2e-12
+             for i in idx.tolist()],
+            ms, idx,
+        )
+        scaled_l = {c_: cn._l_each(c_ * ms, params) for c_ in (0.1, 10.0)}
+        c_homl.add_many(
+            [abs(scaled_l[c_][i] - c_ * lv[i]) / max(1.0, c_ * norms[i])
+             for i in idx.tolist() for c_ in (0.1, 10.0)],
+            np.repeat(ms, 2, axis=0), np.repeat(idx, 2), [f"c={c_}" for _ in idx for c_ in (0.1, 10.0)],
+        )
         checks += [c.done() for c in (c_scale, c_mono, c_rot, c_homl)]
 
         c_mid = _Check("cone", f"member-midpoints-{tag}", "midpoints of member pairs are members", "count", 0.0, seed)
@@ -239,22 +261,28 @@ def suite_cone(seed: int, n: int) -> list[dict]:
         c_pinch = None
         if params.eta < 9.0 / 16.0:
             c_pinch = _Check("cone", f"ricci-pinch-{tag}", "members with eta < 9/16: Ric >= (1 - 4 sqrt(eta)/3) scal/4", "slack", 0.0, seed)
-        for i in range(n):
-            m = smp.random_member(cfg, params, index=i)
-            nrm = wg.frobenius(m)
+        idx = np.arange(n)
+        ms = smp.random_member(cfg, params, index=idx)
+        spectra = dc.block_spectra(ms)
+        norms = wg.frobenius(ms).tolist()
+        n_mid = min(small, n)
+        m2s = smp.random_member(cfg, params, index=n + idx[:n_mid])
+        c_mid.count_many(~cn.is_member(0.5 * (ms[:n_mid] + m2s), params), ms, idx)
+        c_wpic.count_many(~cn.implies_wpic(ms, params, blocks=spectra), ms, idx)
+        for i, (m, nrm) in enumerate(zip(ms, norms)):
             tol = 1e-10 * max(1.0, nrm)
-            if i < small:
-                m2 = smp.random_member(cfg, params, index=n + i)
-                c_mid.count(not cn.is_member(0.5 * (m + m2), params), index=i, operator=m)
-            c_wpic.count(not cn.implies_wpic(m, params), index=i, operator=m)
-            smin, cert = cn.two_nonneg_flag(m, 50, seed + i)
+            blocks = tuple(x[i] for x in spectra)
+            smin, cert = cn.two_nonneg_flag(m, 50, seed + i, blocks=blocks)
             c_flag.add((min(cert, smin - cert) + tol) / max(1.0, nrm), index=i, operator=m)
-            c_upic.add((cn.uniform_pic_check(m, params) + tol) / max(1.0, nrm), index=i, operator=m)
+            c_upic.add((cn.uniform_pic_check(m, params, blocks=blocks) + tol) / max(1.0, nrm), index=i, operator=m)
             if c_pinch is not None:
-                c_pinch.add((cn.ricci_pinch_check(m, params) + tol) / max(1.0, nrm), index=i, operator=m)
-            mb = smp.random_bianchi(cfg, index=3000 + i)
-            lb = cn.lower_bound_l(mb, params)
-            c_linb.add(params.c_eta * wg.frobenius(mb) + 1e-6 - lb, index=i, operator=mb)
+                c_pinch.add((cn.ricci_pinch_check(m, params, blocks=blocks) + tol) / max(1.0, nrm), index=i, operator=m)
+        mbs = _bianchi_stack(cfg, 3000 + idx)
+        c_linb.add_many(
+            [params.c_eta * nb + 1e-6 - lb
+             for nb, lb in zip(wg.frobenius(mbs).tolist(), cn._l_each(mbs, params))],
+            mbs, idx,
+        )
         checks += [c.done() for c in (c_mid, c_wpic, c_flag, c_upic)]
         if c_pinch is not None:
             checks.append(c_pinch.done())
@@ -322,13 +350,16 @@ def suite_nullvector(seed: int, n: int) -> list[dict]:
                           f"boundary face {face}: reaction inequality has nonnegative slack", "slack", 1e-8, seed)
             c_pre = _Check("nullvector", f"boundary-window-{face.lower()}-{tag}",
                            "boundary sampler lands on the face as a member", "count", 0.0, seed)
-            for i in range(n):
-                m, cert = smp.boundary_member(cfg, params, face, index=i)
-                rep = cn.null_vector_verify(m, params, face)
-                nrm = wg.frobenius(m)
-                c_pre.count(not rep.precondition_ok, index=i, operator=m, context=rep.message)
-                c_nv.add(rep.slack / max(1.0, nrm**deg), index=i, operator=m)
-                c_ham.add(cn.hamilton_intermediate_slack(m) / max(1.0, nrm**2), index=i, operator=m)
+            idx = np.arange(n)
+            ms, _ = smp.boundary_member(cfg, params, face, index=idx)
+            bd = dc.decompose(ms)
+            q = cn.q_operator(ms)
+            rep = cn.null_vector_verify(ms, params, face, blocks=bd, q=q)
+            norms = wg.frobenius(ms).tolist()
+            c_pre.count_many(~rep.precondition_ok, ms, idx, rep.message)
+            c_nv.add_many([s_ / max(1.0, nrm**deg) for s_, nrm in zip(rep.slack.tolist(), norms)], ms, idx)
+            ham = cn.hamilton_intermediate_slack(ms, blocks=bd, q=q).tolist()
+            c_ham.add_many([h / max(1.0, nrm**2) for h, nrm in zip(ham, norms)], ms, idx)
             checks += [c_nv.done(), c_pre.done()]
         checks.append(c_ham.done())
     return checks
@@ -382,14 +413,14 @@ def suite_flow(seed: int, n: int) -> list[dict]:
             r0 = smp.random_member(cfg, params, index=7000 + i)
             t_max = min(0.05, 0.5 / wg.frobenius(r0))
             tr = fl.integrate(r0, fl.TrajectoryConfig(dt=1e-3, t_max=t_max, rtol=1e-8, blowup_norm=1e6))
-            scale = max(1.0, max(wg.frobenius(s.operator) for s in tr.samples))
+            ops = fl._operators(tr)
+            norms = wg.frobenius(ops)
+            scale = max(1.0, max(norms.tolist()))
             c_inv.add(fl.invariance_monitor(tr, params) / scale, index=i, operator=r0)
             c_drift.add(max(s.bianchi for s in tr.samples) / scale, index=i, operator=r0)
-            worst_tr = 0.0
-            for s in tr.samples:
-                a, _, c3 = dc._blocks_of(s.operator)
-                worst_tr = max(worst_tr, abs(float(np.trace(a) - np.trace(c3))) / max(1.0, wg.frobenius(s.operator)))
-            c_tr.add(worst_tr, index=i, operator=r0)
+            a, _, c3 = dc._blocks_of(ops)
+            gaps = np.abs(np.trace(a, axis1=-2, axis2=-1) - np.trace(c3, axis1=-2, axis2=-1))
+            c_tr.add(max([0.0] + (gaps / np.maximum(1.0, norms)).tolist()), index=i, operator=r0)
         checks += [c.done() for c in (c_inv, c_drift, c_tr)]
 
     c_lineq = _Check("flow", "l-reaction-inequality",

@@ -21,6 +21,12 @@ inherit this inner product; treatments that normalize <u, v> = -tr(uv)
 instead carry an extra factor of 2 in those quantities.
 
 All functions are pure and never mutate their inputs.
+
+Stacks: :func:`frobenius`, :func:`sharp` and :func:`q_operator` take
+operators of shape ``(..., 6, 6)`` and act on each trailing 6x6 slice; a
+single 6x6 input gives today's types (``frobenius`` a float), a stack gives
+arrays over the leading axes, and each slice of a stack carries the same bits
+as the single call on it.
 """
 
 from __future__ import annotations
@@ -50,9 +56,28 @@ _STRUCT: np.ndarray | None = None
 _BIVECTORS: np.ndarray | None = None
 
 
-def frobenius(m) -> float:
-    """Frobenius norm, the operator norm used by every tolerance here."""
-    return float(np.linalg.norm(np.asarray(m, dtype=float)))
+def frobenius(m):
+    """Frobenius norm over the last two axes, the norm every tolerance uses.
+
+    The sum of squares is one BLAS dot per matrix, as in ``np.linalg.norm``.
+    Past |M| ~ 1e154 that sum overflows; only then, and only for matrices
+    with finite entries, is the matrix divided by its largest entry first,
+    so the value stays finite up to the largest double.
+    """
+    m = np.asarray(m, dtype=float)
+    flat = m.reshape(*m.shape[:-2], 1, m.shape[-2] * m.shape[-1])
+    try:
+        with np.errstate(over="raise"):
+            nrm = np.sqrt(flat @ flat.swapaxes(-1, -2))[..., 0, 0]
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            nrm = np.array(np.sqrt(flat @ flat.swapaxes(-1, -2))[..., 0, 0])
+        over = np.isinf(nrm) & np.isfinite(flat).all(axis=(-2, -1))
+        unit = flat[over]
+        big = np.abs(unit).max(axis=(-2, -1), keepdims=True)
+        unit = unit / big
+        nrm[over] = big[:, 0, 0] * np.sqrt(unit @ unit.swapaxes(-1, -2))[:, 0, 0]
+    return float(nrm) if nrm.ndim == 0 else nrm
 
 
 def identity_operator() -> np.ndarray:
@@ -141,9 +166,9 @@ def structure_constants() -> np.ndarray:
 
 
 def _sharp_raw(m: np.ndarray, n: np.ndarray, c: np.ndarray) -> np.ndarray:
-    t = np.einsum("bdt,gd->bgt", c, m)
-    t = np.einsum("bgt,ht->bgh", t, n)
-    return 0.5 * np.einsum("agh,bgh->ab", c, t)
+    t = np.einsum("bdt,...gd->...bgt", c, m)
+    t = np.einsum("...bgt,...ht->...bgh", t, n)
+    return 0.5 * np.einsum("agh,...bgh->...ab", c, t)
 
 
 def sharp(m, n) -> np.ndarray:
@@ -160,7 +185,7 @@ def sharp(m, n) -> np.ndarray:
         out = _sharp_raw(ma, ma, c)
     else:
         out = 0.5 * (_sharp_raw(ma, na, c) + _sharp_raw(na, ma, c))
-    return 0.5 * (out + out.T)
+    return 0.5 * (out + out.swapaxes(-1, -2))
 
 
 def _bivector_matrices() -> np.ndarray:
@@ -203,7 +228,7 @@ def q_operator(m) -> np.ndarray:
     """Reaction term Q(R) = R^2 + R#R of the curvature evolution equation."""
     m = np.asarray(m, dtype=float)
     sq = m @ m
-    return 0.5 * (sq + sq.T) + sharp(m, m)
+    return 0.5 * (sq + sq.swapaxes(-1, -2)) + sharp(m, m)
 
 
 def kulkarni_nomizu(h, k) -> np.ndarray:

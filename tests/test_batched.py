@@ -1,0 +1,252 @@
+"""Stacked (..., 6, 6) input gives, entry for entry, the bits of single calls.
+
+Every kernel that takes a stack must not depend on the batch size: a stack
+of n operators equals n single calls bit for bit, for n in {1, 7, 1000},
+across members, non-members and scales from 1e-300 to 1e300.  The samplers
+take index arrays and must match per-index draws, retry counts included.
+"""
+
+import numpy as np
+import pytest
+
+from curvcone import cone as cn
+from curvcone import decomposition as dc
+from curvcone import sampling as smp
+from curvcone import wedge as wg
+
+P12 = cn.ConeParams(1.0, 2.0)
+P_ETA0 = cn.ConeParams(0.0, 1.5)
+SCALES = (1e-300, 1.0, 1e300)
+SIZES = (1, 7, 1000)
+
+
+def _mixed_stack(n: int = 1000) -> np.ndarray:
+    """Members, boundary points, raw operators and their -I shifts at three scales."""
+    cfg = smp.SamplerConfig(seed=21)
+    base = []
+    for i in range(n // (4 * len(SCALES)) + 1):
+        base.append(smp.random_member(cfg, P12, index=i))
+        base.append(smp.boundary_member(cfg, P12, ("F1", "F2", "F3")[i % 3], index=i)[0])
+        base.append(smp.random_bianchi(cfg, index=i))
+        base.append(smp.random_member(cfg, P12, index=500 + i) - 0.7 * np.eye(6))
+    ops = [c * m for m in base for c in SCALES]
+    return np.array(ops[:n])
+
+
+STACK = _mixed_stack()
+
+
+def _equal(a, b):
+    np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
+
+
+@pytest.mark.parametrize("n", SIZES)
+class TestBatchSizeIndependence:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_q_operator(self, n):
+        ms = STACK[:n]
+        _equal(wg.q_operator(ms), [wg.q_operator(m) for m in ms])
+
+    def test_block_spectra(self, n):
+        ms = STACK[:n]
+        stacked = dc.block_spectra(ms)
+        singles = [dc.block_spectra(m) for m in ms]
+        for k in range(3):
+            _equal(stacked[k], [s[k] for s in singles])
+
+    def test_decompose(self, n):
+        ms = STACK[:n]
+        stacked = dc.decompose(ms)
+        singles = [dc.decompose(m) for m in ms]
+        for name in ("a", "b", "c", "eigs_a", "eigs_c", "svals_b",
+                     "vecs_a", "vecs_c", "left_b", "right_b"):
+            _equal(getattr(stacked, name), [getattr(s, name) for s in singles])
+
+    @pytest.mark.parametrize("params", [P12, P_ETA0], ids=["eta1", "eta0"])
+    def test_hat_f(self, n, params):
+        ms = STACK[:n]
+        stacked = cn.hat_f(ms, params)
+        singles = [cn.hat_f(m, params) for m in ms]
+        for k in range(3):
+            _equal(stacked[k], [s[k] for s in singles])
+
+    @pytest.mark.parametrize("params", [P12, P_ETA0], ids=["eta1", "eta0"])
+    def test_is_member(self, n, params):
+        ms = STACK[:n]
+        _equal(cn.is_member(ms, params), [cn.is_member(m, params) for m in ms])
+
+    @pytest.mark.parametrize("params", [P12, P_ETA0], ids=["eta1", "eta0"])
+    def test_lower_bound_l(self, n, params):
+        ms = STACK[:n]
+        _equal(cn.lower_bound_l(ms, params), [cn.lower_bound_l(m, params) for m in ms])
+
+
+def test_f1_keeps_the_scalar_power_bits():
+    # a float64 scalar's z ** 2 is the C library's pow, which differs from
+    # z * z in the last bit for some z; stacks must give the single-call bits
+    z = np.random.default_rng(0).uniform(0.5, 2.0, 20000)
+    z = z[np.array([np.float64(v) ** 2 for v in z]) != z * z]
+    assert z.size
+    ea = np.tile([0.0, 0.0, 1.0], (z.size, 1))  # x = 0, so F1 = -z ** 2 exactly
+    sb = np.zeros((z.size, 3))
+    sb[:, 2] = z
+    f1 = cn.hat_f(None, P12, blocks=(ea, ea, sb))[0]
+    _equal(f1, [-(np.float64(v) ** 2) for v in z])
+    assert cn.hat_f(None, P12, blocks=(ea[0], ea[0], sb[0]))[0] == f1[0]
+
+
+def test_l_keeps_the_correctly_rounded_hypot():
+    # l's F1 root uses math.hypot; np.hypot differs from it in the last bit
+    # for some pairs, and a stack must give the single-call bits
+    import math
+
+    rng = np.random.default_rng(1)
+    t, z = rng.uniform(0.1, 0.5, 20000), rng.uniform(1.0, 2.0, 20000)
+    keep = np.hypot(2 * t, 2 * z) != [math.hypot(2 * a, 2 * b) for a, b in zip(t, z)]
+    t, z = t[keep], z[keep]
+    assert t.size
+    # x = A1 + A2 = t, y = C1 + C2 = -t, B2 + B3 = z: the F1 root binds
+    zero = 0.0 * t
+    ea = np.stack([zero, t, t], axis=-1)
+    ec = np.stack([-t, zero, zero], axis=-1)
+    sb = np.stack([zero, zero, z], axis=-1)
+    lv = cn.lower_bound_l(None, P12, blocks=(ea, ec, sb))
+    _equal(lv, [math.hypot(2 * a, 2 * b) / 4.0 for a, b in zip(t, z)])
+
+
+def test_stack_covers_members_nonmembers_and_infinite_l():
+    member = cn.is_member(STACK, P12)
+    assert member.any() and not member.all()
+    assert np.isinf(cn.lower_bound_l(STACK, P_ETA0)).any()
+    norms = wg.frobenius(STACK)
+    assert norms.min() < 1e-290 and norms.max() > 1e290
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_nested_leading_axes():
+    ms = STACK[:12].reshape(3, 4, 6, 6)
+    assert cn.lower_bound_l(ms, P12).shape == (3, 4)
+    _equal(cn.lower_bound_l(ms, P12).ravel(), cn.lower_bound_l(STACK[:12], P12))
+    _equal(cn.is_member(ms, P12).ravel(), cn.is_member(STACK[:12], P12))
+    _equal(wg.q_operator(ms).reshape(12, 6, 6), wg.q_operator(STACK[:12]))
+    assert dc.decompose(ms).vecs_a.shape == (3, 4, 3, 3)
+
+
+def test_single_operator_returns_scalar_types():
+    m = STACK[0]
+    assert isinstance(wg.q_operator(m), np.ndarray) and wg.q_operator(m).shape == (6, 6)
+    assert type(wg.frobenius(m)) is float
+    spectra = dc.block_spectra(m)
+    assert isinstance(spectra, tuple) and [s.shape for s in spectra] == [(3,)] * 3
+    bd = dc.decompose(m)
+    assert isinstance(bd, dc.BlockData) and bd.a.shape == (3, 3)
+    f = cn.hat_f(m, P12)
+    assert type(f) is tuple and all(type(v) is float for v in f)
+    assert type(cn.is_member(m, P12)) is bool
+    assert type(cn.lower_bound_l(m, P12)) is float
+    assert type(cn.lower_bound_l(m - 5.0 * np.eye(6), P_ETA0)) is float
+    assert type(cn.implies_wpic(m, P12)) is bool
+    assert cn.l_face(m, P12) is None
+
+
+def test_spectra_triple_and_blockdata_serve_as_blocks():
+    for m in STACK[:30]:
+        spectra = dc.block_spectra(m)
+        assert cn.hat_f(m, P12, blocks=spectra) == cn.hat_f(m, P12)
+        assert cn.lower_bound_l(m, P12, blocks=spectra) == cn.lower_bound_l(m, P12)
+        assert cn.is_member(m, P12, blocks=spectra) == cn.is_member(m, P12)
+        assert cn.l_face(m, P12, blocks=spectra) == cn.l_face(m, P12)
+        assert cn.implies_wpic(m, P12, blocks=spectra) == cn.implies_wpic(m, P12)
+        assert cn.two_nonneg_flag(m, 5, 0, blocks=spectra) == cn.two_nonneg_flag(m, 5, 0)
+
+
+def test_null_vector_and_hamilton_stacks_match_single_calls():
+    cfg = smp.SamplerConfig(seed=8)
+    for face in ("F1", "F2", "F3"):
+        ms, _ = smp.boundary_member(cfg, P12, face, index=np.arange(9))
+        ms[4] = ms[4] - np.eye(6)  # one operator off the face, with a message
+        rep = cn.null_vector_verify(ms, P12, face)
+        singles = [cn.null_vector_verify(m, P12, face) for m in ms]
+        _equal(rep.slack, [s.slack for s in singles])
+        _equal(rep.precondition_ok, [s.precondition_ok for s in singles])
+        assert list(rep.message) == [s.message for s in singles]
+        assert not rep.precondition_ok[4] and rep.message[4]
+        _equal(cn.hamilton_intermediate_slack(ms), [cn.hamilton_intermediate_slack(m) for m in ms])
+
+
+# ---------------------------------------------------------------------------
+# samplers over index arrays
+# ---------------------------------------------------------------------------
+
+def _retry_delta(fn):
+    before = dict(smp.RETRY_COUNTS)
+    out = fn()
+    return out, {k: v - before.get(k, 0) for k, v in smp.RETRY_COUNTS.items() if v != before.get(k, 0)}
+
+
+def _odd_bits(x) -> np.ndarray:
+    # a deterministic coin per number: the last bit of its mantissa
+    return (np.asarray(x, dtype=float).view(np.int64) & 1).astype(bool)
+
+
+@pytest.fixture
+def flaky_verification(monkeypatch):
+    """Reject about half of all draws at each retry point, decided per draw."""
+    member, ray = smp.is_member, smp._boundary_ray
+
+    def is_member(m, params, *args, **kwargs):
+        ok = np.asarray(member(m, params, *args, **kwargs)) & ~_odd_bits(np.asarray(m)[..., 0, 1])
+        return bool(ok) if ok.ndim == 0 else ok
+
+    def boundary_ray(eigs_a, eigs_c, svals, params, face):
+        return None if _odd_bits(eigs_a[2]) else ray(eigs_a, eigs_c, svals, params, face)
+
+    monkeypatch.setattr(smp, "is_member", is_member)
+    monkeypatch.setattr(smp, "_boundary_ray", boundary_ray)
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["plain", "forced-retries"])
+def test_random_member_index_array_matches_per_index(forced, request):
+    if forced:
+        request.getfixturevalue("flaky_verification")
+    cfg = smp.SamplerConfig(seed=17)
+    idx = np.array([5, 0, 33, 12, 7, 21, 2, 40, 19, 8, 3, 27])
+    stacked, d_stack = _retry_delta(lambda: smp.random_member(cfg, P12, index=idx))
+    singles, d_single = _retry_delta(lambda: [smp.random_member(cfg, P12, index=i) for i in idx])
+    _equal(stacked, singles)
+    assert d_stack == d_single
+    assert d_stack.get("trace-shift", 0) > 0
+    if forced:
+        assert d_stack.get("member-verify", 0) > 0
+
+
+@pytest.mark.parametrize("face", ["F1", "F2", "F3"])
+@pytest.mark.parametrize("forced", [False, True], ids=["plain", "forced-retries"])
+def test_boundary_member_index_array_matches_per_index(face, forced, request):
+    if forced:
+        request.getfixturevalue("flaky_verification")
+    cfg = smp.SamplerConfig(seed=23)
+    idx = np.arange(15)
+    (stacked, certs), d_stack = _retry_delta(lambda: smp.boundary_member(cfg, P12, face, index=idx))
+    singles, d_single = _retry_delta(lambda: [smp.boundary_member(cfg, P12, face, index=i) for i in idx])
+    _equal(stacked, [m for m, _ in singles])
+    assert certs == [c for _, c in singles]
+    assert d_stack == d_single
+    if forced:
+        assert d_stack.get("boundary-ray", 0) > 0 and d_stack.get("boundary-verify", 0) > 0
+
+
+def test_index_array_shape_and_scalar_index():
+    cfg = smp.SamplerConfig(seed=2)
+    stack = smp.random_member(cfg, P12, index=np.arange(6).reshape(2, 3))
+    assert stack.shape == (2, 3, 6, 6)
+    _equal(stack[1, 2], smp.random_member(cfg, P12, index=5))
+    m, cert = smp.boundary_member(cfg, P12, "F2", index=np.int64(4))
+    assert m.shape == (6, 6) and cert["face"] == "F2"
+    assert smp.random_member(cfg, P12, index=np.arange(0)).shape == (0, 6, 6)
+
+
+def test_draws_match_four_separate_rotation_draws():
+    a = smp.substream(3, "member", 0).standard_normal((4, 3, 3))
+    rng = smp.substream(3, "member", 0)
+    _equal(a, [rng.standard_normal((3, 3)) for _ in range(4)])

@@ -63,12 +63,15 @@ class TestCheck:
         rc = cli.main(["check", "--input", str(ops_file), "--eta", "1", "--mu", "2", "--output", str(out)])
         assert rc == 0
         recs = [json.loads(line) for line in out.read_text().splitlines()]
-        keys = {"member", "F1", "F2", "F3", "l", "wpic", "flag2_certificate", "ricci_pinch_slack", "upic_slack"}
+        keys = {"member", "F1", "F2", "F3", "l", "l_face", "wpic", "flag2_certificate",
+                "ricci_pinch_slack", "upic_slack"}
         assert set(recs[0]) == keys
         assert recs[0]["member"] is True and recs[0]["l"] == 0.0
+        assert recs[0]["l_face"] is None
         assert recs[0]["upic_slack"] == pytest.approx(7.0, abs=1e-9)
         assert recs[1]["member"] is False
         assert recs[1]["l"] == pytest.approx(1.0, abs=1e-8)
+        assert recs[1]["l_face"] in ("F1", "F2", "F3")
         assert recs[1]["wpic"] is False
 
     def test_invalid_parameters_exit_2(self, ops_file, capsys):
@@ -84,6 +87,46 @@ class TestCheck:
         write_ops(p, I6, 2.0 * I6)
         rc = cli.main(["check", "--input", str(p), "--require-member", "--output", str(out)])
         assert rc == 0
+
+
+def _no_constants(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestCheckAtExtremeScale:
+    @pytest.mark.parametrize("c", [1e160, 1e300])
+    def test_output_is_strict_json(self, tmp_path, c):
+        from curvcone.sampling import boundary_member, random_member
+
+        cfg, params = SamplerConfig(seed=3), ConeParams(1.0, 2.0)
+        member = random_member(cfg, params, index=0)
+        ops = [member, boundary_member(cfg, params, "F1", index=0)[0], random_nonmember(cfg, params, index=0)]
+        p = tmp_path / "big.jsonl"
+        write_ops(p, *(c * m for m in ops))
+        out = tmp_path / "out.jsonl"
+        assert cli.main(["check", "--input", str(p), "--output", str(out)]) == 0
+        recs = [json.loads(line, parse_constant=_no_constants) for line in out.read_text().splitlines()]
+        assert [r["member"] for r in recs] == [True, True, False]
+        assert recs[0]["upic_slack"] is not None and recs[0]["upic_slack"] > 0.0
+        assert recs[2]["l_face"] in ("F1", "F2", "F3")
+
+    def test_one_block_spectra_per_record(self, tmp_path, monkeypatch):
+        from curvcone import cone as cn
+        from curvcone import decomposition as dc
+
+        calls = []
+
+        def counted(m):
+            calls.append(1)
+            return dc.block_spectra(m)
+
+        p = tmp_path / "ops.jsonl"
+        write_ops(p, I6, -I6, random_nonmember(SamplerConfig(seed=4), ConeParams(0.5, 1.5), index=1))
+        monkeypatch.setattr(cli, "block_spectra", counted)
+        monkeypatch.setattr(cn, "block_spectra", counted)
+        out = tmp_path / "out.jsonl"
+        assert cli.main(["check", "--eta", "0.5", "--mu", "1.5", "--input", str(p), "--output", str(out)]) == 0
+        assert len(calls) == 3
 
 
 class TestRobustInput:

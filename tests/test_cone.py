@@ -219,6 +219,35 @@ class TestLowerBound:
         assert cn.is_member(m + (lv + 1e-8) * I6, p0, tol_abs=1e-12)
 
 
+class TestLFace:
+    def test_members_have_none(self):
+        for i in range(20):
+            assert cn.l_face(random_member(CFG, P12, index=6400 + i), P12) is None
+
+    def test_shift_by_l_lands_on_the_named_face(self):
+        for p in PARAM_SETS:
+            for i in range(100):
+                m = random_bianchi(CFG, index=6500 + i)
+                face = cn.l_face(m, p)
+                if face is None:
+                    continue
+                lv = cn.lower_bound_l(m, p)
+                f = cn.hat_f(m + lv * I6, p)[("F1", "F2", "F3").index(face)]
+                scale = max(1.0, np.linalg.norm(m)) ** cn.FACE_DEGREE[face]
+                assert abs(f) <= 1e-9 * scale
+
+    def test_boundary_shift_binds_its_face(self):
+        for face in ("F2", "F3"):
+            for i in range(10):
+                m, _ = boundary_member(CFG, P12, face, index=6600 + i)
+                assert cn.l_face(m - 0.5 * I6, P12) == face
+
+    def test_eta_zero_mixed_block_binds_f1(self):
+        h = np.diag([1.0, -1.0, 0.0, 0.0])
+        m = 0.5 * wg.kulkarni_nomizu(h, np.eye(4))
+        assert cn.l_face(m, cn.ConeParams(0.0, 2.0)) == "F1"
+
+
 def _bisected_l(m, p, tol_abs=0.0):
     """Independent oracle for l: bisection over is_member(R + alpha I)."""
     if cn.is_member(m, p, tol_abs=tol_abs):
@@ -375,6 +404,28 @@ class TestImpliedConditions:
                 assert cn.uniform_pic_check(m, p) >= -1e-10 * max(1.0, np.linalg.norm(m))
         with pytest.raises(ValueError):
             cn.uniform_pic_check(np.zeros((6, 6)), P12)
+
+    @pytest.mark.parametrize("c", [1e160, 1e300])
+    def test_uniform_pic_past_norm_overflow(self, c):
+        for p in PARAM_SETS:
+            for i in range(20):
+                m = random_member(CFG, p, index=6100 + i)
+                ref = cn.uniform_pic_check(m, p)
+                scaled = cn.uniform_pic_check(c * m, p) / c
+                assert math.isfinite(scaled)
+                assert scaled == pytest.approx(ref, rel=1e-12, abs=1e-12 * np.linalg.norm(m))
+
+    @pytest.mark.parametrize("c", [1e160, 1e300])
+    def test_f1_sign_past_product_overflow(self, c):
+        for face in ("F1", "F2", "F3"):
+            for i in range(10):
+                m, _ = boundary_member(CFG, P12, face, index=6200 + i)
+                for op in (m, random_member(CFG, P12, index=6300 + i), m - 0.5 * I6):
+                    f1 = cn.hat_f(c * op, P12)[0]
+                    assert not math.isnan(f1)
+                    ref = cn.hat_f(op, P12)[0]
+                    if abs(ref) > 1e-12:
+                        assert math.copysign(1.0, f1) == math.copysign(1.0, ref)
 
     def test_c01(self):
         assert cn.is_c01(3.0 * I6, 1e-8)

@@ -235,3 +235,21 @@ def test_rotation_action_is_orthogonal():
         np.testing.assert_allclose(w.T @ w, I6, atol=1e-13)
         # the identity operator is rotation invariant
         np.testing.assert_allclose(wg.rotate_operator(I6, q), I6, atol=1e-13)
+
+
+@pytest.mark.parametrize("c", [1e155, 1e160, 1e300])
+def test_frobenius_past_square_overflow(c):
+    rng = np.random.default_rng(44)
+    m = sym6(rng)
+    assert wg.frobenius(c * m) / c == pytest.approx(wg.frobenius(m), rel=1e-14)
+    stack = np.stack([m, c * m, np.zeros((6, 6))])
+    np.testing.assert_allclose(wg.frobenius(stack) / [1.0, c, 1.0], [wg.frobenius(m)] * 2 + [0.0], rtol=1e-14)
+
+
+def test_frobenius_keeps_norm_bits_and_non_finite_input():
+    rng = np.random.default_rng(45)
+    for _ in range(50):
+        m = sym6(rng, scale=10.0 ** rng.uniform(-100, 100))
+        assert wg.frobenius(m) == float(np.linalg.norm(m))
+    assert wg.frobenius(np.full((6, 6), np.inf)) == np.inf
+    assert np.isnan(wg.frobenius(np.full((6, 6), np.nan)))
