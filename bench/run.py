@@ -5,12 +5,15 @@
 Run from the root of a source checkout.  Each kernel is timed with
 ``time.perf_counter`` as the best of REPEATS runs: once as a loop of
 N_SINGLE single-operator calls, and once as one call on a stack of N_STACKED
-operators (indices for the samplers).  Wall times are taken for each
-``verify`` suite at the CLI default ``--samples 1000`` and for ``evolve``'s
-integration of a blow-up from |R| = 3e7.  With ``--baseline-src`` the
-single-operator kernels and the wall times are also taken for another
-checkout's package, in a subprocess, and stored next to this one's.  Writes ``BENCH_<label>.json``;
-a full run takes a minute or two.
+operators (indices for the samplers).  The ``integrate`` row counts a whole
+trajectory as one operator: N_TRAJ member starts integrated one by one, and
+as one stack.  Wall times are taken for each ``verify`` suite at the CLI
+default ``--samples 1000``, for ``evolve``'s integration of a blow-up from
+|R| = 3e7, and for one Tier-1 run (``pytest`` in the checkout that holds the
+package).  With ``--baseline-src`` the single-operator kernels and the wall
+times are also taken for another checkout's package, in a subprocess, and
+stored next to this one's.  Writes ``BENCH_<label>.json``; a full run takes
+two or three minutes.
 
 Not a test and not a gate: the numbers depend on the machine and its load.
 BLAS is pinned to one thread, as in ``perfbench/run.py``.
@@ -37,6 +40,7 @@ SUITES = ("algebra", "cone", "nullvector", "flow", "cutoff")
 SUITE_SAMPLES = 1000
 N_SINGLE = 1000
 N_STACKED = 10_000
+N_TRAJ = 30  # as many member starts as certify's member-invariance checks
 REPEATS = 5
 SUITE_REPEATS = 3
 
@@ -68,6 +72,7 @@ def kernels(cfg, params, members, nonmembers):
     from curvcone import cone, decomposition, flow, sampling, wedge
 
     idx = np.arange(len(members))
+    ea, ec, sb = spectra = decomposition.block_spectra(nonmembers)
     return {
         "q_operator": (lambda i: wedge.q_operator(members[i]), lambda: wedge.q_operator(members)),
         "block_spectra": (lambda i: decomposition.block_spectra(members[i]),
@@ -79,6 +84,9 @@ def kernels(cfg, params, members, nonmembers):
                                    lambda: cone.lower_bound_l(members, params)),
         "lower_bound_l (non-member)": (lambda i: cone.lower_bound_l(nonmembers[i], params),
                                        lambda: cone.lower_bound_l(nonmembers, params)),
+        "lower_bound_l (non-member, blocks=)": (
+            lambda i: cone.lower_bound_l(nonmembers[i], params, blocks=(ea[i], ec[i], sb[i])),
+            lambda: cone.lower_bound_l(nonmembers, params, blocks=spectra)),
         "random_member": (lambda i: sampling.random_member(cfg, params, index=i),
                           lambda: sampling.random_member(cfg, params, index=idx)),
         "boundary_member": (lambda i: sampling.boundary_member(cfg, params, "F1", index=i),
@@ -99,6 +107,35 @@ def time_kernels(stacked: bool) -> dict:
         for name, (_, stack) in many.items():
             out[name]["stacked_us"] = 1e6 * best_of(stack, REPEATS) / N_STACKED
     return out
+
+
+def time_integrate(stacked: bool) -> dict:
+    """µs per trajectory: N_TRAJ member starts one by one, and as one stack."""
+    from curvcone import cone, flow, sampling, wedge
+
+    params = cone.ConeParams(1.0, 2.0)
+    cfg = sampling.SamplerConfig(seed=0)
+    starts = np.array([sampling.random_member(cfg, params, index=i) for i in range(N_TRAJ)])
+    cfgs = [flow.TrajectoryConfig(dt=1e-3, t_max=min(0.05, 0.5 / nrm), rtol=1e-8, blowup_norm=1e6)
+            for nrm in wedge.frobenius(starts).tolist()]
+    row = {"per_operator_us": 1e6 * best_of(
+        lambda: [flow.integrate(r0, c) for r0, c in zip(starts, cfgs)], REPEATS) / N_TRAJ}
+    if stacked:
+        row["stacked_us"] = 1e6 * best_of(lambda: flow._integrate_stack(starts, cfgs), REPEATS) / N_TRAJ
+    return row
+
+
+def time_tier1(src: str) -> float:
+    """Seconds of one Tier-1 run in the checkout whose package is ``src``."""
+    src_dir = Path(src).resolve()
+    env = dict(os.environ, PYTHONPATH=str(src_dir))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+                          cwd=src_dir.parent, env=env, capture_output=True, text=True)
+    secs = time.perf_counter() - t0
+    if proc.returncode != 0:
+        raise RuntimeError(f"Tier-1 failed in {src_dir.parent}:\n{proc.stdout[-2000:]}")
+    return secs
 
 
 def time_wall() -> dict:
@@ -130,7 +167,11 @@ def environment() -> dict:
 
 def measure(src: str, stacked: bool) -> dict:
     sys.path.insert(0, str(Path(src).resolve()))
-    return {"kernels": time_kernels(stacked), "wall_s": time_wall()}
+    kernels = time_kernels(stacked)
+    kernels[f"integrate ({N_TRAJ} member starts, per trajectory)"] = time_integrate(stacked)
+    wall = time_wall()
+    wall["tier-1 pytest (one run)"] = time_tier1(src)
+    return {"kernels": kernels, "wall_s": wall}
 
 
 def main(argv=None) -> int:
@@ -148,7 +189,8 @@ def main(argv=None) -> int:
         "label": args.label,
         "method": (f"best of {REPEATS} perf_counter runs; per-operator: a loop of "
                    f"{N_SINGLE} single calls; stacked: one call on {N_STACKED} operators "
-                   f"(indices for the samplers); wall_s: best of {SUITE_REPEATS}"),
+                   f"(indices for the samplers); integrate: per trajectory, {N_TRAJ} starts; "
+                   f"wall_s: best of {SUITE_REPEATS}, Tier-1 one run"),
         "environment": environment(),
         **measure(args.src, not args.single_only),
     }

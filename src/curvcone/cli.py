@@ -201,7 +201,7 @@ def cmd_evolve(args) -> int:
     final_norm = frobenius(traj.final.operator)
     print(
         f"status={traj.status} steps={len(traj.samples) - 1} "
-        f"max_l={max_l!r} final_norm={final_norm!r}",
+        f"max_l={max_l!r} final_norm={final_norm!r} rejected={traj.rejected}",
         file=sys.stderr,
     )
     return EXIT_OK

@@ -180,8 +180,7 @@ def hat_f(m, params: ConeParams, blocks=None):
     recomputed from the sums divided by their largest magnitude, which gives
     its sign, and its value wherever that fits in a double.
     """
-    ea, ec, sb = _spectra(m, blocks)
-    x, y, z = ea[..., 0] + ea[..., 1], ec[..., 0] + ec[..., 1], sb[..., 1] + sb[..., 2]
+    x, y, z, w, v = _sums(*_spectra(m, blocks))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         f1 = params.eta * x * y - np.asarray(_POW2(z), dtype=float)
         if not np.isfinite(f1).all():
@@ -189,8 +188,8 @@ def hat_f(m, params: ConeParams, blocks=None):
             s = np.maximum(np.maximum(np.abs(x), np.abs(y)), z)
             xs, ys, zs = x / s, y / s, z / s
             f1 = np.where(redo, (params.eta * xs * ys - zs * zs) * s * s, f1)
-    f2 = params.mu * x - (ea[..., 1] + ea[..., 2])
-    f3 = params.mu * y - (ec[..., 1] + ec[..., 2])
+    f2 = params.mu * x - w
+    f3 = params.mu * y - v
     return _scalar_or_array(f1), _scalar_or_array(f2), _scalar_or_array(f3)
 
 
@@ -198,12 +197,15 @@ def hat_f(m, params: ConeParams, blocks=None):
 # them silence overflow warnings, since past |R| ~ 1e154 a product may
 # overflow to inf on its way to a correct comparison.
 
-def _member_from_spectra(ea, ec, sb, params: ConeParams, tol_abs: float = 0.0):
-    x, y, z = ea[..., 0] + ea[..., 1], ec[..., 0] + ec[..., 1], sb[..., 1] + sb[..., 2]
-    faces = ~(
-        (params.mu * x - (ea[..., 1] + ea[..., 2]) < -tol_abs)
-        | (params.mu * y - (ec[..., 1] + ec[..., 2]) < -tol_abs)
-    )
+def _sums(ea, ec, sb):
+    # x = A_1+A_2, y = C_1+C_2, z = B_2+B_3, w = A_2+A_3, v = C_2+C_3
+    return (ea[..., 0] + ea[..., 1], ec[..., 0] + ec[..., 1], sb[..., 1] + sb[..., 2],
+            ea[..., 1] + ea[..., 2], ec[..., 1] + ec[..., 2])
+
+
+def _member_from_sums(sums, params: ConeParams, tol_abs: float = 0.0):
+    x, y, z, w, v = sums
+    faces = ~((params.mu * x - w < -tol_abs) | (params.mu * y - v < -tol_abs))
     # F1 as (z - s)(z + s) <= tol_abs with s = sqrt(eta x y), which forms no
     # square and so cannot overflow to inf - inf
     s = math.sqrt(params.eta) * np.sqrt(np.maximum(x, 0.0)) * np.sqrt(np.maximum(y, 0.0))
@@ -218,7 +220,7 @@ def is_member(m, params: ConeParams, tol_abs: float = 0.0, blocks=None):
     """
     spectra = _spectra(m, blocks)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _scalar_or_array(_member_from_spectra(*spectra, params, tol_abs), bool)
+        return _scalar_or_array(_member_from_sums(_sums(*spectra), params, tol_abs), bool)
 
 
 def shifted_membership(m, alpha0: float, params: ConeParams) -> bool:
@@ -305,17 +307,18 @@ def sampled_inf(m, params: ConeParams, n: int, seed: int):
 # lower-bound functional l
 # ---------------------------------------------------------------------------
 
-def _face_roots(ea, ec, sb, params: ConeParams):
+def _face_roots(spectra, sums, params: ConeParams):
     # identity shifts (alpha_1, alpha_2, alpha_3) past which F1, F2, F3 hold;
     # at eta = 0, alpha_1 is inf for a mixed block that is nonzero relative
     # to the spectra and -inf (never binding) otherwise
-    x, y, z = ea[..., 0] + ea[..., 1], ec[..., 0] + ec[..., 1], sb[..., 1] + sb[..., 2]
+    x, y, z, w, v = sums
     mu = params.mu
-    a2 = (ea[..., 1] + ea[..., 2] - mu * x) / (2.0 * (mu - 1.0))
-    a3 = (ec[..., 1] + ec[..., 2] - mu * y) / (2.0 * (mu - 1.0))
+    a2 = (w - mu * x) / (2.0 * (mu - 1.0))
+    a3 = (v - mu * y) / (2.0 * (mu - 1.0))
     if params.eta > 0.0:
         a1 = (np.asarray(_HYPOT(x - y, 2.0 * z / math.sqrt(params.eta)), dtype=float) - (x + y)) / 4.0
     else:
+        ea, ec, sb = spectra
         scale = np.maximum(np.maximum(np.abs(ea).max(axis=-1), np.abs(ec).max(axis=-1)), sb[..., 2])
         a1 = np.where(z > 1e-10 * scale, math.inf, -math.inf)
     return a1, a2, a3
@@ -332,15 +335,14 @@ def lower_bound_l(m, params: ConeParams, tol: float | None = None, blocks=None):
     and ignored; it stays only because the benchmark's workload script
     (perfbench/workloads.py) still passes it.
     """
-    ea, ec, sb = _spectra(m, blocks)
+    spectra = _spectra(m, blocks)
     with np.errstate(over="ignore", invalid="ignore"):
-        a1, a2, a3 = _face_roots(ea, ec, sb, params)
-        # max(0, alpha_2, alpha_3, alpha_1), each replacing the running
-        # value only when strictly larger
-        lv = np.where(a2 > 0.0, a2, 0.0)
-        lv = np.where(a3 > lv, a3, lv)
-        lv = np.where(a1 > lv, a1, lv)
-        return _scalar_or_array(np.where(_member_from_spectra(ea, ec, sb, params), 0.0, lv))
+        sums = _sums(*spectra)
+        a1, a2, a3 = _face_roots(spectra, sums, params)
+        # the largest root (fmax skips NaN), kept only where it is positive:
+        # a positive maximum has one bit pattern, whatever the order
+        lv = np.fmax(np.fmax(a2, a3), a1)
+        return _scalar_or_array(np.where(~_member_from_sums(sums, params) & (lv > 0.0), lv, 0.0))
 
 
 def _l_each(ms, params: ConeParams) -> list[float]:
@@ -357,10 +359,11 @@ def l_face(m, params: ConeParams, blocks=None):
 
     Ties go to the first face in that order.
     """
-    ea, ec, sb = _spectra(m, blocks)
+    spectra = _spectra(m, blocks)
     with np.errstate(over="ignore", invalid="ignore"):
-        roots = np.stack(_face_roots(ea, ec, sb, params), axis=-1)
-        member = _member_from_spectra(ea, ec, sb, params)
+        sums = _sums(*spectra)
+        roots = np.stack(_face_roots(spectra, sums, params), axis=-1)
+        member = _member_from_sums(sums, params)
     faces = np.where(member, None, np.array(_FACES, dtype=object)[np.argmax(roots, axis=-1)])
     return faces.item() if faces.ndim == 0 else faces
 

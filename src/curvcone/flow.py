@@ -8,6 +8,16 @@ line R = c(t) I the ODE collapses to c' = 6 c^2 with closed form
 c(t) = c0 / (1 - 6 c0 t), which anchors the exactness and convergence-order
 tests.
 
+One stacked core, :func:`_integrate_stack`, advances N starting operators
+as a single (N, 6, 6) state: every Runge-Kutta stage is one Q(R)
+evaluation over the trajectories still running, while the time, step size,
+accept/reject decision and blow-up stop of each trajectory are kept apart,
+as Python floats, so that each trajectory carries the bits it has when
+integrated alone.  :func:`integrate` is the N = 1 case.  The diagnostics of
+the stored samples (spectra, scalar curvature, Bianchi residual, and with
+cone parameters l and membership) are taken after stepping, in one stacked
+call per trajectory.
+
 Monitors recompute their diagnostics from the stored operators -- the
 lower-bound functional l is re-derived from its closed form at every sample
 (from the spectra of all stored operators, taken in one call), never
@@ -34,13 +44,15 @@ class StepUnderflowError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrajectoryConfig:
-    """Integration controls.
+    """Integration controls of one trajectory.
 
     ``dt`` is the initial (or, with ``adaptive=False``, the fixed) step;
     local error per step is held below ``rtol * max(1, |R|)`` by step
     halving/doubling; integration stops at ``t_max`` or once |R| reaches
     ``blowup_norm``.  ``store_every`` keeps every n-th accepted step (the
-    final state is always kept).
+    final state is always kept).  In a stack integrated together each
+    trajectory keeps its own config; only ``adaptive`` must agree across
+    the stack.
     """
 
     dt: float
@@ -76,6 +88,8 @@ class TrajectorySample:
 class Trajectory:
     samples: tuple[TrajectorySample, ...]
     status: str  # "completed" | "blowup-stopped"
+    accepted: int  # accepted steps
+    rejected: int  # trial steps rejected by the error control
 
     @property
     def final(self) -> TrajectorySample:
@@ -87,30 +101,14 @@ def reaction_rhs(m) -> np.ndarray:
     return 2.0 * q_operator(m)
 
 
-def _rk4_step(y: np.ndarray, h: float) -> np.ndarray:
+def _rk4_step(y: np.ndarray, h) -> np.ndarray:
+    # h is a float, or an (n, 1, 1) array of per-operator steps for y of
+    # shape (n, 6, 6)
     k1 = reaction_rhs(y)
     k2 = reaction_rhs(y + 0.5 * h * k1)
     k3 = reaction_rhs(y + 0.5 * h * k2)
     k4 = reaction_rhs(y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _make_sample(t, y, params) -> TrajectorySample:
-    spectra = block_spectra(y)
-    ea = spectra[0]
-    l_val = member = None
-    if params is not None:
-        member = is_member(y, params, blocks=spectra)
-        l_val = 0.0 if member else lower_bound_l(y, params, blocks=spectra)
-    return TrajectorySample(
-        t=float(t),
-        operator=y.copy(),
-        scalar=scalar(y, warn=False),
-        bianchi=bianchi_residual(y),
-        a1_plus_a2=float(ea[0] + ea[1]),
-        l=l_val,
-        member=member,
-    )
 
 
 def integrate(r0, cfg: TrajectoryConfig, params: ConeParams | None = None) -> Trajectory:
@@ -122,52 +120,112 @@ def integrate(r0, cfg: TrajectoryConfig, params: ConeParams | None = None) -> Tr
     (l and membership) to every stored sample.  Raises
     :class:`StepUnderflowError` if the accepted step collapses.
     """
-    y = np.asarray(r0, dtype=float)
-    y = 0.5 * (y + y.T)
-    t = 0.0
-    h = cfg.dt
-    h_floor = 1e-14 * max(1.0, cfg.t_max)
-    samples = [_make_sample(t, y, params)]
-    status = "completed"
-    accepted = 0
-    t_end = cfg.t_max * (1.0 - 1e-12)
+    return _integrate_stack(np.asarray(r0, dtype=float)[None], [cfg], params)[0]
 
-    while t < t_end:
-        if frobenius(y) >= cfg.blowup_norm:
-            status = "blowup-stopped"
+
+def _integrate_stack(r0s, cfgs, params: ConeParams | None = None) -> list[Trajectory]:
+    """Integrate N starts (an (N, 6, 6) stack) together, one config each.
+
+    Returns one :class:`Trajectory` per start, each equal field by field
+    and bit for bit to :func:`integrate` on that start alone.  All configs
+    must share one ``adaptive`` mode.  Raises :class:`StepUnderflowError`
+    if the accepted step of any trajectory collapses.
+    """
+    r0s = np.asarray(r0s, dtype=float)
+    cfgs = list(cfgs)
+    if r0s.ndim != 3 or r0s.shape[1:] != (6, 6) or len(cfgs) != len(r0s):
+        raise ValueError("need an (N, 6, 6) stack of starts and N configs")
+    if len({c.adaptive for c in cfgs}) > 1:
+        raise ValueError("the configs of one stack must share one adaptive mode")
+    adaptive = bool(cfgs) and cfgs[0].adaptive
+    n = len(cfgs)
+    y = 0.5 * (r0s + r0s.swapaxes(-1, -2))  # every trajectory's state, updated in place
+    t = [0.0] * n
+    h = [c.dt for c in cfgs]
+    h_floor = [1e-14 * max(1.0, c.t_max) for c in cfgs]
+    t_end = [c.t_max * (1.0 - 1e-12) for c in cfgs]
+    status = ["completed"] * n
+    accepted = [0] * n
+    rejected = [0] * n
+    stored = [[(0.0, yi.copy())] for yi in y]  # (t, operator) to keep
+    active = [i for i in range(n) if t[i] < t_end[i]]
+
+    while active:
+        rows, tols = [], []
+        for i, nrm in zip(active, frobenius(y[active]).tolist()):
+            if nrm >= cfgs[i].blowup_norm:
+                status[i] = "blowup-stopped"
+                continue
+            h[i] = min(h[i], cfgs[i].t_max - t[i])
+            rows.append(i)
+            tols.append(cfgs[i].rtol * max(1.0, nrm))
+        if not rows:
             break
-        h = min(h, cfg.t_max - t)
-        if cfg.adaptive:
+        ys = y[rows]
+        hs = np.array([h[i] for i in rows])[:, None, None]
+        if adaptive:
             # a trial step that overflows gives err = inf or NaN and shrinks
             with np.errstate(over="ignore", invalid="ignore"):
-                big = _rk4_step(y, h)
-                half = _rk4_step(_rk4_step(y, 0.5 * h), 0.5 * h)
-                err = frobenius(half - big) / 15.0
-            tol = cfg.rtol * max(1.0, frobenius(y))
-            if not err <= tol:
-                if h <= h_floor * 1.01:
-                    raise StepUnderflowError(f"step underflow at t={t:.6g}")
-                shrink = max(0.2, 0.9 * (tol / err) ** 0.2)
-                h = max(h * shrink, h_floor)
-                continue
-            y_new = half
-            grow = 2.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (tol / err) ** 0.2))
-            next_h = h * grow
+                big = _rk4_step(ys, hs)
+                half = _rk4_step(_rk4_step(ys, 0.5 * hs), 0.5 * hs)
+                errs = (frobenius(half - big) / 15.0).tolist()
+            ok = []
+            for k, (i, err, tol) in enumerate(zip(rows, errs, tols)):
+                if not err <= tol:
+                    if h[i] <= h_floor[i] * 1.01:
+                        raise StepUnderflowError(f"step underflow at t={t[i]:.6g}")
+                    shrink = max(0.2, 0.9 * (tol / err) ** 0.2)
+                    h[i] = max(h[i] * shrink, h_floor[i])
+                    rejected[i] += 1
+                    continue
+                grow = 2.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (tol / err) ** 0.2))
+                t[i] += h[i]
+                h[i] *= grow
+                ok.append(k)
+            y_new = half[ok]
+            rows = [rows[k] for k in ok]
         else:
-            y_new = _rk4_step(y, h)
-            next_h = h
-        t += h
-        h = next_h
-        y = 0.5 * (y_new + y_new.T)
-        accepted += 1
-        if accepted % cfg.store_every == 0 or t >= t_end:
-            samples.append(_make_sample(t, y, params))
-        if not np.all(np.isfinite(y)):
-            status = "blowup-stopped"
-            break
-    if samples[-1].t < t * (1.0 - 1e-12):
-        samples.append(_make_sample(t, y, params))
-    return Trajectory(samples=tuple(samples), status=status)
+            y_new = _rk4_step(ys, hs)
+            for i in rows:
+                t[i] += h[i]
+        y_new = 0.5 * (y_new + y_new.swapaxes(-1, -2))
+        y[rows] = y_new
+        finite = np.isfinite(y_new).all(axis=(-2, -1)).tolist()
+        for i, yi, fin in zip(rows, y_new, finite):
+            accepted[i] += 1
+            if accepted[i] % cfgs[i].store_every == 0 or t[i] >= t_end[i]:
+                stored[i].append((t[i], yi.copy()))
+            if not fin:
+                status[i] = "blowup-stopped"
+        active = [i for i in active if status[i] == "completed" and t[i] < t_end[i]]
+
+    out = []
+    for i, kept in enumerate(stored):
+        if kept[-1][0] < t[i] * (1.0 - 1e-12):
+            kept.append((t[i], y[i]))
+        out.append(_trajectory(kept, status[i], accepted[i], rejected[i], params))
+        kept.clear()  # the trajectory holds its own copy
+    return out
+
+
+def _trajectory(stored, status, accepted, rejected, params) -> Trajectory:
+    # the diagnostics of one trajectory's stored operators, in one stacked call each
+    ops = np.stack([op for _, op in stored])
+    ea, ec, sb = block_spectra(ops)
+    scal = scalar(ops, warn=False).tolist()
+    bianchi = bianchi_residual(ops).tolist()
+    a12 = (ea[:, 0] + ea[:, 1]).tolist()
+    if params is None:
+        members = ls = [None] * len(ops)
+    else:
+        members = is_member(ops, params, blocks=(ea, ec, sb)).tolist()
+        ls = [0.0 if mb else lower_bound_l(op, params, blocks=(ea[k], ec[k], sb[k]))
+              for k, (op, mb) in enumerate(zip(ops, members))]
+    samples = tuple(
+        TrajectorySample(t=ti, operator=op, scalar=s, bianchi=b, a1_plus_a2=a, l=lv, member=mb)
+        for (ti, _), op, s, b, a, lv, mb in zip(stored, ops, scal, bianchi, a12, ls, members)
+    )
+    return Trajectory(samples, status, accepted, rejected)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +301,9 @@ def strong_max_monitor(traj: Trajectory) -> StrongMaxReport:
     gate.
     """
     samples = traj.samples
-    spectra = block_spectra(_operators(traj))[0]
+    ops = _operators(traj)
+    spectra = block_spectra(ops)[0]
+    norms = frobenius(ops).tolist()
     rhs = [2.0 * (ea[0] + ea[1]) * (2.0 * ea[2] + ea[0]) for ea in spectra]
     worst = np.inf
     ok = 0
@@ -255,7 +315,7 @@ def strong_max_monitor(traj: Trajectory) -> StrongMaxReport:
         x0 = spectra[i][0] + spectra[i][1]
         x1 = spectra[i + 1][0] + spectra[i + 1][1]
         quot = (x1 - x0) / dt_i
-        tol_slack = 1e-3 * (1.0 + frobenius(samples[i].operator) ** 3) * dt_i
+        tol_slack = 1e-3 * (1.0 + norms[i] ** 3) * dt_i
         slack = quot - (min(rhs[i], rhs[i + 1]) - tol_slack)
         worst = min(worst, slack)
         ok += slack >= 0.0

@@ -383,19 +383,22 @@ def suite_flow(seed: int, n: int) -> list[dict]:
     checks.append(c_exact.done())
 
     c_ord = _Check("flow", "rk4-order", "halving the fixed step cuts the error ~16x", "residual", 4.0, seed)
-    errs = []
-    for dt in (1e-2, 5e-3, 2.5e-3):
-        t = fl.integrate(i6, fl.TrajectoryConfig(dt=dt, t_max=0.1, adaptive=False))
-        errs.append(wg.frobenius(t.final.operator - (1.0 / 0.4) * i6))
+    dts = (1e-2, 5e-3, 2.5e-3)
+    trajs = fl._integrate_stack(
+        np.stack([i6] * len(dts)), [fl.TrajectoryConfig(dt=dt, t_max=0.1, adaptive=False) for dt in dts])
+    errs = [wg.frobenius(t.final.operator - (1.0 / 0.4) * i6) for t in trajs]
     for r in (errs[0] / errs[1], errs[1] / errs[2]):
         c_ord.add(abs(r - 16.0), context="error ratio")
     checks.append(c_ord.done())
 
     c_scaleq = _Check("flow", "scaling-equivariance", "integrating c R to t matches c times (R to c t)", "residual", 1e-8, seed)
-    for i in range(3):
-        r0 = smp.random_member(cfg, cn.ConeParams(1.0, 2.0), index=9000 + i)
-        t1 = fl.integrate(2.0 * r0, fl.TrajectoryConfig(dt=1e-4, t_max=0.01, rtol=1e-11))
-        t2 = fl.integrate(r0, fl.TrajectoryConfig(dt=1e-4, t_max=0.02, rtol=1e-11))
+    r0s = smp.random_member(cfg, cn.ConeParams(1.0, 2.0), index=9000 + np.arange(3))
+    trajs = fl._integrate_stack(
+        np.concatenate([2.0 * r0s, r0s]),
+        [fl.TrajectoryConfig(dt=1e-4, t_max=0.01, rtol=1e-11)] * 3
+        + [fl.TrajectoryConfig(dt=1e-4, t_max=0.02, rtol=1e-11)] * 3,
+    )
+    for i, (t1, t2) in enumerate(zip(trajs[:3], trajs[3:])):
         c_scaleq.add(
             wg.frobenius(t1.final.operator - 2.0 * t2.final.operator)
             / max(1.0, wg.frobenius(t1.final.operator)),
@@ -403,16 +406,20 @@ def suite_flow(seed: int, n: int) -> list[dict]:
         )
     checks.append(c_scaleq.done())
 
-    for eta_mu in PARAM_SETS:
+    # the member starts of all three (eta, mu) are integrated as one stack
+    idx = 7000 + np.arange(small)
+    r0s = np.concatenate([smp.random_member(cfg, _params(eta_mu), index=idx) for eta_mu in PARAM_SETS])
+    cfgs = [fl.TrajectoryConfig(dt=1e-3, t_max=min(0.05, 0.5 / nrm), rtol=1e-8, blowup_norm=1e6)
+            for nrm in wg.frobenius(r0s).tolist()]
+    trajs = fl._integrate_stack(r0s, cfgs)
+    for p, eta_mu in enumerate(PARAM_SETS):
         params = _params(eta_mu)
         tag = _tag(eta_mu)
         c_inv = _Check("flow", f"member-invariance-{tag}", "trajectories from members keep l at zero", "residual", 1e-6, seed)
         c_drift = _Check("flow", f"bianchi-drift-{tag}", "Bianchi residual stays at rounding level along trajectories", "residual", 1e-9, seed)
         c_tr = _Check("flow", f"trace-balance-{tag}", "tr A = tr C is maintained along trajectories", "residual", 1e-10, seed)
         for i in range(small):
-            r0 = smp.random_member(cfg, params, index=7000 + i)
-            t_max = min(0.05, 0.5 / wg.frobenius(r0))
-            tr = fl.integrate(r0, fl.TrajectoryConfig(dt=1e-3, t_max=t_max, rtol=1e-8, blowup_norm=1e6))
+            r0, tr = r0s[p * small + i], trajs[p * small + i]
             ops = fl._operators(tr)
             norms = wg.frobenius(ops)
             scale = max(1.0, max(norms.tolist()))
@@ -426,10 +433,10 @@ def suite_flow(seed: int, n: int) -> list[dict]:
     c_lineq = _Check("flow", "l-reaction-inequality",
                      "D+ l <= (scal) l + 6 l^2 + 1e-3 (1+|R|^3) dt from non-member starts", "slack", 0.0, seed)
     params = cn.ConeParams(1.0, 2.0)
-    for i in range(small):
-        r0 = smp.random_nonmember(cfg, params, index=i)
-        t_max = min(0.02, 0.3 / wg.frobenius(r0))
-        tr = fl.integrate(r0, fl.TrajectoryConfig(dt=2e-4, t_max=t_max, adaptive=False))
+    r0s = np.array([smp.random_nonmember(cfg, params, index=i) for i in range(small)])
+    cfgs = [fl.TrajectoryConfig(dt=2e-4, t_max=min(0.02, 0.3 / nrm), adaptive=False)
+            for nrm in wg.frobenius(r0s).tolist()]
+    for i, (r0, tr) in enumerate(zip(r0s, fl._integrate_stack(r0s, cfgs))):
         rep = fl.l_inequality_monitor(tr, params)
         c_lineq.add(rep.worst_slack, index=i, operator=r0)
     checks.append(c_lineq.done())

@@ -22,9 +22,11 @@ instead carry an extra factor of 2 in those quantities.
 
 All functions are pure and never mutate their inputs.
 
-Stacks: :func:`frobenius`, :func:`sharp` and :func:`q_operator` take
-operators of shape ``(..., 6, 6)`` and act on each trailing 6x6 slice; a
-single 6x6 input gives today's types (``frobenius`` a float), a stack gives
+Stacks: :func:`frobenius`, :func:`sharp`, :func:`q_operator`,
+:func:`four_index`, :func:`ricci`, :func:`scalar` and
+:func:`bianchi_residual` take operators of shape ``(..., 6, 6)`` and act on
+each trailing 6x6 slice; a single 6x6 input gives today's types
+(``frobenius``, ``scalar`` and ``bianchi_residual`` a float), a stack gives
 arrays over the leading axes, and each slice of a stack carries the same bits
 as the single call on it.
 """
@@ -200,9 +202,9 @@ def _bivector_matrices() -> np.ndarray:
 
 
 def four_index(m) -> np.ndarray:
-    """(4,4,4,4) component tensor R_ijkl of a 6x6 wedge-basis operator."""
+    """(..., 4, 4, 4, 4) component tensors R_ijkl of wedge-basis operators."""
     f = _bivector_matrices()
-    return np.einsum("ab,aij,bkl->ijkl", np.asarray(m, dtype=float), f, f)
+    return np.einsum("...ab,aij,bkl->...ijkl", np.asarray(m, dtype=float), f, f)
 
 
 def from_four_index(t) -> np.ndarray:
@@ -250,10 +252,11 @@ def kulkarni_nomizu(h, k) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def bianchi_residual(m) -> float:
+def bianchi_residual(m):
     """|R_1234 - R_1324 + R_1423|; zero iff M is a curvature operator."""
     m = np.asarray(m, dtype=float)
-    return abs(float(m[0, 5] - m[1, 4] + m[2, 3]))
+    r = np.abs(m[..., 0, 5] - m[..., 1, 4] + m[..., 2, 3])
+    return float(r) if r.ndim == 0 else r
 
 
 def project_bianchi(m) -> np.ndarray:
@@ -269,27 +272,28 @@ def project_bianchi(m) -> np.ndarray:
 
 
 def ricci(m, warn: bool = True) -> np.ndarray:
-    """Ricci contraction Ric_jl = sum_i R_ijil of a wedge-basis operator.
+    """Ricci contraction Ric_jl = sum_i R_ijil of wedge-basis operators.
 
     The contraction convention is tied to R_ijij = sectional curvature;
     on a non-Bianchi input the result is convention-dependent, hence the
     warning.
     """
     m = np.asarray(m, dtype=float)
-    if warn and bianchi_residual(m) > 1e-8 * max(1.0, frobenius(m)):
+    if warn and np.any(bianchi_residual(m) > 1e-8 * np.fmax(1.0, frobenius(m))):
         warnings.warn(
             "operator violates the first Bianchi identity; "
             "Ricci contraction is convention-dependent",
             stacklevel=2,
         )
     t = four_index(m)
-    r = np.einsum("ijil->jl", t)
-    return 0.5 * (r + r.T)
+    r = np.einsum("...ijil->...jl", t)
+    return 0.5 * (r + r.swapaxes(-1, -2))
 
 
-def scalar(m, warn: bool = True) -> float:
+def scalar(m, warn: bool = True):
     """Scalar curvature tr Ric; equals 12 on the identity operator."""
-    return float(np.trace(ricci(m, warn=warn)))
+    s = np.asarray(np.trace(ricci(m, warn=warn), axis1=-2, axis2=-1))
+    return float(s) if s.ndim == 0 else s
 
 
 def traceless_ricci(m, warn: bool = True) -> np.ndarray:

@@ -6,6 +6,8 @@ across members, non-members and scales from 1e-300 to 1e300.  The samplers
 take index arrays and must match per-index draws, retry counts included.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,46 @@ class TestBatchSizeIndependence:
         _equal(cn.lower_bound_l(ms, params), [cn.lower_bound_l(m, params) for m in ms])
 
 
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_curvature_contractions(n):
+    ms = STACK[:n]
+    for fn in (wg.four_index, lambda m: wg.ricci(m, warn=False),
+               lambda m: wg.scalar(m, warn=False), wg.bianchi_residual):
+        stacked = np.asarray(fn(ms))
+        singles = np.array([fn(m) for m in ms])
+        assert stacked.shape == singles.shape
+        assert stacked.tobytes() == singles.tobytes()  # signed zeros and NaN included
+
+
+def test_stacked_ricci_warns_when_any_slice_breaks_bianchi():
+    ms = STACK[:3].copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        wg.ricci(ms)
+    ms[1, 0, 5] += 1.0
+    with pytest.warns(UserWarning, match="Bianchi"):
+        wg.ricci(ms)
+
+
+def test_l_on_nonfinite_and_signed_zero_spectra():
+    # the largest face root is taken with fmax and kept only where it is
+    # positive: single calls and stacks agree on every bit, and l is never
+    # NaN or -0.0, whatever the spectra hold
+    rng = np.random.default_rng(3)
+    e = rng.normal(size=(4000, 3, 3))
+    mask = rng.random(e.shape) < 0.15
+    e[mask] = rng.choice([np.inf, -np.inf, np.nan, -0.0, 0.0, 1e308, -1e308], size=mask.sum())
+    e = np.sort(e, axis=-1)
+    blocks = (e[:, 0], e[:, 1], np.abs(e[:, 2]))
+    for params in (P12, P_ETA0):
+        lv = cn.lower_bound_l(None, params, blocks=blocks)
+        singles = [cn.lower_bound_l(None, params, blocks=tuple(b[i] for b in blocks)) for i in range(len(e))]
+        assert lv.tobytes() == np.array(singles).tobytes()
+        assert not np.isnan(lv).any() and not np.signbit(lv).any()
+        assert (lv > 0.0).any() and np.isinf(lv).any()
+
+
 def test_f1_keeps_the_scalar_power_bits():
     # a float64 scalar's z ** 2 is the C library's pow, which differs from
     # z * z in the last bit for some z; stacks must give the single-call bits
@@ -136,6 +178,8 @@ def test_single_operator_returns_scalar_types():
     m = STACK[0]
     assert isinstance(wg.q_operator(m), np.ndarray) and wg.q_operator(m).shape == (6, 6)
     assert type(wg.frobenius(m)) is float
+    assert type(wg.scalar(m)) is float and type(wg.bianchi_residual(m)) is float
+    assert wg.ricci(m).shape == (4, 4) and wg.four_index(m).shape == (4, 4, 4, 4)
     spectra = dc.block_spectra(m)
     assert isinstance(spectra, tuple) and [s.shape for s in spectra] == [(3,)] * 3
     bd = dc.decompose(m)

@@ -188,6 +188,16 @@ class TestEvolve:
         assert rc == 0
         assert "status=blowup-stopped" in capsys.readouterr().err
 
+    def test_status_line_reports_rejected_steps(self, tmp_path, capsys):
+        m = random_nonmember(SamplerConfig(seed=1), ConeParams(1.0, 2.0), index=0)
+        p = tmp_path / "big.jsonl"
+        write_ops(p, m * (3e7 / np.linalg.norm(m)))
+        rc = cli.main(["evolve", "--input", str(p), "--t-max", "100", "--output", str(tmp_path / "t.csv")])
+        assert rc == 0
+        fields = dict(kv.split("=", 1) for kv in capsys.readouterr().err.split())
+        assert list(fields) == ["status", "steps", "max_l", "final_norm", "rejected"]
+        assert int(fields["rejected"]) > 0
+
     def test_overflowing_trial_step_shrinks(self, tmp_path, capsys):
         # a non-member at |R| = 3e7 overflows trial steps on its way to the
         # default blow-up norm 1e8; those steps must be rejected, not kept

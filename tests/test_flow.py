@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,120 @@ class TestIntegrate:
         ts = [s.t for s in traj.samples]
         assert all(b > a for a, b in zip(ts, ts[1:]))
         assert ts[-1] == pytest.approx(0.05, rel=1e-12)
+
+
+def _starts(n: int, adaptive: bool):
+    """Members, non-members, a blow-up start and the zero operator, in turn.
+
+    Each start has its own config: dt, t_max, rtol and the blow-up norm
+    differ, and every third keeps every third step.  The blow-up start is a
+    non-member at |R| = 3e7, whose trial steps overflow on its way to the
+    blow-up norm.
+    """
+    starts, cfgs = [], []
+    for i in range(n):
+        kind = i % 4
+        if kind == 0:
+            r0 = random_member(CFG, P12, index=300 + i)
+            t_max = min(0.05, 0.5 / np.linalg.norm(r0))
+        elif kind == 1:
+            r0 = random_nonmember(CFG, P12, index=300 + i)
+            t_max = min(0.02, 0.3 / np.linalg.norm(r0))
+        elif kind == 2:
+            m = random_nonmember(CFG, P12, index=300 + i)
+            r0, t_max = m * (3e7 / np.linalg.norm(m)), 100.0
+        else:
+            r0, t_max = np.zeros((6, 6)), 0.05 + 0.01 * i
+        starts.append(r0)
+        cfgs.append(fl.TrajectoryConfig(
+            dt=(1e-3 if adaptive else 5e-4) * (1 + i % 2), t_max=t_max, rtol=1e-8 if i % 2 else 1e-9,
+            blowup_norm=1e8 if kind == 2 else 1e6 * (1 + i), adaptive=adaptive,
+            store_every=3 if i % 3 == 0 else 1,
+        ))
+    return np.array(starts), cfgs
+
+
+@lru_cache(maxsize=None)
+def _singles(adaptive: bool, with_params: bool):
+    starts, cfgs = _starts(30, adaptive)
+    params = P12 if with_params else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        return starts, cfgs, [fl.integrate(r0, c, params) for r0, c in zip(starts, cfgs)]
+
+
+def _assert_same_trajectory(a, b):
+    assert (a.status, a.accepted, a.rejected) == (b.status, b.accepted, b.rejected)
+    assert len(a.samples) == len(b.samples)
+    for sa, sb in zip(a.samples, b.samples):
+        assert sa.operator.shape == (6, 6)
+        assert sa.operator.tobytes() == sb.operator.tobytes()
+        for name in ("t", "scalar", "bianchi", "a1_plus_a2", "l", "member"):
+            va, vb = getattr(sa, name), getattr(sb, name)
+            assert type(va) is type(vb) and repr(va) == repr(vb), name
+
+
+@pytest.mark.parametrize("with_params", [False, True], ids=["plain", "params"])
+@pytest.mark.parametrize("adaptive", [True, False], ids=["adaptive", "fixed"])
+class TestIntegrateStack:
+    @pytest.mark.parametrize("n", [1, 7, 30])
+    def test_stack_matches_single_integrations(self, n, adaptive, with_params):
+        starts, cfgs, singles = _singles(adaptive, with_params)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked = fl._integrate_stack(starts[:n], cfgs[:n], P12 if with_params else None)
+        assert len(stacked) == n
+        for a, b in zip(stacked, singles):
+            _assert_same_trajectory(a, b)
+
+    def test_permuted_stack(self, adaptive, with_params):
+        starts, cfgs, singles = _singles(adaptive, with_params)
+        order = np.random.default_rng(5).permutation(len(starts))
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked = fl._integrate_stack(starts[order], [cfgs[k] for k in order],
+                                          P12 if with_params else None)
+        for a, k in zip(stacked, order):
+            _assert_same_trajectory(a, singles[k])
+
+    def test_covers_every_kind_of_start(self, adaptive, with_params):
+        _, cfgs, singles = _singles(adaptive, with_params)
+        assert {t.status for t in singles} == {"completed", "blowup-stopped"}
+        assert {c.t_max for c in cfgs[3::4]} == {0.05 + 0.01 * i for i in range(3, 30, 4)}
+        if with_params:
+            assert {s.member for t in singles for s in t.samples} == {True, False}
+        if adaptive:
+            assert singles[2].rejected > 0
+
+
+class TestIntegrateStackContract:
+    def test_mixed_adaptive_modes_raise(self):
+        cfgs = [fl.TrajectoryConfig(dt=1e-3, t_max=0.01),
+                fl.TrajectoryConfig(dt=1e-3, t_max=0.01, adaptive=False)]
+        with pytest.raises(ValueError):
+            fl._integrate_stack(np.stack([I6, I6]), cfgs)
+
+    def test_shape_and_config_count_checked(self):
+        cfg = fl.TrajectoryConfig(dt=1e-3, t_max=0.01)
+        with pytest.raises(ValueError):
+            fl._integrate_stack(np.stack([I6, I6]), [cfg])
+        with pytest.raises(ValueError):
+            fl._integrate_stack(I6, [cfg] * 6)
+
+    def test_empty_stack(self):
+        assert fl._integrate_stack(np.zeros((0, 6, 6)), []) == []
+
+    def test_step_counts(self):
+        traj = fl.integrate(I6, fl.TrajectoryConfig(dt=1e-3, t_max=0.05))
+        assert traj.accepted == len(traj.samples) - 1
+        fixed = fl.integrate(I6, fl.TrajectoryConfig(dt=5e-3, t_max=0.05, adaptive=False, store_every=3))
+        assert (fixed.accepted, fixed.rejected) == (10, 0)
+        assert [s.t for s in fixed.samples][1:3] == pytest.approx([0.015, 0.03])
+
+    def test_samples_do_not_share_a_buffer_with_the_input(self):
+        r0 = random_member(CFG, P12, index=9)
+        starts = np.stack([r0, 2.0 * r0])
+        trajs = fl._integrate_stack(starts, [fl.TrajectoryConfig(dt=1e-3, t_max=0.01)] * 2)
+        starts[:] = 0.0
+        assert np.array_equal(trajs[0].samples[0].operator, r0)
+        assert np.array_equal(trajs[1].samples[0].operator, 2.0 * r0)
 
 
 class TestMonitors:
