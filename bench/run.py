@@ -78,6 +78,8 @@ def kernels(cfg, params, members, nonmembers):
         "block_spectra": (lambda i: decomposition.block_spectra(members[i]),
                           lambda: decomposition.block_spectra(members)),
         "decompose": (lambda i: decomposition.decompose(members[i]), lambda: decomposition.decompose(members)),
+        "ricci": (lambda i: wedge.ricci(members[i]), lambda: wedge.ricci(members)),
+        "scalar": (lambda i: wedge.scalar(members[i]), lambda: wedge.scalar(members)),
         "hat_f": (lambda i: cone.hat_f(members[i], params), lambda: cone.hat_f(members, params)),
         "is_member": (lambda i: cone.is_member(members[i], params), lambda: cone.is_member(members, params)),
         "lower_bound_l (member)": (lambda i: cone.lower_bound_l(members[i], params),

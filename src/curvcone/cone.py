@@ -54,14 +54,6 @@ _FACES = ("F1", "F2", "F3")
 #: homogeneity degree of each face functional in the operator
 FACE_DEGREE = {"F1": 2, "F2": 1, "F3": 1}
 
-#: v ** 2 as a float64 scalar computes it, with the C library's pow (inf on
-#: overflow); an array's ** 2 multiplies instead and differs in the last bit
-#: on about one value in a thousand, so F1 keeps pow for stacks too
-_POW2 = np.frompyfunc(lambda v: np.float64(v) ** 2, 1, 1)
-#: math.hypot is correctly rounded; np.hypot is not, and differs from it in
-#: the last bit on about one pair in two hundred
-_HYPOT = np.frompyfunc(math.hypot, 2, 1)
-
 
 def _scalar_or_array(v, kind=float):
     # a Python scalar for the result of one operator, an array for a stack
@@ -182,7 +174,7 @@ def hat_f(m, params: ConeParams, blocks=None):
     """
     x, y, z, w, v = _sums(*_spectra(m, blocks))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        f1 = params.eta * x * y - np.asarray(_POW2(z), dtype=float)
+        f1 = params.eta * x * y - z * z
         if not np.isfinite(f1).all():
             redo = ~np.isfinite(f1) & np.isfinite(x) & np.isfinite(y) & np.isfinite(z)
             s = np.maximum(np.maximum(np.abs(x), np.abs(y)), z)
@@ -307,20 +299,18 @@ def sampled_inf(m, params: ConeParams, n: int, seed: int):
 # lower-bound functional l
 # ---------------------------------------------------------------------------
 
-def _face_roots(spectra, sums, params: ConeParams):
+def _face_roots(sums, params: ConeParams):
     # identity shifts (alpha_1, alpha_2, alpha_3) past which F1, F2, F3 hold;
-    # at eta = 0, alpha_1 is inf for a mixed block that is nonzero relative
-    # to the spectra and -inf (never binding) otherwise
+    # at eta = 0, F1 is -z^2 >= 0, so alpha_1 is inf for a nonzero mixed block
+    # and -inf (never binding) for a zero one: the test is_member makes
     x, y, z, w, v = sums
     mu = params.mu
     a2 = (w - mu * x) / (2.0 * (mu - 1.0))
     a3 = (v - mu * y) / (2.0 * (mu - 1.0))
     if params.eta > 0.0:
-        a1 = (np.asarray(_HYPOT(x - y, 2.0 * z / math.sqrt(params.eta)), dtype=float) - (x + y)) / 4.0
+        a1 = (np.hypot(x - y, 2.0 * z / math.sqrt(params.eta)) - (x + y)) / 4.0
     else:
-        ea, ec, sb = spectra
-        scale = np.maximum(np.maximum(np.abs(ea).max(axis=-1), np.abs(ec).max(axis=-1)), sb[..., 2])
-        a1 = np.where(z > 1e-10 * scale, math.inf, -math.inf)
+        a1 = np.where(z > 0.0, math.inf, -math.inf)
     return a1, a2, a3
 
 
@@ -330,15 +320,14 @@ def lower_bound_l(m, params: ConeParams, tol: float | None = None, blocks=None):
     Zero exactly on members, else the largest root of the shifted faces (see
     module docstring); with x = A_1+A_2, y = C_1+C_2, z = B_2+B_3 the F1
     root, past which both factors of eta x y stay nonnegative, is
-    (hypot(x-y, 2z/sqrt(eta)) - (x+y))/4.  At eta = 0 a mixed block that is
-    nonzero relative to the spectra makes l infinite.  ``tol`` is accepted
-    and ignored; it stays only because the benchmark's workload script
-    (perfbench/workloads.py) still passes it.
+    (hypot(x-y, 2z/sqrt(eta)) - (x+y))/4.  At eta = 0, F1 is -z^2 >= 0, so
+    a nonzero mixed block makes l infinite: the exact test membership makes.
+    ``tol`` is accepted and ignored; it stays only because the benchmark's
+    workload script (perfbench/workloads.py) still passes it.
     """
-    spectra = _spectra(m, blocks)
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = _sums(*spectra)
-        a1, a2, a3 = _face_roots(spectra, sums, params)
+        sums = _sums(*_spectra(m, blocks))
+        a1, a2, a3 = _face_roots(sums, params)
         # the largest root (fmax skips NaN), kept only where it is positive:
         # a positive maximum has one bit pattern, whatever the order
         lv = np.fmax(np.fmax(a2, a3), a1)
@@ -359,10 +348,9 @@ def l_face(m, params: ConeParams, blocks=None):
 
     Ties go to the first face in that order.
     """
-    spectra = _spectra(m, blocks)
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = _sums(*spectra)
-        roots = np.stack(_face_roots(spectra, sums, params), axis=-1)
+        sums = _sums(*_spectra(m, blocks))
+        roots = np.stack(_face_roots(sums, params), axis=-1)
         member = _member_from_sums(sums, params)
     faces = np.where(member, None, np.array(_FACES, dtype=object)[np.argmax(roots, axis=-1)])
     return faces.item() if faces.ndim == 0 else faces

@@ -13,6 +13,10 @@ block-level #-products together with the identities tying them back to the
 full 6x6 picture (sharp block identity, Weyl extraction, |traceless Ricci|
 = 2 |B|).
 
+The blocks are P^T M P for the canonical basis matrix P = S / sqrt(2),
+taken as (S^T / 2) M S: S has entries 0 and +-1, so the products are exact,
+and a multiple of the identity has a mixed block of exactly zero.
+
 Spectral data comes from LAPACK (``eigh``/``eigvalsh`` for A and C, ``svd``
 for B), which scales its input internally and so stays accurate for |R|
 anywhere from 1e-300 to 1e300.  One sign rule -- the largest-magnitude
@@ -82,27 +86,17 @@ class SelfDualBasis:
 
 # Built from w1 = e3^e1, w2 = e2^e3, w3 = e1^e2 (ordered so the bracket
 # triple is cyclic with the +sqrt(2) sign) via phi+-_i = (w_i +- *w_i)/sqrt2.
-_CANONICAL = SelfDualBasis(
-    plus=np.array(
-        [
-            [0.0, -1.0, 0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 1.0, 1.0, 0.0, 0.0],
-            [1.0, 0.0, 0.0, 0.0, 0.0, 1.0],
-        ]
-    ) * _SQ2,
-    minus=np.array(
-        [
-            [0.0, -1.0, 0.0, 0.0, -1.0, 0.0],
-            [0.0, 0.0, -1.0, 1.0, 0.0, 0.0],
-            [1.0, 0.0, 0.0, 0.0, 0.0, -1.0],
-        ]
-    ) * _SQ2,
-)
+_PLUS_SIGNS = np.array([[0, -1, 0, 0, 1, 0], [0, 0, 1, 1, 0, 0], [1, 0, 0, 0, 0, 1]], dtype=float)
+_MINUS_SIGNS = np.array([[0, -1, 0, 0, -1, 0], [0, 0, -1, 1, 0, 0], [1, 0, 0, 0, 0, -1]], dtype=float)
+_CANONICAL = SelfDualBasis(plus=_PLUS_SIGNS * _SQ2, minus=_MINUS_SIGNS * _SQ2)
 
 
 #: the canonical change of basis (columns phi+_1..3, phi-_1..3), built once
 _P = _CANONICAL.matrix
 _P.flags.writeable = False
+#: the signs S = sqrt(2) P, in which the blocks are taken (module docstring)
+_S = np.vstack([_PLUS_SIGNS, _MINUS_SIGNS]).T
+_HALF_ST = 0.5 * _S.T
 
 
 def canonical_selfdual_basis() -> SelfDualBasis:
@@ -174,7 +168,7 @@ class BlockData:
 
 
 def _blocks_of(m: np.ndarray):
-    blk = _P.T @ np.asarray(m, dtype=float) @ _P
+    blk = _HALF_ST @ np.asarray(m, dtype=float) @ _S
     a = blk[..., :3, :3]
     c = blk[..., 3:, 3:]
     a = 0.5 * (a + a.swapaxes(-1, -2))

@@ -13,10 +13,10 @@ as a single (N, 6, 6) state: every Runge-Kutta stage is one Q(R)
 evaluation over the trajectories still running, while the time, step size,
 accept/reject decision and blow-up stop of each trajectory are kept apart,
 as Python floats, so that each trajectory carries the bits it has when
-integrated alone.  :func:`integrate` is the N = 1 case.  The diagnostics of
-the stored samples (spectra, scalar curvature, Bianchi residual, and with
-cone parameters l and membership) are taken after stepping, in one stacked
-call per trajectory.
+integrated alone.  :func:`integrate` is the N = 1 case.  Every accepted
+step is stored.  The diagnostics of the stored samples (scalar curvature
+and Bianchi residual, and with cone parameters membership and l from one
+spectra call) are taken after stepping, in one stacked call per trajectory.
 
 Monitors recompute their diagnostics from the stored operators -- the
 lower-bound functional l is re-derived from its closed form at every sample
@@ -49,10 +49,8 @@ class TrajectoryConfig:
     ``dt`` is the initial (or, with ``adaptive=False``, the fixed) step;
     local error per step is held below ``rtol * max(1, |R|)`` by step
     halving/doubling; integration stops at ``t_max`` or once |R| reaches
-    ``blowup_norm``.  ``store_every`` keeps every n-th accepted step (the
-    final state is always kept).  In a stack integrated together each
-    trajectory keeps its own config; only ``adaptive`` must agree across
-    the stack.
+    ``blowup_norm``.  In a stack integrated together each trajectory keeps
+    its own config; only ``adaptive`` must agree across the stack.
     """
 
     dt: float
@@ -60,7 +58,6 @@ class TrajectoryConfig:
     rtol: float = 1e-9
     blowup_norm: float = 1e8
     adaptive: bool = True
-    store_every: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.dt <= self.t_max:
@@ -69,8 +66,6 @@ class TrajectoryConfig:
             raise ValueError("rtol must lie in (1e-14, 1e-2)")
         if not self.blowup_norm > 0:
             raise ValueError("blowup_norm must be positive")
-        if self.store_every < 1:
-            raise ValueError("store_every must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +74,6 @@ class TrajectorySample:
     operator: np.ndarray
     scalar: float
     bianchi: float
-    a1_plus_a2: float
     l: float | None
     member: bool | None
 
@@ -147,7 +141,7 @@ def _integrate_stack(r0s, cfgs, params: ConeParams | None = None) -> list[Trajec
     status = ["completed"] * n
     accepted = [0] * n
     rejected = [0] * n
-    stored = [[(0.0, yi.copy())] for yi in y]  # (t, operator) to keep
+    stored = [[(0.0, yi.copy())] for yi in y]  # (t, operator) of every accepted step
     active = [i for i in range(n) if t[i] < t_end[i]]
 
     while active:
@@ -193,16 +187,13 @@ def _integrate_stack(r0s, cfgs, params: ConeParams | None = None) -> list[Trajec
         finite = np.isfinite(y_new).all(axis=(-2, -1)).tolist()
         for i, yi, fin in zip(rows, y_new, finite):
             accepted[i] += 1
-            if accepted[i] % cfgs[i].store_every == 0 or t[i] >= t_end[i]:
-                stored[i].append((t[i], yi.copy()))
+            stored[i].append((t[i], yi.copy()))
             if not fin:
                 status[i] = "blowup-stopped"
         active = [i for i in active if status[i] == "completed" and t[i] < t_end[i]]
 
     out = []
     for i, kept in enumerate(stored):
-        if kept[-1][0] < t[i] * (1.0 - 1e-12):
-            kept.append((t[i], y[i]))
         out.append(_trajectory(kept, status[i], accepted[i], rejected[i], params))
         kept.clear()  # the trajectory holds its own copy
     return out
@@ -211,19 +202,18 @@ def _integrate_stack(r0s, cfgs, params: ConeParams | None = None) -> list[Trajec
 def _trajectory(stored, status, accepted, rejected, params) -> Trajectory:
     # the diagnostics of one trajectory's stored operators, in one stacked call each
     ops = np.stack([op for _, op in stored])
-    ea, ec, sb = block_spectra(ops)
-    scal = scalar(ops, warn=False).tolist()
+    scal = scalar(ops).tolist()
     bianchi = bianchi_residual(ops).tolist()
-    a12 = (ea[:, 0] + ea[:, 1]).tolist()
     if params is None:
         members = ls = [None] * len(ops)
     else:
+        ea, ec, sb = block_spectra(ops)
         members = is_member(ops, params, blocks=(ea, ec, sb)).tolist()
         ls = [0.0 if mb else lower_bound_l(op, params, blocks=(ea[k], ec[k], sb[k]))
               for k, (op, mb) in enumerate(zip(ops, members))]
     samples = tuple(
-        TrajectorySample(t=ti, operator=op, scalar=s, bianchi=b, a1_plus_a2=a, l=lv, member=mb)
-        for (ti, _), op, s, b, a, lv, mb in zip(stored, ops, scal, bianchi, a12, ls, members)
+        TrajectorySample(t=ti, operator=op, scalar=s, bianchi=b, l=lv, member=mb)
+        for (ti, _), op, s, b, lv, mb in zip(stored, ops, scal, bianchi, ls, members)
     )
     return Trajectory(samples, status, accepted, rejected)
 

@@ -14,6 +14,11 @@ rotations.  The one caveat is the trace-matching shift, which can erode the
 C margins; those draws are resampled (bounded retries) rather than solved
 for, and retry counts are exposed for diagnostics.
 
+Boundary points move a member along a ray that keeps tr A = tr C, so they
+are curvature operators too: the mixed block is scaled onto F1, or the
+smallest A (resp. C) eigenvalue is lowered and the largest raised by the
+same amount onto F2 (resp. F3).
+
 :func:`random_member` and :func:`boundary_member` also take an array of
 indices.  Each index still draws from its own substream, in the same order as
 alone; only the arithmetic after the draws (rotations, assembly and the final
@@ -237,17 +242,15 @@ def random_member(cfg: SamplerConfig, params: ConeParams, index=0) -> np.ndarray
 def boundary_member(cfg: SamplerConfig, params: ConeParams, face: str, index=0):
     """Member on the named face of the cone, plus an active-face certificate.
 
-    Starts from an interior member and moves along a face-specific ray --
-    scaling the mixed block for F1, lowering the smallest A (resp. C)
-    eigenvalue for F2 (resp. F3).  The named closed form is explicit in the
-    ray parameter, which is solved for directly to put that form at
+    Starts from an interior member and moves along the named face's ray
+    (module docstring).  The named closed form is explicit in the ray
+    parameter, which is solved for directly to put that form at
     1e-11 x max(1, |R|^degree): the middle of a [0, 1e-10] window wide
     enough to survive reassembly rounding while staying on the member side.
     The other two closed forms remain nonnegative (for the F2/F3 rays the
-    mixed block is pre-shrunk so the isotropic inequality holds along the
-    whole ray).  Returns (operator, certificate dict); an array of indices
-    gives a stack of shape ``index.shape + (6, 6)`` and a flat list of
-    certificates.
+    mixed block is capped from the moved eigenvalue sum).  Returns
+    (operator, certificate dict); an array of indices gives a stack of shape
+    ``index.shape + (6, 6)`` and a flat list of certificates.
     """
     if face not in FACE_TAGS:
         raise ValueError(f"face must be one of {FACE_TAGS}, got {face!r}")
@@ -307,17 +310,18 @@ def _boundary_ray(eigs_a, eigs_c, svals, params: ConeParams, face: str):
         return eigs_a, eigs_c, (np.sqrt(room) / z) * svals
 
     eigs, other = (eigs_a, sum_c) if face == "F2" else (eigs_c, sum_a)
-    upper = eigs[1] + eigs[2]
-    # the moved sum ends at (upper + target) / mu: cap the mixed block there
-    # (cap > 0, as member draws have positive eigenvalue sums)
-    cap = 0.9 * params.eta * (upper / params.mu) * other
-    if (svals[1] + svals[2]) ** 2 > cap:
-        svals = svals * np.sqrt(cap / (svals[1] + svals[2]) ** 2)
-    s = eigs[0] + eigs[1] - (upper + target) / params.mu
+    # lowering the smallest eigenvalue by s and raising the largest by s keeps
+    # the trace (tr A = tr C is the Bianchi identity) and moves the face by
+    # -(mu + 1) s
+    s = (params.mu * (eigs[0] + eigs[1]) - (eigs[1] + eigs[2]) - target) / (params.mu + 1.0)
     if s < 0.0:
         return None
-    moved = eigs.copy()
-    moved[0] -= s
+    moved = eigs + np.array([-s, 0.0, s])
+    # cap the mixed block from the moved sum, which is positive: mu times it
+    # is A_2 + A_3 + s + target (resp. with C)
+    cap = 0.9 * params.eta * (moved[0] + moved[1]) * other
+    if (svals[1] + svals[2]) ** 2 > cap:
+        svals = svals * np.sqrt(cap / (svals[1] + svals[2]) ** 2)
     return (moved, eigs_c, svals) if face == "F2" else (eigs_a, moved, svals)
 
 

@@ -480,6 +480,8 @@ _SUITE_FUNCS = {
 
 def run(suites, seed: int, samples: int) -> dict:
     """Run the named suites and return the machine-readable report."""
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
     if isinstance(suites, str):
         suites = SUITE_NAMES if suites == "all" else (suites,)
     checks = []
@@ -488,6 +490,7 @@ def run(suites, seed: int, samples: int) -> dict:
             raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES} or 'all'")
         checks.extend(_SUITE_FUNCS[name](seed, samples))
     return {
+        "report_version": 2,  # bumped whenever a seed's numbers may move
         "seed": seed,
         "samples": samples,
         "suites": list(suites),

@@ -22,10 +22,17 @@ instead carry an extra factor of 2 in those quantities.
 
 All functions are pure and never mutate their inputs.
 
+Contractions are closed forms in M: the scalar curvature is 2 tr M (each
+coordinate plane's sectional curvature counted as R_ijij and R_jiji), and
+the Ricci tensor is one product of M with a constant (6, 6, 4, 4) map built
+from the bivector matrices.  The dense (4, 4, 4, 4) tensor of
+:func:`four_index` serves only :func:`sharp_coord`, the #-product's
+independent route.
+
 Stacks: :func:`frobenius`, :func:`sharp`, :func:`q_operator`,
-:func:`four_index`, :func:`ricci`, :func:`scalar` and
-:func:`bianchi_residual` take operators of shape ``(..., 6, 6)`` and act on
-each trailing 6x6 slice; a single 6x6 input gives today's types
+:func:`four_index`, :func:`ricci`, :func:`scalar`, :func:`traceless_ricci`
+and :func:`bianchi_residual` take operators of shape ``(..., 6, 6)`` and act
+on each trailing 6x6 slice; a single 6x6 input gives today's types
 (``frobenius``, ``scalar`` and ``bianchi_residual`` a float), a stack gives
 arrays over the leading axes, and each slice of a stack carries the same bits
 as the single call on it.
@@ -55,7 +62,14 @@ _BIANCHI_DIR[1, 4] = _BIANCHI_DIR[4, 1] = -1.0
 _BIANCHI_DIR[2, 3] = _BIANCHI_DIR[3, 2] = 1.0
 
 _STRUCT: np.ndarray | None = None
-_BIVECTORS: np.ndarray | None = None
+
+#: skew matrix F_a = E_ij - E_ji of each basis 2-form b_a = ei^ej
+_BIVECTORS = np.zeros((6, 4, 4))
+_BIVECTORS[np.arange(6), _ROW, _COL] = 1.0
+_BIVECTORS[np.arange(6), _COL, _ROW] = -1.0
+#: Ric_jl = sum_ab M_ab sum_i F_a[i, j] F_b[i, l]: the (6, 6, 4, 4) map
+#: flattened to (36, 16), so that Ric is one matmul
+_RICCI_MAP = np.einsum("aij,bil->abjl", _BIVECTORS, _BIVECTORS).reshape(36, 16)
 
 
 def frobenius(m):
@@ -190,21 +204,9 @@ def sharp(m, n) -> np.ndarray:
     return 0.5 * (out + out.swapaxes(-1, -2))
 
 
-def _bivector_matrices() -> np.ndarray:
-    global _BIVECTORS
-    if _BIVECTORS is None:
-        f = np.zeros((6, 4, 4))
-        for a, (i, j) in enumerate(WEDGE_PAIRS):
-            f[a, i, j] = 1.0
-            f[a, j, i] = -1.0
-        _BIVECTORS = f
-    return _BIVECTORS
-
-
 def four_index(m) -> np.ndarray:
     """(..., 4, 4, 4, 4) component tensors R_ijkl of wedge-basis operators."""
-    f = _bivector_matrices()
-    return np.einsum("...ab,aij,bkl->...ijkl", np.asarray(m, dtype=float), f, f)
+    return np.einsum("...ab,aij,bkl->...ijkl", np.asarray(m, dtype=float), _BIVECTORS, _BIVECTORS)
 
 
 def from_four_index(t) -> np.ndarray:
@@ -271,7 +273,7 @@ def project_bianchi(m) -> np.ndarray:
     return m - coef * _BIANCHI_DIR
 
 
-def ricci(m, warn: bool = True) -> np.ndarray:
+def ricci(m) -> np.ndarray:
     """Ricci contraction Ric_jl = sum_i R_ijil of wedge-basis operators.
 
     The contraction convention is tied to R_ijij = sectional curvature;
@@ -279,26 +281,27 @@ def ricci(m, warn: bool = True) -> np.ndarray:
     warning.
     """
     m = np.asarray(m, dtype=float)
-    if warn and np.any(bianchi_residual(m) > 1e-8 * np.fmax(1.0, frobenius(m))):
+    if np.any(bianchi_residual(m) > 1e-8 * np.fmax(1.0, frobenius(m))):
         warnings.warn(
             "operator violates the first Bianchi identity; "
             "Ricci contraction is convention-dependent",
             stacklevel=2,
         )
-    t = four_index(m)
-    r = np.einsum("...ijil->...jl", t)
+    # a (1, 36) row per operator, so that each slice takes the same matmul
+    r = (m.reshape(*m.shape[:-2], 1, 36) @ _RICCI_MAP).reshape(*m.shape[:-2], 4, 4)
     return 0.5 * (r + r.swapaxes(-1, -2))
 
 
-def scalar(m, warn: bool = True):
-    """Scalar curvature tr Ric; equals 12 on the identity operator."""
-    s = np.asarray(np.trace(ricci(m, warn=warn), axis1=-2, axis2=-1))
+def scalar(m):
+    """Scalar curvature tr Ric = 2 tr M; equals 12 on the identity operator."""
+    s = 2.0 * np.trace(np.asarray(m, dtype=float), axis1=-2, axis2=-1)
     return float(s) if s.ndim == 0 else s
 
 
-def traceless_ricci(m, warn: bool = True) -> np.ndarray:
-    r = ricci(m, warn=warn)
-    return r - (float(np.trace(r)) / 4.0) * np.eye(4)
+def traceless_ricci(m) -> np.ndarray:
+    """Ric - (tr Ric / 4) g, the (..., 4, 4) traceless part of :func:`ricci`."""
+    r = ricci(m)
+    return r - (np.trace(r, axis1=-2, axis2=-1) / 4.0)[..., None, None] * np.eye(4)
 
 
 def barrier_q_expansion(m, big_phi: float, small_phi: float) -> float:

@@ -87,12 +87,27 @@ class TestBatchSizeIndependence:
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_curvature_contractions(n):
     ms = STACK[:n]
-    for fn in (wg.four_index, lambda m: wg.ricci(m, warn=False),
-               lambda m: wg.scalar(m, warn=False), wg.bianchi_residual):
-        stacked = np.asarray(fn(ms))
-        singles = np.array([fn(m) for m in ms])
-        assert stacked.shape == singles.shape
-        assert stacked.tobytes() == singles.tobytes()  # signed zeros and NaN included
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)  # every operator of STACK is Bianchi
+        for fn in (wg.four_index, wg.ricci, wg.scalar, wg.traceless_ricci, wg.bianchi_residual):
+            stacked = np.asarray(fn(ms))
+            singles = np.array([fn(m) for m in ms])
+            assert stacked.shape == singles.shape
+            assert stacked.tobytes() == singles.tobytes()  # signed zeros and NaN included
+
+
+def test_contractions_on_signed_zeros_and_nonfinite_entries():
+    ms = np.zeros((5, 6, 6))
+    ms[1] = -0.0
+    ms[2, 0, 0] = np.inf
+    ms[3, 2, 2] = np.nan
+    ms[4] = -1e-320 * np.eye(6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for fn in (wg.ricci, wg.scalar, wg.traceless_ricci):
+            stacked = np.asarray(fn(ms))
+            singles = np.array([fn(m) for m in ms])
+            assert stacked.tobytes() == singles.tobytes()
 
 
 def test_stacked_ricci_warns_when_any_slice_breaks_bianchi():
@@ -123,23 +138,23 @@ def test_l_on_nonfinite_and_signed_zero_spectra():
         assert (lv > 0.0).any() and np.isinf(lv).any()
 
 
-def test_f1_keeps_the_scalar_power_bits():
-    # a float64 scalar's z ** 2 is the C library's pow, which differs from
-    # z * z in the last bit for some z; stacks must give the single-call bits
+def test_f1_square_stack_matches_singles():
+    # z values whose z * z differs in the last bit from the C library's
+    # pow(z, 2): a stack gives F1 = -z * z with the bits of single calls
     z = np.random.default_rng(0).uniform(0.5, 2.0, 20000)
     z = z[np.array([np.float64(v) ** 2 for v in z]) != z * z]
     assert z.size
-    ea = np.tile([0.0, 0.0, 1.0], (z.size, 1))  # x = 0, so F1 = -z ** 2 exactly
+    ea = np.tile([0.0, 0.0, 1.0], (z.size, 1))  # x = 0, so F1 = -z * z exactly
     sb = np.zeros((z.size, 3))
     sb[:, 2] = z
     f1 = cn.hat_f(None, P12, blocks=(ea, ea, sb))[0]
-    _equal(f1, [-(np.float64(v) ** 2) for v in z])
-    assert cn.hat_f(None, P12, blocks=(ea[0], ea[0], sb[0]))[0] == f1[0]
+    _equal(f1, [cn.hat_f(None, P12, blocks=(ea[i], ea[i], sb[i]))[0] for i in range(z.size)])
+    _equal(f1, -(z * z))
 
 
-def test_l_keeps_the_correctly_rounded_hypot():
-    # l's F1 root uses math.hypot; np.hypot differs from it in the last bit
-    # for some pairs, and a stack must give the single-call bits
+def test_l_hypot_stack_matches_singles():
+    # pairs on which np.hypot and the correctly rounded math.hypot differ in
+    # the last bit: l's F1 root of a stack has the bits of single calls
     import math
 
     rng = np.random.default_rng(1)
@@ -153,7 +168,8 @@ def test_l_keeps_the_correctly_rounded_hypot():
     ec = np.stack([-t, zero, zero], axis=-1)
     sb = np.stack([zero, zero, z], axis=-1)
     lv = cn.lower_bound_l(None, P12, blocks=(ea, ec, sb))
-    _equal(lv, [math.hypot(2 * a, 2 * b) / 4.0 for a, b in zip(t, z)])
+    _equal(lv, [cn.lower_bound_l(None, P12, blocks=(ea[i], ec[i], sb[i])) for i in range(t.size)])
+    _equal(lv, np.hypot(2 * t, 2 * z) / 4.0)
 
 
 def test_stack_covers_members_nonmembers_and_infinite_l():

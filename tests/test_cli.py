@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +74,14 @@ class TestCheck:
         assert recs[1]["l"] == pytest.approx(1.0, abs=1e-8)
         assert recs[1]["l_face"] in ("F1", "F2", "F3")
         assert recs[1]["wpic"] is False
+
+    def test_eta_zero_multiples_of_identity_are_members_with_l_zero(self, tmp_path):
+        p = tmp_path / "ki.jsonl"
+        write_ops(p, 1e-5 * I6, 3.0 * I6, 1e300 * I6)
+        out = tmp_path / "chk.jsonl"
+        assert cli.main(["check", "--input", str(p), "--eta", "0", "--mu", "1.5", "--output", str(out)]) == 0
+        recs = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [(r["member"], r["l"], r["l_face"]) for r in recs] == [(True, 0.0, None)] * 3
 
     def test_invalid_parameters_exit_2(self, ops_file, capsys):
         rc = cli.main(["check", "--input", str(ops_file), "--eta", "2", "--mu", "2"])
@@ -252,6 +261,29 @@ class TestVerifyCommand:
         assert cli.main(argv + ["--output", str(a)]) == 0
         assert cli.main(argv + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_negative_sample_count_exits_2(self, capsys):
+        assert cli.main(["verify", "--suite", "cutoff", "--samples", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert "samples must be nonnegative" in captured.err
+        assert "checks passed" not in captured.out
+        with pytest.raises(ValueError):
+            vf.run("algebra", seed=1, samples=-1)
+
+    def test_report_carries_its_version(self):
+        assert vf.run("cutoff", seed=1, samples=0)["report_version"] == 2
+
+    def test_certify_checks_match_the_benchmark_reference(self, tmp_path):
+        # the (id, samples) list the certify benchmark expects, read only
+        ref_path = Path(__file__).resolve().parent.parent / "perfbench" / "certify_reference.json"
+        ref = json.loads(ref_path.read_text())
+        out = tmp_path / "rep.json"
+        rc = cli.main(["verify", "--suite", "all", "--seed", "1", "--samples", str(ref["samples"]),
+                       "--output", str(out)])
+        rep = json.loads(out.read_text())
+        assert rc == 0 and rep["all_passed"]
+        assert [[c["id"], c["samples"]] for c in rep["checks"]] == ref["checks"]
+        assert all(c["passed"] for c in rep["checks"])
 
     def test_injected_fault_fails_with_replayable_artifact(self, tmp_path, monkeypatch):
         # corrupt the #-square sign inside the null-vector evaluation

@@ -219,6 +219,38 @@ class TestLowerBound:
         assert cn.is_member(m + (lv + 1e-8) * I6, p0, tol_abs=1e-12)
 
 
+class TestEtaZeroMembership:
+    """At eta = 0, F1 asks for a zero mixed block: members are exactly l = 0."""
+
+    P0 = cn.ConeParams(0.0, 1.5)
+
+    @pytest.mark.parametrize("c", [1e-300, 1.0, 1e300])
+    def test_multiples_of_identity(self, c):
+        for k in (1e-5, 1.0, 3.0):
+            m = (c * k) * I6
+            assert dc.block_spectra(m)[2].tolist() == [0.0, 0.0, 0.0]
+            assert cn.is_member(m, self.P0)
+            assert cn.lower_bound_l(m, self.P0) == 0.0
+            assert cn.l_face(m, self.P0) is None
+
+    @pytest.mark.parametrize("c", [1e-300, 1.0, 1e300])
+    def test_zero_mixed_block_reassemblies(self, c):
+        rng = substream(35, "eta0-reassembly")
+        members = 0
+        for i in range(40):
+            q_a, q_c = random_rotation(rng, 3), random_rotation(rng, 3)
+            ea = np.sort(rng.uniform(0.5, 1.5, 3))
+            ec = np.sort(rng.uniform(0.5, 1.5, 3))
+            ec += (ea.sum() - ec.sum()) / 3.0  # tr A = tr C
+            m = c * dc.reassemble(q_a @ np.diag(ea) @ q_a.T, np.zeros((3, 3)), q_c @ np.diag(ec) @ q_c.T)
+            member = cn.is_member(m, self.P0)
+            lv = cn.lower_bound_l(m, self.P0)
+            assert math.isfinite(lv)
+            assert member == (lv == 0.0) == (cn.l_face(m, self.P0) is None)
+            members += member
+        assert 0 < members < 40
+
+
 class TestLFace:
     def test_members_have_none(self):
         for i in range(20):

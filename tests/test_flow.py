@@ -1,3 +1,4 @@
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -28,7 +29,7 @@ class TestConfig:
             dict(dt=0.1, t_max=1.0, rtol=0.5),
             dict(dt=0.1, t_max=1.0, rtol=1e-15),
             dict(dt=0.1, t_max=1.0, blowup_norm=-1.0),
-            dict(dt=0.1, t_max=1.0, store_every=0),
+            dict(dt=math.nan, t_max=1.0),
         ],
     )
     def test_validation(self, kwargs):
@@ -129,9 +130,8 @@ def _starts(n: int, adaptive: bool):
     """Members, non-members, a blow-up start and the zero operator, in turn.
 
     Each start has its own config: dt, t_max, rtol and the blow-up norm
-    differ, and every third keeps every third step.  The blow-up start is a
-    non-member at |R| = 3e7, whose trial steps overflow on its way to the
-    blow-up norm.
+    differ.  The blow-up start is a non-member at |R| = 3e7, whose trial
+    steps overflow on its way to the blow-up norm.
     """
     starts, cfgs = [], []
     for i in range(n):
@@ -151,7 +151,6 @@ def _starts(n: int, adaptive: bool):
         cfgs.append(fl.TrajectoryConfig(
             dt=(1e-3 if adaptive else 5e-4) * (1 + i % 2), t_max=t_max, rtol=1e-8 if i % 2 else 1e-9,
             blowup_norm=1e8 if kind == 2 else 1e6 * (1 + i), adaptive=adaptive,
-            store_every=3 if i % 3 == 0 else 1,
         ))
     return np.array(starts), cfgs
 
@@ -170,7 +169,7 @@ def _assert_same_trajectory(a, b):
     for sa, sb in zip(a.samples, b.samples):
         assert sa.operator.shape == (6, 6)
         assert sa.operator.tobytes() == sb.operator.tobytes()
-        for name in ("t", "scalar", "bianchi", "a1_plus_a2", "l", "member"):
+        for name in ("t", "scalar", "bianchi", "l", "member"):
             va, vb = getattr(sa, name), getattr(sb, name)
             assert type(va) is type(vb) and repr(va) == repr(vb), name
 
@@ -226,9 +225,10 @@ class TestIntegrateStackContract:
     def test_step_counts(self):
         traj = fl.integrate(I6, fl.TrajectoryConfig(dt=1e-3, t_max=0.05))
         assert traj.accepted == len(traj.samples) - 1
-        fixed = fl.integrate(I6, fl.TrajectoryConfig(dt=5e-3, t_max=0.05, adaptive=False, store_every=3))
+        fixed = fl.integrate(I6, fl.TrajectoryConfig(dt=5e-3, t_max=0.05, adaptive=False))
         assert (fixed.accepted, fixed.rejected) == (10, 0)
-        assert [s.t for s in fixed.samples][1:3] == pytest.approx([0.015, 0.03])
+        assert len(fixed.samples) == fixed.accepted + 1  # every accepted step is stored
+        assert [s.t for s in fixed.samples][1:3] == pytest.approx([0.005, 0.01])
 
     def test_samples_do_not_share_a_buffer_with_the_input(self):
         r0 = random_member(CFG, P12, index=9)

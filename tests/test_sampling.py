@@ -111,6 +111,8 @@ def test_boundary_member_faces(face):
             assert 0.0 <= named <= 1e-10 * max(1.0, nrm**deg)
             assert cn.is_member(m, p)
             assert cert["face"] == face
+            # the ray keeps tr A = tr C: boundary points are curvature operators
+            assert wg.bianchi_residual(m) <= 1e-12 * max(1.0, nrm)
 
 
 def test_boundary_member_f2_hits_eigenvalue_relation():

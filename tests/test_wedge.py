@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,6 +168,21 @@ def test_ricci_scalar_examples():
     for i in range(50):
         m = random_bianchi(CFG, index=900 + i)
         assert abs(np.trace(wg.traceless_ricci(m))) <= 1e-12 * max(1.0, np.linalg.norm(m))
+
+
+def test_ricci_and_scalar_match_the_four_index_contraction():
+    # the reference contraction Ric_jl = sum_i R_ijil of the dense tensor,
+    # on Bianchi and on non-Bianchi symmetric input
+    rng = substream(12, "ricci-ref")
+    ops = [random_bianchi(CFG, index=950 + i) for i in range(30)] + [sym6(rng) for _ in range(30)]
+    for m in ops:
+        ref = np.einsum("...ijil->...jl", wg.four_index(m))
+        scale = 1e-12 * max(1.0, np.linalg.norm(m))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            assert np.abs(wg.ricci(m) - ref).max() <= scale
+        assert abs(wg.scalar(m) - np.trace(ref)) <= scale
+        assert wg.scalar(m) == 2.0 * np.trace(m)
 
 
 def test_ricci_warns_off_bianchi():
