@@ -73,6 +73,11 @@ def kernels(cfg, params, members, nonmembers):
 
     idx = np.arange(len(members))
     ea, ec, sb = spectra = decomposition.block_spectra(nonmembers)
+    ric = wedge.ricci(members)
+    eye4 = np.eye(4)
+    # Ricci pinching needs eta < 9/16, and members of that cone
+    p05 = cone.ConeParams(0.5, 1.5)
+    pinched = sampling.random_member(cfg, p05, index=idx)
     return {
         "q_operator": (lambda i: wedge.q_operator(members[i]), lambda: wedge.q_operator(members)),
         "block_spectra": (lambda i: decomposition.block_spectra(members[i]),
@@ -94,6 +99,18 @@ def kernels(cfg, params, members, nonmembers):
         "boundary_member": (lambda i: sampling.boundary_member(cfg, params, "F1", index=i),
                             lambda: sampling.boundary_member(cfg, params, "F1", index=idx)),
         "rk4_step": (lambda i: flow._rk4_step(members[i], 1e-3), lambda: flow._rk4_step(members, 1e-3)),
+        "kulkarni_nomizu (Ric, g)": (lambda i: wedge.kulkarni_nomizu(ric[i], eye4),
+                                     lambda: wedge.kulkarni_nomizu(ric, eye4)),
+        "block_sharp_identity": (lambda i: decomposition.block_sharp_identity(members[i]),
+                                 lambda: decomposition.block_sharp_identity(members)),
+        "two_nonneg_flag (50 frames)": (lambda i: cone.two_nonneg_flag(members[i], 50, i),
+                                        lambda: cone.two_nonneg_flag(members, 50, idx)),
+        "uniform_pic_check": (lambda i: cone.uniform_pic_check(members[i], params),
+                              lambda: cone.uniform_pic_check(members, params)),
+        "ricci_pinch_check (eta 0.5)": (lambda i: cone.ricci_pinch_check(pinched[i], p05),
+                                        lambda: cone.ricci_pinch_check(pinched, p05)),
+        "random_bianchi": (lambda i: sampling.random_bianchi(cfg, index=i),
+                           lambda: sampling.random_bianchi(cfg, index=idx)),
     }
 
 

@@ -16,6 +16,7 @@ overrides a flag given explicitly on the command line.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -39,6 +40,7 @@ from .cutoff import CutoffFunction, CutoffSpec, theorem_variant_check, verify_cu
 from .decomposition import block_spectra, decompose
 from .flow import StepUnderflowError, TrajectoryConfig, integrate
 from .sampling import SamplerConfig, boundary_member, random_bianchi, random_member
+from .verify import _finite_or_none
 from .wedge import (
     frobenius,
     operator_from_json_dict,
@@ -59,8 +61,15 @@ def _err(msg: str) -> None:
     print(f"curvcone: {msg}", file=sys.stderr)
 
 
-def _open_out(path):
-    return sys.stdout if path in (None, "-") else open(path, "w", encoding="utf-8")
+@contextlib.contextmanager
+def _output(path):
+    """The output stream: stdout for None or '-', else the file, closed after."""
+    out = sys.stdout if path in (None, "-") else open(path, "w", encoding="utf-8")
+    try:
+        yield out
+    finally:
+        if out is not sys.stdout:
+            out.close()
 
 
 def _read_operators(path):
@@ -91,39 +100,24 @@ def _cone_params(args) -> ConeParams:
     return ConeParams(eta=args.eta, mu=args.mu)
 
 
-def _finite_or_none(x):
-    return None if x is None or not math.isfinite(x) else float(x)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_decompose(args) -> int:
-    out = _open_out(args.output)
-    try:
+    with _output(args.output) as out:
         for _, m in _read_operators(args.input):
             out.write(json.dumps(decompose(m).to_json_dict()) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
 def _check_record(m, params):
-    # one block_spectra serves every field; a non-finite number is written
-    # as null, since strict JSON has no NaN or infinity
+    # one block_spectra serves every field; a non-finite number (NaN where a
+    # condition does not apply) is written as null, since strict JSON has no
+    # NaN or infinity
     spectra = block_spectra(m)
     f1, f2, f3 = hat_f(m, params, blocks=spectra)
     _, cert = two_nonneg_flag(m, 1, seed=0, blocks=spectra)
-    try:
-        pinch = ricci_pinch_check(m, params, blocks=spectra)
-    except ValueError:
-        pinch = None
-    try:
-        upic = uniform_pic_check(m, params, blocks=spectra)
-    except ValueError:
-        upic = None
     return {
         "member": is_member(m, params, blocks=spectra),
         "F1": _finite_or_none(f1),
@@ -133,23 +127,19 @@ def _check_record(m, params):
         "l_face": l_face(m, params, blocks=spectra),
         "wpic": implies_wpic(m, params, blocks=spectra),
         "flag2_certificate": _finite_or_none(cert),
-        "ricci_pinch_slack": _finite_or_none(pinch),
-        "upic_slack": _finite_or_none(upic),
+        "ricci_pinch_slack": _finite_or_none(ricci_pinch_check(m, params, blocks=spectra)),
+        "upic_slack": _finite_or_none(uniform_pic_check(m, params, blocks=spectra)),
     }
 
 
 def cmd_check(args) -> int:
     params = _cone_params(args)
-    out = _open_out(args.output)
     all_member = True
-    try:
+    with _output(args.output) as out:
         for _, m in _read_operators(args.input):
             rec = _check_record(m, params)
             all_member = all_member and rec["member"]
             out.write(json.dumps(rec) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     if args.require_member and not all_member:
         return EXIT_SEMANTIC
     return EXIT_OK
@@ -157,14 +147,10 @@ def cmd_check(args) -> int:
 
 def cmd_l(args) -> int:
     params = _cone_params(args)
-    out = _open_out(args.output)
-    try:
+    with _output(args.output) as out:
         for _, m in _read_operators(args.input):
             lv = lower_bound_l(m, params)
             out.write(json.dumps({"l": _finite_or_none(lv)}) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
@@ -189,14 +175,10 @@ def cmd_evolve(args) -> int:
         dt=args.dt, t_max=args.t_max, rtol=args.tol, blowup_norm=args.blowup_norm
     )
     traj = integrate(m, cfg, params=params)
-    out = _open_out(args.output)
-    try:
+    with _output(args.output) as out:
         out.write(",".join(_CSV_COLUMNS) + "\n")
         for s in traj.samples:
             out.write(_csv_row(s) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     max_l = max((s.l for s in traj.samples if s.l is not None), default=float("nan"))
     final_norm = frobenius(traj.final.operator)
     print(
@@ -208,9 +190,10 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {args.samples}")
     cfg = SamplerConfig(seed=args.seed, margin=args.margin)
-    out = _open_out(args.output)
-    try:
+    with _output(args.output) as out:
         for i in range(args.samples):
             if args.kind == "raw":
                 m = random_bianchi(cfg, index=i)
@@ -220,9 +203,6 @@ def cmd_sample(args) -> int:
                 face = {"boundary-f1": "F1", "boundary-f2": "F2", "boundary-f3": "F3"}[args.kind]
                 m, _ = boundary_member(cfg, _cone_params(args), face, index=i)
             out.write(json.dumps(operator_to_json_dict(m)) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
@@ -258,12 +238,8 @@ def cmd_cutoff(args) -> int:
 def cmd_verify(args) -> int:
     report = vf.run(args.suite, seed=args.seed, samples=args.samples)
     sys.stdout.write(vf.report_table(report))
-    payload = vf.report_json(report)
-    if args.output in (None, "-"):
-        sys.stdout.write(payload)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+    with _output(args.output) as out:
+        out.write(vf.report_json(report))
     return EXIT_OK if report["all_passed"] else EXIT_SEMANTIC
 
 

@@ -22,13 +22,12 @@ and leaves B alone, so after a single decomposition each closed form is a
 linear (F2, F3) or quadratic (F1) function of alpha, and l is the largest
 of their explicit roots.
 
-Stacks: :func:`hat_f`, :func:`is_member`, :func:`lower_bound_l`,
-:func:`l_face`, :func:`implies_wpic`, :func:`extremal_frame`,
-:func:`frame_functionals`, :func:`null_vector_verify` and
-:func:`hamilton_intermediate_slack` take operators of shape ``(..., 6, 6)``.
-A single 6x6 operator gives today's types (floats, bools, a tuple, a
-report of floats); a stack gives arrays over the leading axes in the same
-places, and each entry carries the bits of the single call on that slice.
+Stacks: every function takes operators of shape ``(..., 6, 6)`` except the
+oracle :func:`sampled_inf`, :func:`shifted_membership` and :func:`is_c01`.  A
+single 6x6 operator gives the single-operator types (floats, bools, a tuple,
+a report of floats); a stack gives arrays over the leading axes in the same
+places, each entry with the bits of the single call on that slice.  Where a
+condition does not apply to an operator its entry is NaN, not an exception.
 The spectra-based functions also take ``blocks=``: a :class:`BlockData` or
 the triple :func:`block_spectra` returns, so that one decomposition serves
 several of them.
@@ -62,12 +61,13 @@ def _scalar_or_array(v, kind=float):
 
 
 def _spectra(m, blocks):
-    # (eigs_a, eigs_c, svals_b): from a BlockData, a block_spectra triple, or m
+    # (eigs_a, eigs_c, svals_b) from a BlockData, a block_spectra triple, or m,
+    # eigenvalue axis first: e[k] is a number for one operator (cheaper than 0-d)
     if blocks is None:
-        return block_spectra(m)
-    if isinstance(blocks, BlockData):
-        return blocks.eigs_a, blocks.eigs_c, blocks.svals_b
-    return blocks
+        blocks = block_spectra(m)
+    elif isinstance(blocks, BlockData):
+        blocks = (blocks.eigs_a, blocks.eigs_c, blocks.svals_b)
+    return [e.T if e.ndim <= 2 else np.moveaxis(e, -1, 0) for e in blocks]
 
 
 @dataclass(frozen=True)
@@ -191,8 +191,7 @@ def hat_f(m, params: ConeParams, blocks=None):
 
 def _sums(ea, ec, sb):
     # x = A_1+A_2, y = C_1+C_2, z = B_2+B_3, w = A_2+A_3, v = C_2+C_3
-    return (ea[..., 0] + ea[..., 1], ec[..., 0] + ec[..., 1], sb[..., 1] + sb[..., 2],
-            ea[..., 1] + ea[..., 2], ec[..., 1] + ec[..., 2])
+    return ea[0] + ea[1], ec[0] + ec[1], sb[1] + sb[2], ea[1] + ea[2], ec[1] + ec[2]
 
 
 def _member_from_sums(sums, params: ConeParams, tol_abs: float = 0.0):
@@ -445,74 +444,73 @@ def implies_wpic(m, params: ConeParams, blocks=None):
     del params  # the test itself is parameter-free; members always pass
     ea, ec, _ = _spectra(m, blocks)
     tol = 1e-10 * np.maximum(1.0, frobenius(m))
-    return _scalar_or_array(
-        (ea[..., 0] + ea[..., 1] >= -tol) & (ec[..., 0] + ec[..., 1] >= -tol), bool
-    )
+    return _scalar_or_array((ea[0] + ea[1] >= -tol) & (ec[0] + ec[1] >= -tol), bool)
 
 
-def two_nonneg_flag(m, n_frames: int, seed: int, blocks=None):
+def two_nonneg_flag(m, n_frames: int, seed, blocks=None):
     """(sampled minimum, certificate) for two-nonnegative flag curvature.
 
     Samples R_1313 + R_2323 over random orthonormal 3-frames and returns the
     minimum together with the closed-form lower bound
     (A_1+A_2+C_1+C_2-2B_2-2B_3)/2, which is nonnegative for members with
-    eta <= 1.
+    eta <= 1.  For a stack, ``seed`` is an integer array of its leading
+    shape: each operator draws its frames from its own seed's substream (one
+    integer gives every operator the same frames).
     """
     if n_frames < 1:
         raise ValueError("need at least one sample frame")
-    from .sampling import substream, three_frame_batch
+    from .sampling import _three_frames, substream
     from .wedge import wedge_coefficients
 
     m = np.asarray(m, dtype=float)
-    rng = substream(seed, "flag3")
-    frames = three_frame_batch(rng, n_frames)  # (n, 3, 4) rows
-    w13 = wedge_coefficients(frames[:, 0], frames[:, 2])
-    w23 = wedge_coefficients(frames[:, 1], frames[:, 2])
-    vals = np.einsum("na,ab,nb->n", w13, m, w13) + np.einsum(
-        "na,ab,nb->n", w23, m, w23
+    seeds = np.asarray(seed)
+    g = np.empty(seeds.shape + (n_frames, 4, 3))
+    for s, out in zip(seeds.ravel().tolist(), g.reshape(-1, n_frames, 4, 3)):
+        substream(s, "flag3").standard_normal(out=out)
+    frames = _three_frames(g)  # rows
+    w13 = wedge_coefficients(frames[..., 0, :], frames[..., 2, :])
+    w23 = wedge_coefficients(frames[..., 1, :], frames[..., 2, :])
+    vals = np.einsum("...na,...ab,...nb->...n", w13, m, w13) + np.einsum(
+        "...na,...ab,...nb->...n", w23, m, w23
     )
     ea, ec, sb = _spectra(m, blocks)
     cert = 0.5 * (ea[0] + ea[1] + ec[0] + ec[1] - 2.0 * (sb[1] + sb[2]))
-    return float(vals.min()), float(cert)
+    return _scalar_or_array(vals.min(axis=-1)), _scalar_or_array(cert)
 
 
-def ricci_pinch_check(m, params: ConeParams, blocks=None) -> float:
+def ricci_pinch_check(m, params: ConeParams, blocks=None):
     """Slack of Ric >= (1 - 4 sqrt(eta)/3) (scal/4) g, for eta < 9/16.
 
     Requires nonnegative scalar curvature and the first cone inequality;
-    violations raise with a message rather than returning a number.
+    NaN where a requirement fails, and everywhere when eta >= 9/16.
     """
     if not params.eta < 9.0 / 16.0:
-        raise ValueError("Ricci pinching requires eta < 9/16")
+        return _scalar_or_array(np.full(np.shape(m)[:-2], math.nan))
     m = np.asarray(m, dtype=float)
     nrm = frobenius(m)
     sc = scalar(m)
-    if sc < -1e-10 * max(1.0, nrm):
-        raise ValueError(f"requires nonnegative scalar curvature, got {sc:.3e}")
     ea, ec, sb = _spectra(m, blocks)
-    lhs = (sb[1] + sb[2]) ** 2
-    rhs = params.eta * (ea[0] + ea[1]) * (ec[0] + ec[1])
-    if lhs > rhs + 1e-10 * max(1.0, nrm * nrm):
-        raise ValueError("requires the first cone inequality (isotropic bound)")
-    lam_min = float(np.linalg.eigvalsh(ricci(m))[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = (sc >= -1e-10 * np.maximum(1.0, nrm)) & ~(
+            np.float_power(sb[1] + sb[2], 2) > params.eta * (ea[0] + ea[1]) * (ec[0] + ec[1])
+            + 1e-10 * np.maximum(1.0, nrm * nrm)
+        )
+    lam_min = np.full(m.shape[:-2], math.nan)
+    lam_min[ok] = np.linalg.eigvalsh(ricci(m[ok]))[..., 0]
     const = 1.0 - (4.0 / 3.0) * math.sqrt(params.eta)
-    return lam_min - const * sc / 4.0
+    return _scalar_or_array(lam_min - const * sc / 4.0)
 
 
-def uniform_pic_check(m, params: ConeParams, blocks=None) -> float:
+def uniform_pic_check(m, params: ConeParams, blocks=None):
     """Slack of max(A_3, B_3, C_3) <= lambda_pic * min(A_1+A_2, C_1+C_2).
 
-    Nonzero members have max(A_3, B_3, C_3) > 0; a (numerically) zero
-    operator is rejected because the strict positivity clause is empty.
+    Nonzero members have max(A_3, B_3, C_3) > 0; NaN on a (numerically) zero
+    operator, where the strict positivity clause is empty.
     """
-    m = np.asarray(m, dtype=float)
     ea, ec, sb = _spectra(m, blocks)
-    mx = max(float(ea[2]), float(ec[2]), float(sb[2]))
-    if mx <= 1e-12 * max(1.0, frobenius(m)):
-        raise ValueError("uniform-isotropic check needs max(A_3, B_3, C_3) > 0")
-    return float(
-        params.lambda_pic * min(ea[0] + ea[1], ec[0] + ec[1]) - mx
-    )
+    mx = np.maximum(np.maximum(ea[2], ec[2]), sb[2])
+    slack = params.lambda_pic * np.minimum(ea[0] + ea[1], ec[0] + ec[1]) - mx
+    return _scalar_or_array(np.where(mx <= 1e-12 * np.maximum(1.0, frobenius(m)), math.nan, slack))
 
 
 def is_c01(m, tol: float) -> bool:

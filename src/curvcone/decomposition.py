@@ -23,12 +23,14 @@ anywhere from 1e-300 to 1e300.  One sign rule -- the largest-magnitude
 component of each frame column is positive -- makes the frames
 deterministic, so repeated runs are bit-identical.
 
-Stacks: :func:`decompose`, :func:`block_spectra`, :func:`reassemble`,
-:func:`eigh3` and :func:`svd3` take operators of shape ``(..., 6, 6)`` (blocks
-``(..., 3, 3)``) and return the same structure with the leading axes in
-front of every array.  A stack of n operators gives, slice for slice, the
-bits of n single calls: LAPACK and the matrix products run per 6x6 (or 3x3)
-slice, and everything else is elementwise.
+Stacks: every function takes operators of shape ``(..., 6, 6)`` (blocks
+``(..., 3, 3)``) and returns the same structure with the leading axes in
+front of every array; a single input gives the single-input types
+(:func:`block_sharp_identity` and :func:`norm_identity_check` a float).  A
+stack of n operators gives, slice for slice, the bits of n single calls:
+LAPACK and the matrix products run per 6x6 (or 3x3) slice, and everything
+else is elementwise.  The exceptions are :func:`hodge_star` and
+:func:`canonical_selfdual_basis`, which return constants.
 """
 
 from __future__ import annotations
@@ -214,16 +216,17 @@ def block_sharp3(s) -> np.ndarray:
     For rows (a,b,c; b,e,f; c,f,k) the result is
     (ek-f^2, cf-bk, bf-ce; cf-bk, ak-c^2, bc-af; bf-ce, bc-af, ae-b^2).
     """
-    a, b, c = float(s[0][0]), float(s[0][1]), float(s[0][2])
-    e, f = float(s[1][1]), float(s[1][2])
-    k = float(s[2][2])
-    return np.array(
+    s = np.asarray(s, dtype=float)
+    a, b, c = s[..., 0, 0], s[..., 0, 1], s[..., 0, 2]
+    e, f, k = s[..., 1, 1], s[..., 1, 2], s[..., 2, 2]
+    return np.stack(
         [
-            [e * k - f * f, c * f - b * k, b * f - c * e],
-            [c * f - b * k, a * k - c * c, b * c - a * f],
-            [b * f - c * e, b * c - a * f, a * e - b * b],
-        ]
-    )
+            e * k - f * f, c * f - b * k, b * f - c * e,
+            c * f - b * k, a * k - c * c, b * c - a * f,
+            b * f - c * e, b * c - a * f, a * e - b * b,
+        ],
+        axis=-1,
+    ).reshape(s.shape)
 
 
 def mixed_sharp3(b) -> np.ndarray:
@@ -235,22 +238,22 @@ def mixed_sharp3(b) -> np.ndarray:
     :func:`block_sharp3` on symmetric input.
     """
     b = np.asarray(b, dtype=float)
-    return 0.5 * np.einsum("agh,bdt,gd,ht->ab", _LEVI, _LEVI, b, b)
+    return 0.5 * np.einsum("agh,bdt,...gd,...ht->...ab", _LEVI, _LEVI, b, b)
 
 
-def block_sharp_identity(m) -> float:
+def block_sharp_identity(m):
     """Residual of R#R = 2 * (A#, B#; (B#)^T, C#) in the SD basis.
 
     The left side comes from the 4-index coordinate route, the right side
     from the 3x3 block products; contract <= 1e-10 * |R|^2 for Bianchi input.
     """
-    bd = decompose(m)
+    a, b, c = _blocks_of(m)
     lhs = _P.T @ sharp_coord(m) @ _P
-    bsharp = mixed_sharp3(bd.b)
+    bsharp = mixed_sharp3(b)
     rhs = 2.0 * np.block(
         [
-            [block_sharp3(bd.a), bsharp],
-            [bsharp.T, block_sharp3(bd.c)],
+            [block_sharp3(a), bsharp],
+            [bsharp.swapaxes(-1, -2), block_sharp3(c)],
         ]
     )
     return frobenius(lhs - rhs)
@@ -263,11 +266,12 @@ def weyl(m) -> np.ndarray:
     vanishing mixed block.
     """
     m = np.asarray(m, dtype=float)
-    sc = scalar(m)
+    sc = np.asarray(scalar(m))[..., None, None]
     return m - (sc / 12.0) * np.eye(6) - 0.5 * kulkarni_nomizu(traceless_ricci(m), np.eye(4))
 
 
-def norm_identity_check(m) -> float:
+def norm_identity_check(m):
     """| |traceless Ricci| - 2 |B| |; <= 1e-10 * |R| for Bianchi input."""
-    _, b, _ = _blocks_of(np.asarray(m, dtype=float))
-    return abs(frobenius(traceless_ricci(m)) - 2.0 * frobenius(b))
+    _, b, _ = _blocks_of(m)
+    r = np.abs(frobenius(traceless_ricci(m)) - 2.0 * frobenius(b))
+    return float(r) if r.ndim == 0 else r

@@ -19,11 +19,12 @@ are curvature operators too: the mixed block is scaled onto F1, or the
 smallest A (resp. C) eigenvalue is lowered and the largest raised by the
 same amount onto F2 (resp. F3).
 
-:func:`random_member` and :func:`boundary_member` also take an array of
-indices.  Each index still draws from its own substream, in the same order as
-alone; only the arithmetic after the draws (rotations, assembly and the final
-verification) runs over the stack, in rounds over the indices still pending.
-So every operator and every retry count equals the one-index result.
+Stacks: the operator samplers take an array of indices and return a stack
+of shape ``index.shape + (6, 6)``; the frame, rotation and tensor samplers
+draw one object.  Each index still draws from its own substream, in the same
+order as alone; only the arithmetic after the draws runs over the stack, the
+member samplers in rounds over the indices still pending.  So every operator
+and every retry count equals the one-index result.
 """
 
 from __future__ import annotations
@@ -118,19 +119,19 @@ def orthonormal_pair_batch(rng: np.random.Generator, n: int, pairs: int) -> np.n
     return out
 
 
-def three_frame_batch(rng: np.random.Generator, n: int) -> np.ndarray:
-    """(n, 3, 4) orthonormal 3-frames in R^4 (rows are the vectors)."""
-    g = rng.standard_normal((n, 4, 3))
+def _three_frames(g: np.ndarray) -> np.ndarray:
+    # 3-frames (..., 3, 4), as rows, from the QRs of Gaussian draws (..., 4, 3)
     q, r = np.linalg.qr(g)
-    q = q * np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)[:, None, :]
-    return np.transpose(q, (0, 2, 1))
+    q = q * np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)[..., None, :]
+    return q.swapaxes(-1, -2)
 
 
-def random_bianchi(cfg: SamplerConfig, index: int = 0) -> np.ndarray:
+def random_bianchi(cfg: SamplerConfig, index=0) -> np.ndarray:
     """Gaussian symmetric operator projected onto the Bianchi hyperplane."""
-    rng = substream(cfg.seed, "bianchi", index)
-    g = rng.standard_normal((6, 6)) * cfg.scale
-    return project_bianchi(0.5 * (g + g.T))
+    index = np.asarray(index)
+    g = [substream(cfg.seed, "bianchi", i).standard_normal((6, 6)) for i in index.ravel().tolist()]
+    g = np.reshape(g, index.shape + (6, 6)) * cfg.scale
+    return project_bianchi(0.5 * (g + g.swapaxes(-1, -2)))
 
 
 def random_symmetric_tensor(cfg: SamplerConfig, index: int = 0, traceless: bool = False) -> np.ndarray:
@@ -341,14 +342,11 @@ def random_frame_octet(cfg: SamplerConfig, index: int = 0) -> FrameOctet:
 
 def random_3frame(cfg: SamplerConfig, index: int = 0) -> np.ndarray:
     """Three orthonormal vectors in R^4 (rows of the returned (3, 4) array)."""
-    rng = substream(cfg.seed, "frame3", index)
-    return three_frame_batch(rng, 1)[0]
+    return _three_frames(substream(cfg.seed, "frame3", index).standard_normal((4, 3)))
 
 
-def random_nonmember(cfg: SamplerConfig, params: ConeParams, index: int = 0) -> np.ndarray:
+def random_nonmember(cfg: SamplerConfig, params: ConeParams, index=0) -> np.ndarray:
     """Bianchi operator outside the cone (Gaussian draw, shifted if needed)."""
     m = random_bianchi(cfg, index=index)
-    if not is_member(m, params):
-        return m
-    lam = block_spectra(m)[0][0]
-    return m - (abs(lam) + cfg.scale) * np.eye(6)
+    shift = np.abs(block_spectra(m)[0][..., 0]) + cfg.scale
+    return np.where(np.asarray(is_member(m, params))[..., None, None], m - shift[..., None, None] * np.eye(6), m)

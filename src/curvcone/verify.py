@@ -15,6 +15,9 @@ Check kinds:
 * ``residual`` passes when worst <= tol,
 * ``slack``    passes when worst >= -tol,
 * ``count``    passes when worst == 0 (number of violating samples).
+
+A NaN sample fails its check, and a non-finite worst or failure value is
+written as null, so that the report stays strict JSON.
 """
 
 from __future__ import annotations
@@ -52,58 +55,54 @@ class _Check:
             "failures": [],
         }
 
-    def add(self, value, index=None, operator=None, context=None):
+    def add(self, values, indices=None, operators=None, contexts=None):
+        """Fold a value, or an array of values in order, into the record.
+
+        ``indices`` and ``operators`` hold each value's replay data (one each
+        for a single value), ``contexts`` one string per value or one for all;
+        the first failures keep them.  A NaN value fails the check.
+        """
         rec = self.record
-        rec["samples"] += 1
-        value = float(value)
-        if rec["worst"] is None:
-            rec["worst"] = value
-        elif rec["kind"] == "residual":
-            rec["worst"] = max(rec["worst"], value)
+        vals = np.asarray(values, dtype=float)
+        if vals.ndim == 0:
+            indices = None if indices is None else [indices]
+            operators = None if operators is None else [operators]
+        vals = vals.ravel()
+        rec["samples"] += vals.size
+        # NaN compares false, so it counts as bad, and each fold keeps it
+        if rec["kind"] == "residual":
+            bad, fold = ~(vals <= rec["tol"]), np.max
         elif rec["kind"] == "slack":
-            rec["worst"] = min(rec["worst"], value)
+            bad, fold = ~(vals >= -rec["tol"]), np.min
         else:  # count: accumulate violations
-            rec["worst"] = rec["worst"] + value
-        bad = (
-            value > rec["tol"]
-            if rec["kind"] == "residual"
-            else (value < -rec["tol"] if rec["kind"] == "slack" else value != 0.0)
-        )
-        if bad and len(rec["failures"]) < _MAX_FAILURES:
-            failure = {"index": index, "value": value}
+            bad, fold = vals != 0.0, np.sum
+        if vals.size:
+            rec["worst"] = float(fold(np.append(vals, [] if rec["worst"] is None else rec["worst"])))
+        for k in np.flatnonzero(bad)[: _MAX_FAILURES - len(rec["failures"])].tolist():
+            failure = {"index": None if indices is None else int(indices[k]), "value": _finite_or_none(vals[k])}
+            context = contexts if contexts is None or isinstance(contexts, str) else contexts[k]
             if context:
                 failure["context"] = context
-            if operator is not None:
-                failure["operator"] = wg.operator_to_json_dict(operator)
+            if operators is not None:
+                failure["operator"] = wg.operator_to_json_dict(operators[k])
             rec["failures"].append(failure)
-
-    def count(self, violated, index=None, operator=None, context=None):
-        self.add(1.0 if violated else 0.0, index=index, operator=operator, context=context)
-
-    def add_many(self, values, operators=None, indices=None, contexts=None):
-        """``add`` for each value in order; failures keep their replay index."""
-        for k, value in enumerate(values):
-            self.add(
-                value,
-                index=None if indices is None else int(indices[k]),
-                operator=None if operators is None else operators[k],
-                context=None if contexts is None else contexts[k],
-            )
-
-    def count_many(self, violated, operators=None, indices=None, contexts=None):
-        self.add_many([1.0 if v else 0.0 for v in violated], operators, indices, contexts)
 
     def done(self):
         rec = self.record
-        if rec["worst"] is None:
-            rec["worst"] = 0.0
+        worst = 0.0 if rec["worst"] is None else rec["worst"]
         if rec["kind"] == "residual":
-            rec["passed"] = rec["worst"] <= rec["tol"]
+            rec["passed"] = worst <= rec["tol"]
         elif rec["kind"] == "slack":
-            rec["passed"] = rec["worst"] >= -rec["tol"]
+            rec["passed"] = worst >= -rec["tol"]
         else:
-            rec["passed"] = rec["worst"] == 0.0
+            rec["passed"] = worst == 0.0
+        # strict JSON has no NaN or infinity
+        rec["worst"] = _finite_or_none(worst)
         return rec
+
+
+def _finite_or_none(x):
+    return float(x) if math.isfinite(x) else None
 
 
 def _params(eta_mu):
@@ -114,8 +113,9 @@ def _tag(eta_mu):
     return f"eta{eta_mu[0]}-mu{eta_mu[1]}"
 
 
-def _bianchi_stack(cfg, indices) -> np.ndarray:
-    return np.array([smp.random_bianchi(cfg, index=i) for i in indices.tolist()]).reshape(-1, 6, 6)
+def _dot(u, v):
+    # <u, v> over the last axis, one BLAS dot per vector as ``u @ v`` takes it
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -141,57 +141,65 @@ def suite_algebra(seed: int, n: int) -> list[dict]:
     star = dc.hodge_star()
     basis = dc.canonical_selfdual_basis()
 
-    for i in range(n):
-        m = smp.random_bianchi(cfg, index=i)
-        nrm = wg.frobenius(m)
-        lhs = wg.sharp(m, i6)
-        rhs = 0.5 * wg.kulkarni_nomizu(wg.ricci(m), np.eye(4)) - m
-        c_a1.add(wg.frobenius(lhs - rhs) / max(1.0, nrm**2), index=i, operator=m)
-        c_blk.add(dc.block_sharp_identity(m) / max(1.0, nrm**2), index=i, operator=m)
-        c_nrm.add(dc.norm_identity_check(m) / max(1.0, nrm), index=i, operator=m)
-        wy = dc.weyl(m)
-        c_wey.add(wg.frobenius(star @ wy - wy @ star) / max(1.0, nrm), index=i, operator=m)
+    idx = np.arange(n)
+    ms = smp.random_bianchi(cfg, index=idx)
+    nrm = wg.frobenius(ms)
+    # squares by pow (np.float_power), as Python's x**2 takes them, so that
+    # each sample keeps the bits of a one-operator evaluation
+    scale1, scale2 = np.maximum(1.0, nrm), np.maximum(1.0, np.float_power(nrm, 2))
+    lhs = wg.sharp(ms, i6)
+    kn = wg.kulkarni_nomizu(wg.ricci(ms), np.eye(4))
+    c_a1.add(wg.frobenius(lhs - (0.5 * kn - ms)) / scale2, idx, ms)
+    c_blk.add(dc.block_sharp_identity(ms) / scale2, idx, ms)
+    c_nrm.add(dc.norm_identity_check(ms) / scale1, idx, ms)
+    wy = dc.weyl(ms)
+    c_wey.add(wg.frobenius(star @ wy - wy @ star) / scale1, idx, ms)
 
+    # the per-index draws, in the order each substream gives them
+    g, mb, phis, uvz, w3 = (np.zeros((n,) + shape) for shape in ((6, 6), (6, 6), (2,), (3, 6), (3,)))
+    for i in idx.tolist():
         rng = smp.substream(seed, "algebra-misc", i)
-        g = rng.standard_normal((6, 6))
-        sym = 0.5 * (g + g.T)
-        c_dual.add(
-            wg.frobenius(wg.sharp(sym, sym) - wg.sharp_coord(sym)) / max(1.0, wg.frobenius(sym) ** 2),
-            index=i, operator=sym,
-        )
+        g[i] = rng.standard_normal((6, 6))
+        mb[i] = rng.uniform(-10.0, 10.0, size=(6, 6))
+        phis[i] = rng.uniform(-10.0, 10.0, size=2)
+        uvz[i] = rng.standard_normal((3, 6))
+        w3[i] = rng.standard_normal(3)
 
-        mb = wg.project_bianchi(rng.uniform(-10.0, 10.0, size=(6, 6)))
-        mb = 0.5 * (mb + mb.T)
-        mb = wg.project_bianchi(mb)
-        big, small = rng.uniform(-10.0, 10.0, size=2)
-        c_bar.add(
-            wg.barrier_q_expansion(mb, big, small) / (1.0 + wg.frobenius(mb) ** 2 + small**2),
-            index=i, operator=mb, context=f"Phi={big!r}, phi={small!r}",
-        )
+    sym = 0.5 * (g + g.swapaxes(-1, -2))
+    c_dual.add(wg.frobenius(wg.sharp(sym, sym) - wg.sharp_coord(sym))
+               / np.maximum(1.0, np.float_power(wg.frobenius(sym), 2)), idx, sym)
 
-        u, v, z = rng.standard_normal((3, 6))
-        scale = max(1.0, float(np.linalg.norm(u) * np.linalg.norm(v) * np.linalg.norm(z)))
-        jac = (
-            wg.lie_bracket(u, wg.lie_bracket(v, z))
-            + wg.lie_bracket(v, wg.lie_bracket(z, u))
-            + wg.lie_bracket(z, wg.lie_bracket(u, v))
-        )
-        c_jac.add(float(np.linalg.norm(jac)) / scale, index=i)
-        p1 = float(wg.lie_bracket(u, v) @ z)
-        c_adi.add(max(abs(p1 + float(wg.lie_bracket(u, z) @ v)),
-                      abs(p1 + float(wg.lie_bracket(v, u) @ z))) / scale, index=i)
+    mb = wg.project_bianchi(mb)
+    mb = wg.project_bianchi(0.5 * (mb + mb.swapaxes(-1, -2)))
+    big, small = phis[:, 0], phis[:, 1]
+    c_bar.add(
+        wg.barrier_q_expansion(mb, big, small)
+        / (1.0 + np.float_power(wg.frobenius(mb), 2) + np.float_power(small, 2)),
+        idx, mb, [f"Phi={b!r}, phi={s_!r}" for b, s_ in zip(big.tolist(), small.tolist())],
+    )
 
-        kn = wg.kulkarni_nomizu(wg.ricci(m), np.eye(4))
-        w3 = rng.standard_normal(3)
-        w3 /= np.linalg.norm(w3)
-        zeta_p = w3 @ basis.plus
-        zeta_m = w3 @ basis.minus
-        half_scal = 0.5 * wg.scalar(m)
-        c_ray.add(
-            max(abs(float(zeta_p @ kn @ zeta_p) - half_scal),
-                abs(float(zeta_m @ kn @ zeta_m) - half_scal)) / max(1.0, nrm),
-            index=i, operator=m,
-        )
+    u, v, z = uvz[:, 0], uvz[:, 1], uvz[:, 2]
+    norms = [np.sqrt(_dot(x, x)) for x in (u, v, z)]
+    scale = np.maximum(1.0, norms[0] * norms[1] * norms[2])
+    jac = (
+        wg.lie_bracket(u, wg.lie_bracket(v, z))
+        + wg.lie_bracket(v, wg.lie_bracket(z, u))
+        + wg.lie_bracket(z, wg.lie_bracket(u, v))
+    )
+    c_jac.add(np.sqrt(_dot(jac, jac)) / scale, idx)
+    p1 = _dot(wg.lie_bracket(u, v), z)
+    c_adi.add(np.maximum(np.abs(p1 + _dot(wg.lie_bracket(u, z), v)),
+                         np.abs(p1 + _dot(wg.lie_bracket(v, u), z))) / scale, idx)
+
+    w3 = w3 / np.sqrt(_dot(w3, w3))[:, None]
+    zeta_p = w3[:, None, :] @ basis.plus
+    zeta_m = w3[:, None, :] @ basis.minus
+    half_scal = 0.5 * wg.scalar(ms)
+    c_ray.add(
+        np.maximum(np.abs((zeta_p @ kn @ zeta_p.swapaxes(-1, -2))[:, 0, 0] - half_scal),
+                   np.abs((zeta_m @ kn @ zeta_m.swapaxes(-1, -2))[:, 0, 0] - half_scal)) / scale1,
+        idx, ms,
+    )
 
     return [c.done() for c in (c_exact, c_a1, c_dual, c_blk, c_nrm, c_wey, c_bar, c_jac, c_adi, c_ray)]
 
@@ -219,37 +227,29 @@ def suite_cone(seed: int, n: int) -> list[dict]:
         c_rot = _Check("cone", f"rotation-invariance-{tag}", "membership and l are rotation invariant", "count", 0.0, seed)
         c_homl = _Check("cone", f"l-homogeneity-{tag}", "l(c R) = c l(R) for c in {0.1, 10}", "residual", 1e-6, seed)
         idx = np.arange(small)
-        ms = _bianchi_stack(cfg, 1000 + idx)
-        norms = wg.frobenius(ms).tolist()
+        ms = smp.random_bianchi(cfg, index=1000 + idx)
+        norms = wg.frobenius(ms)
         base = cn.is_member(ms, params)
-        lv = cn._l_each(ms, params)
-        c_scale.count_many(
-            (cn.is_member(0.1 * ms, params) != base) | (cn.is_member(10.0 * ms, params) != base),
-            ms, idx,
+        lv = np.array(cn._l_each(ms, params))
+        c_scale.add(
+            (cn.is_member(0.1 * ms, params) != base) | (cn.is_member(10.0 * ms, params) != base), idx, ms,
         )
-        mono = []
-        for m, l_i in zip(ms, lv):
-            alphas = np.linspace(0.0, 2.0 * l_i + 1.0, 100)
-            inside = cn.is_member(m + alphas[:, None, None] * i6, params)
-            # once a shift is inside, every larger shift must be too
-            mono.append(bool(inside.any() and not inside[np.argmax(inside):].all()))
-        c_mono.count_many(mono, ms, idx)
-        m2s = np.stack([
-            wg.rotate_operator(m, smp.random_rotation(smp.substream(seed, "cone-rot", i), 4))
-            for i, m in enumerate(ms)
-        ])
-        rot_member = cn.is_member(m2s, params)
-        lv2 = cn._l_each(m2s, params)
-        c_rot.count_many(
-            [bool(rot_member[i] != base[i]) or abs(lv[i] - lv2[i]) > 1e-10 * max(1.0, norms[i]) + 2e-12
-             for i in idx.tolist()],
-            ms, idx,
+        alphas = np.linspace(0.0, 2.0 * lv + 1.0, 100, axis=-1)
+        inside = cn.is_member(ms[:, None] + alphas[..., None, None] * i6, params)
+        # once a shift is inside, every larger shift must be too
+        after_first = np.arange(100) >= np.argmax(inside, axis=-1)[:, None]
+        c_mono.add(inside.any(axis=-1) & ~(inside | ~after_first).all(axis=-1), idx, ms)
+        gauss = [smp.substream(seed, "cone-rot", i).standard_normal((4, 4)) for i in idx.tolist()]
+        m2s = wg.rotate_operator(ms, smp._rotations(np.reshape(gauss, (-1, 4, 4))))
+        lv2 = np.array(cn._l_each(m2s, params))
+        c_rot.add(
+            (cn.is_member(m2s, params) != base) | (np.abs(lv - lv2) > 1e-10 * np.maximum(1.0, norms) + 2e-12),
+            idx, ms,
         )
-        scaled_l = {c_: cn._l_each(c_ * ms, params) for c_ in (0.1, 10.0)}
-        c_homl.add_many(
-            [abs(scaled_l[c_][i] - c_ * lv[i]) / max(1.0, c_ * norms[i])
-             for i in idx.tolist() for c_ in (0.1, 10.0)],
-            np.repeat(ms, 2, axis=0), np.repeat(idx, 2), [f"c={c_}" for _ in idx for c_ in (0.1, 10.0)],
+        c_homl.add(
+            np.stack([np.abs(np.array(cn._l_each(c_ * ms, params)) - c_ * lv) / np.maximum(1.0, c_ * norms)
+                      for c_ in (0.1, 10.0)], axis=-1),
+            np.repeat(idx, 2), np.repeat(ms, 2, axis=0), ["c=0.1", "c=10.0"] * len(idx),
         )
         checks += [c.done() for c in (c_scale, c_mono, c_rot, c_homl)]
 
@@ -264,25 +264,20 @@ def suite_cone(seed: int, n: int) -> list[dict]:
         idx = np.arange(n)
         ms = smp.random_member(cfg, params, index=idx)
         spectra = dc.block_spectra(ms)
-        norms = wg.frobenius(ms).tolist()
+        norms = wg.frobenius(ms)
         n_mid = min(small, n)
         m2s = smp.random_member(cfg, params, index=n + idx[:n_mid])
-        c_mid.count_many(~cn.is_member(0.5 * (ms[:n_mid] + m2s), params), ms, idx)
-        c_wpic.count_many(~cn.implies_wpic(ms, params, blocks=spectra), ms, idx)
-        for i, (m, nrm) in enumerate(zip(ms, norms)):
-            tol = 1e-10 * max(1.0, nrm)
-            blocks = tuple(x[i] for x in spectra)
-            smin, cert = cn.two_nonneg_flag(m, 50, seed + i, blocks=blocks)
-            c_flag.add((min(cert, smin - cert) + tol) / max(1.0, nrm), index=i, operator=m)
-            c_upic.add((cn.uniform_pic_check(m, params, blocks=blocks) + tol) / max(1.0, nrm), index=i, operator=m)
-            if c_pinch is not None:
-                c_pinch.add((cn.ricci_pinch_check(m, params, blocks=blocks) + tol) / max(1.0, nrm), index=i, operator=m)
-        mbs = _bianchi_stack(cfg, 3000 + idx)
-        c_linb.add_many(
-            [params.c_eta * nb + 1e-6 - lb
-             for nb, lb in zip(wg.frobenius(mbs).tolist(), cn._l_each(mbs, params))],
-            mbs, idx,
-        )
+        c_mid.add(~cn.is_member(0.5 * (ms[:n_mid] + m2s), params), idx, ms)
+        c_wpic.add(~cn.implies_wpic(ms, params, blocks=spectra), idx, ms)
+        scale1 = np.maximum(1.0, norms)
+        tol = 1e-10 * scale1
+        smin, cert = cn.two_nonneg_flag(ms, 50, seed + idx, blocks=spectra)
+        c_flag.add((np.minimum(cert, smin - cert) + tol) / scale1, idx, ms)
+        c_upic.add((cn.uniform_pic_check(ms, params, blocks=spectra) + tol) / scale1, idx, ms)
+        if c_pinch is not None:
+            c_pinch.add((cn.ricci_pinch_check(ms, params, blocks=spectra) + tol) / scale1, idx, ms)
+        mbs = smp.random_bianchi(cfg, index=3000 + idx)
+        c_linb.add(params.c_eta * wg.frobenius(mbs) + 1e-6 - np.array(cn._l_each(mbs, params)), idx, mbs)
         checks += [c.done() for c in (c_mid, c_wpic, c_flag, c_upic)]
         if c_pinch is not None:
             checks.append(c_pinch.done())
@@ -295,7 +290,7 @@ def suite_cone(seed: int, n: int) -> list[dict]:
             est = cn.sampled_inf(m, params, 500, seed=seed + i)
             cf = cn.hat_f(m, params)
             scale2 = max(1.0, wg.frobenius(m) ** 2)
-            c_inf.add(min((e - c_) / scale2 for e, c_ in zip(est, cf)), index=i, operator=m)
+            c_inf.add(min((e - c_) / scale2 for e, c_ in zip(est, cf)), i, m)
             bd = dc.decompose(m)
             fr1 = cn.frame_functionals(m, cn.extremal_frame(m, "F1", blocks=bd))
             fr2 = cn.frame_functionals(m, cn.extremal_frame(m, "F2", blocks=bd))
@@ -305,28 +300,32 @@ def suite_cone(seed: int, n: int) -> list[dict]:
                     abs(params.mu * fr2.x - fr2.w - cf[1]),
                     abs(params.mu * fr2.y - fr2.v - cf[2]),
                 ) / scale2,
-                index=i, operator=m,
+                i, m,
             )
         checks += [c.done() for c in (c_inf, c_ext)]
 
     c01 = _Check("cone", "isotropic-ray-detection", "multiples of I: k I detected iff k >= 0", "count", 0.0, seed)
-    for k in (-2.0, -0.5, 0.0, 0.5, 3.0):
-        c01.count(cn.is_c01(k * i6, 1e-8) != (k >= 0.0), context=f"k={k}")
+    ks = (-2.0, -0.5, 0.0, 0.5, 3.0)
     pert = np.zeros((6, 6))
     pert[0, 0], pert[1, 1] = 1.0, -1.0  # Weyl direction in the SD basis sense
-    c01.count(cn.is_c01(np.eye(6) + 1e-3 * pert, 1e-6), context="perturbed identity")
+    c01.add(
+        [cn.is_c01(k * i6, 1e-8) != (k >= 0.0) for k in ks] + [cn.is_c01(np.eye(6) + 1e-3 * pert, 1e-6)],
+        contexts=[f"k={k}" for k in ks] + ["perturbed identity"],
+    )
     checks.append(c01.done())
 
     c_zero = _Check("cone", "vanishing-xsum-nonmember", "nonzero operators with A1+A2 = 0 are never members", "count", 0.0, seed)
-    for i in range(small):
-        rng = smp.substream(seed, "xsum-zero", i)
-        a3 = float(rng.uniform(0.5, 2.0))
-        eigs_a = np.array([-a3 * 0.3, a3 * 0.3, a3])
-        eigs_c = np.array([0.1, 0.2, 0.3])
-        eigs_c = eigs_c + (eigs_a.sum() - eigs_c.sum()) / 3.0
-        m = dc.reassemble(np.diag(eigs_a), np.zeros((3, 3)), np.diag(eigs_c))
-        for eta_mu in PARAM_SETS:
-            c_zero.count(cn.is_member(m, _params(eta_mu)), index=i, operator=m, context=_tag(eta_mu))
+    idx = np.arange(small)
+    a3 = np.array([smp.substream(seed, "xsum-zero", i).uniform(0.5, 2.0) for i in idx.tolist()])
+    eigs_a = np.stack([-a3 * 0.3, a3 * 0.3, a3], axis=-1)
+    eigs_c = np.array([0.1, 0.2, 0.3])
+    eigs_c = eigs_c + (eigs_a.sum(axis=-1, keepdims=True) - eigs_c.sum()) / 3.0
+    ms = dc.reassemble(smp._diag(eigs_a), np.zeros((small, 3, 3)), smp._diag(eigs_c))
+    c_zero.add(
+        np.stack([cn.is_member(ms, _params(eta_mu)) for eta_mu in PARAM_SETS], axis=-1),
+        np.repeat(idx, len(PARAM_SETS)), np.repeat(ms, len(PARAM_SETS), axis=0),
+        [_tag(eta_mu) for _ in idx for eta_mu in PARAM_SETS],
+    )
     checks.append(c_zero.done())
 
     return checks
@@ -355,11 +354,12 @@ def suite_nullvector(seed: int, n: int) -> list[dict]:
             bd = dc.decompose(ms)
             q = cn.q_operator(ms)
             rep = cn.null_vector_verify(ms, params, face, blocks=bd, q=q)
-            norms = wg.frobenius(ms).tolist()
-            c_pre.count_many(~rep.precondition_ok, ms, idx, rep.message)
-            c_nv.add_many([s_ / max(1.0, nrm**deg) for s_, nrm in zip(rep.slack.tolist(), norms)], ms, idx)
-            ham = cn.hamilton_intermediate_slack(ms, blocks=bd, q=q).tolist()
-            c_ham.add_many([h / max(1.0, nrm**2) for h, nrm in zip(ham, norms)], ms, idx)
+            norms = wg.frobenius(ms)
+            c_pre.add(~rep.precondition_ok, idx, ms, rep.message)
+            # norm powers by pow, as Python's x**k takes them (see suite_algebra)
+            c_nv.add(rep.slack / np.maximum(1.0, np.float_power(norms, deg)), idx, ms)
+            ham = cn.hamilton_intermediate_slack(ms, blocks=bd, q=q)
+            c_ham.add(ham / np.maximum(1.0, np.float_power(norms, 2)), idx, ms)
             checks += [c_nv.done(), c_pre.done()]
         checks.append(c_ham.done())
     return checks
@@ -388,7 +388,7 @@ def suite_flow(seed: int, n: int) -> list[dict]:
         np.stack([i6] * len(dts)), [fl.TrajectoryConfig(dt=dt, t_max=0.1, adaptive=False) for dt in dts])
     errs = [wg.frobenius(t.final.operator - (1.0 / 0.4) * i6) for t in trajs]
     for r in (errs[0] / errs[1], errs[1] / errs[2]):
-        c_ord.add(abs(r - 16.0), context="error ratio")
+        c_ord.add(abs(r - 16.0), contexts="error ratio")
     checks.append(c_ord.done())
 
     c_scaleq = _Check("flow", "scaling-equivariance", "integrating c R to t matches c times (R to c t)", "residual", 1e-8, seed)
@@ -402,7 +402,7 @@ def suite_flow(seed: int, n: int) -> list[dict]:
         c_scaleq.add(
             wg.frobenius(t1.final.operator - 2.0 * t2.final.operator)
             / max(1.0, wg.frobenius(t1.final.operator)),
-            index=i,
+            i,
         )
     checks.append(c_scaleq.done())
 
@@ -423,22 +423,22 @@ def suite_flow(seed: int, n: int) -> list[dict]:
             ops = fl._operators(tr)
             norms = wg.frobenius(ops)
             scale = max(1.0, max(norms.tolist()))
-            c_inv.add(fl.invariance_monitor(tr, params) / scale, index=i, operator=r0)
-            c_drift.add(max(s.bianchi for s in tr.samples) / scale, index=i, operator=r0)
+            c_inv.add(fl.invariance_monitor(tr, params) / scale, i, r0)
+            c_drift.add(max(s.bianchi for s in tr.samples) / scale, i, r0)
             a, _, c3 = dc._blocks_of(ops)
             gaps = np.abs(np.trace(a, axis1=-2, axis2=-1) - np.trace(c3, axis1=-2, axis2=-1))
-            c_tr.add(max([0.0] + (gaps / np.maximum(1.0, norms)).tolist()), index=i, operator=r0)
+            c_tr.add(max([0.0] + (gaps / np.maximum(1.0, norms)).tolist()), i, r0)
         checks += [c.done() for c in (c_inv, c_drift, c_tr)]
 
     c_lineq = _Check("flow", "l-reaction-inequality",
                      "D+ l <= (scal) l + 6 l^2 + 1e-3 (1+|R|^3) dt from non-member starts", "slack", 0.0, seed)
     params = cn.ConeParams(1.0, 2.0)
-    r0s = np.array([smp.random_nonmember(cfg, params, index=i) for i in range(small)])
+    r0s = smp.random_nonmember(cfg, params, index=np.arange(small))
     cfgs = [fl.TrajectoryConfig(dt=2e-4, t_max=min(0.02, 0.3 / nrm), adaptive=False)
             for nrm in wg.frobenius(r0s).tolist()]
     for i, (r0, tr) in enumerate(zip(r0s, fl._integrate_stack(r0s, cfgs))):
         rep = fl.l_inequality_monitor(tr, params)
-        c_lineq.add(rep.worst_slack, index=i, operator=r0)
+        c_lineq.add(rep.worst_slack, i, r0)
     checks.append(c_lineq.done())
 
     return checks
@@ -457,11 +457,11 @@ def suite_cutoff(seed: int, n: int) -> list[dict]:
             fn = co.CutoffFunction(co.CutoffSpec(eps=eps, sigma=sigma, r=1.0))
             rep = co.verify_cutoff(fn)
             worst = rep.worst()
-            c_grid.add(worst.margin, context=f"eps={eps}, sigma={sigma}, bound={worst.name}")
+            c_grid.add(worst.margin, contexts=f"eps={eps}, sigma={sigma}, bound={worst.name}")
     c_var = _Check("cutoff", "cutoff-variant-constant",
                    "squared-slope variant admits a finite constant C0 >= 1", "slack", 0.0, seed)
     rep = co.theorem_variant_check(co.CutoffSpec(eps=0.5, sigma=1.0, r=0.0))
-    c_var.add(rep.c0 - 1.0, context=f"C0={rep.c0!r}")
+    c_var.add(rep.c0 - 1.0, contexts=f"C0={rep.c0!r}")
     return [c_grid.done(), c_var.done()]
 
 

@@ -29,17 +29,17 @@ from the bivector matrices.  The dense (4, 4, 4, 4) tensor of
 :func:`four_index` serves only :func:`sharp_coord`, the #-product's
 independent route.
 
-Stacks: :func:`frobenius`, :func:`sharp`, :func:`q_operator`,
-:func:`four_index`, :func:`ricci`, :func:`scalar`, :func:`traceless_ricci`
-and :func:`bianchi_residual` take operators of shape ``(..., 6, 6)`` and act
-on each trailing 6x6 slice; a single 6x6 input gives today's types
-(``frobenius``, ``scalar`` and ``bianchi_residual`` a float), a stack gives
-arrays over the leading axes, and each slice of a stack carries the same bits
-as the single call on it.
+Stacks: every kernel takes operators ``(..., 6, 6)``, 2-forms ``(..., 6)``
+or 4x4 tensors ``(..., 4, 4)``, and numbers as arrays of the leading shape.  A
+single input gives the single-input types (a float for a norm or residual), a
+stack gives arrays over the leading axes, and each slice carries the bits of
+the single call on it.  The exceptions take one object: :func:`basis_two_form`,
+:func:`form_inner`, :func:`structure_constants` and the JSON serialization.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -53,6 +53,16 @@ PAIR_INDEX: dict[tuple[int, int], int] = {p: a for a, p in enumerate(WEDGE_PAIRS
 _ROW = np.array([p[0] for p in WEDGE_PAIRS])
 _COL = np.array([p[1] for p in WEDGE_PAIRS])
 _UPPER = np.triu_indices(6)
+
+# Flat 4x4 positions (i, j) of each ei^ej, and (i, p), (j, q), (i, q), (j, p)
+# pairing row ei^ej with column ep^eq; one np.take keeps a stack C-ordered.
+_IJ = _ROW * 4 + _COL
+_IP = _ROW[:, None] * 4 + _ROW[None, :]
+_JQ = _COL[:, None] * 4 + _COL[None, :]
+_IQ = _ROW[:, None] * 4 + _COL[None, :]
+_JP = _COL[:, None] * 4 + _ROW[None, :]
+#: flat positions (ij, pq) of the wedge-basis entries in a 4x4x4x4 tensor
+_IJPQ = _IJ[:, None] * 16 + _IJ[None, :]
 
 # Direction spanning the Bianchi-violating line inside symmetric matrices:
 # <M, _BIANCHI_DIR>_F = 2 * (M[0,5] - M[1,4] + M[2,3]).
@@ -114,17 +124,24 @@ def basis_two_form(i: int, j: int) -> np.ndarray:
 
 
 def skew_matrix(u) -> np.ndarray:
-    """4x4 skew matrix of a 2-form under ei^ej -> E_ij - E_ji."""
+    """4x4 skew matrices of 2-forms under ei^ej -> E_ij - E_ji."""
     u = np.asarray(u, dtype=float)
-    m = np.zeros((4, 4))
-    m[_ROW, _COL] = u
-    m[_COL, _ROW] = -u
+    m = np.zeros(u.shape[:-1] + (4, 4))
+    m[..., _ROW, _COL] = u
+    m[..., _COL, _ROW] = -u
     return m
+
+
+def _take(a, flat, axes: int = 2) -> np.ndarray:
+    # entries of the trailing ``axes`` axes of a at the given flat positions
+    a = np.asarray(a, dtype=float)
+    cut = a.ndim - axes
+    return np.take(a.reshape(a.shape[:cut] + (math.prod(a.shape[cut:]),)), flat, axis=-1)
 
 
 def two_form_of_skew(m) -> np.ndarray:
     """Inverse of :func:`skew_matrix`."""
-    return np.asarray(m, dtype=float)[_ROW, _COL].copy()
+    return _take(m, _IJ)
 
 
 def form_inner(u, v) -> float:
@@ -210,9 +227,8 @@ def four_index(m) -> np.ndarray:
 
 
 def from_four_index(t) -> np.ndarray:
-    """6x6 wedge-basis matrix from a (4,4,4,4) component tensor."""
-    t = np.asarray(t, dtype=float)
-    return t[_ROW[:, None], _COL[:, None], _ROW[None, :], _COL[None, :]].copy()
+    """6x6 wedge-basis matrices from (..., 4, 4, 4, 4) component tensors."""
+    return _take(t, _IJPQ, axes=4)
 
 
 def sharp_coord(m) -> np.ndarray:
@@ -222,10 +238,10 @@ def sharp_coord(m) -> np.ndarray:
     two routes to agree to 1e-12 relative.
     """
     t = four_index(m)
-    s = np.einsum("ipkw,jplw->ijkl", t, t)
-    s = s - s.transpose(1, 0, 2, 3)
+    s = np.einsum("...ipkw,...jplw->...ijkl", t, t)
+    s = s - s.swapaxes(-4, -3)
     out = from_four_index(s)
-    return 0.5 * (out + out.T)
+    return 0.5 * (out + out.swapaxes(-1, -2))
 
 
 def q_operator(m) -> np.ndarray:
@@ -242,16 +258,13 @@ def kulkarni_nomizu(h, k) -> np.ndarray:
     always satisfies the first Bianchi identity, and kulkarni_nomizu(id, id)
     equals twice the identity operator.
     """
-    h = np.asarray(h, dtype=float)
-    k = np.asarray(k, dtype=float)
-    t = (
-        np.einsum("ik,jl->ijkl", h, k)
-        + np.einsum("jl,ik->ijkl", h, k)
-        - np.einsum("il,jk->ijkl", h, k)
-        - np.einsum("jk,il->ijkl", h, k)
+    out = (
+        _take(h, _IP) * _take(k, _JQ)
+        + _take(h, _JQ) * _take(k, _IP)
+        - _take(h, _IQ) * _take(k, _JP)
+        - _take(h, _JP) * _take(k, _IQ)
     )
-    out = from_four_index(t)
-    return 0.5 * (out + out.T)
+    return 0.5 * (out + out.swapaxes(-1, -2))
 
 
 def bianchi_residual(m):
@@ -269,8 +282,8 @@ def project_bianchi(m) -> np.ndarray:
     so this step is explicit rather than silent.
     """
     m = np.asarray(m, dtype=float)
-    coef = float(np.sum(m * _BIANCHI_DIR)) / 6.0
-    return m - coef * _BIANCHI_DIR
+    coef = np.sum(m * _BIANCHI_DIR, axis=(-2, -1)) / 6.0
+    return m - coef[..., None, None] * _BIANCHI_DIR
 
 
 def ricci(m) -> np.ndarray:
@@ -304,36 +317,37 @@ def traceless_ricci(m) -> np.ndarray:
     return r - (np.trace(r, axis1=-2, axis2=-1) / 4.0)[..., None, None] * np.eye(4)
 
 
-def barrier_q_expansion(m, big_phi: float, small_phi: float) -> float:
+def barrier_q_expansion(m, big_phi, small_phi):
     """Residual of Q(F*R + f*I) = F^2 Q(R) + f*F Ric^id + 3 f^2 I.
 
     Returns the Frobenius norm of the difference; for Bianchi input this is
-    pure rounding noise, bounded by 1e-10 * (1 + |R|^2 + f^2).
+    pure rounding noise, bounded by 1e-10 * (1 + |R|^2 + f^2).  F and f are
+    numbers, or arrays of the stack's leading shape.
     """
     m = np.asarray(m, dtype=float)
-    lam = big_phi * m + small_phi * np.eye(6)
+    big = np.asarray(big_phi, dtype=float)[..., None, None]
+    small = np.asarray(small_phi, dtype=float)[..., None, None]
+    lam = big * m + small * np.eye(6)
+    # squares by pow, as Python's x**2 takes them: x * x differs in the last
+    # bit on about one input in a thousand
     rhs = (
-        big_phi**2 * q_operator(m)
-        + small_phi * big_phi * kulkarni_nomizu(ricci(m), np.eye(4))
-        + 3.0 * small_phi**2 * np.eye(6)
+        np.float_power(big, 2) * q_operator(m)
+        + small * big * kulkarni_nomizu(ricci(m), np.eye(4))
+        + 3.0 * np.float_power(small, 2) * np.eye(6)
     )
     return frobenius(q_operator(lam) - rhs)
 
 
 def induced_wedge_rotation(q) -> np.ndarray:
-    """6x6 action on 2-forms induced by a rotation q of R^4."""
-    q = np.asarray(q, dtype=float)
-    return (
-        q[_ROW[:, None], _ROW[None, :]] * q[_COL[:, None], _COL[None, :]]
-        - q[_ROW[:, None], _COL[None, :]] * q[_COL[:, None], _ROW[None, :]]
-    )
+    """6x6 action on 2-forms induced by rotations q of R^4."""
+    return _take(q, _IP) * _take(q, _JQ) - _take(q, _IQ) * _take(q, _JP)
 
 
 def rotate_operator(m, q) -> np.ndarray:
-    """Pull back an operator by a rotation q of R^4."""
+    """Pull back operators by rotations q of R^4."""
     w = induced_wedge_rotation(q)
-    out = w.T @ np.asarray(m, dtype=float) @ w
-    return 0.5 * (out + out.T)
+    out = w.swapaxes(-1, -2) @ np.asarray(m, dtype=float) @ w
+    return 0.5 * (out + out.swapaxes(-1, -2))
 
 
 # ---------------------------------------------------------------------------

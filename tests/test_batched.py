@@ -1,9 +1,11 @@
 """Stacked (..., 6, 6) input gives, entry for entry, the bits of single calls.
 
 Every kernel that takes a stack must not depend on the batch size: a stack
-of n operators equals n single calls bit for bit, for n in {1, 7, 1000},
-across members, non-members and scales from 1e-300 to 1e300.  The samplers
-take index arrays and must match per-index draws, retry counts included.
+of n operators (2-forms, 4x4 tensors, rotations) equals n single calls bit
+for bit, for n in {1, 7, 1000}, across members, non-members and scales from
+1e-300 to 1e300, with NaN slices where a condition does not apply.  The
+samplers take index arrays and must match per-index draws, retry counts
+included.
 """
 
 import warnings
@@ -40,6 +42,12 @@ STACK = _mixed_stack()
 
 def _equal(a, b):
     np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
+
+
+def _same_bits(stacked, singles):
+    stacked, singles = np.asarray(stacked), np.array(singles)
+    assert stacked.shape == singles.shape
+    assert stacked.tobytes() == singles.tobytes()  # signed zeros and NaN included
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -90,10 +98,104 @@ def test_curvature_contractions(n):
     with warnings.catch_warnings():
         warnings.simplefilter("error", UserWarning)  # every operator of STACK is Bianchi
         for fn in (wg.four_index, wg.ricci, wg.scalar, wg.traceless_ricci, wg.bianchi_residual):
-            stacked = np.asarray(fn(ms))
-            singles = np.array([fn(m) for m in ms])
-            assert stacked.shape == singles.shape
-            assert stacked.tobytes() == singles.tobytes()  # signed zeros and NaN included
+            _same_bits(fn(ms), [fn(m) for m in ms])
+
+
+def _rotations(n: int) -> np.ndarray:
+    return np.array([smp.random_rotation(smp.substream(4, "rot", i), 4) for i in range(n)])
+
+
+P05 = cn.ConeParams(0.5, 1.5)
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestStackedAlgebraKernels:
+    def test_two_form_kernels(self, n):
+        u, v = STACK[:n, 0], STACK[:n, 3]
+        _same_bits(wg.skew_matrix(u), [wg.skew_matrix(x) for x in u])
+        _same_bits(wg.two_form_of_skew(wg.skew_matrix(u)), [wg.two_form_of_skew(wg.skew_matrix(x)) for x in u])
+        _same_bits(wg.lie_bracket(u, v), [wg.lie_bracket(a, b) for a, b in zip(u, v)])
+
+    def test_four_index_and_sharp_routes(self, n):
+        ms = STACK[:n]
+        _same_bits(wg.from_four_index(wg.four_index(ms)), [wg.from_four_index(wg.four_index(m)) for m in ms])
+        _same_bits(wg.sharp_coord(ms), [wg.sharp_coord(m) for m in ms])
+
+    def test_kulkarni_nomizu(self, n):
+        h, k = wg.ricci(STACK[:n]), wg.ricci(STACK[::-1][:n])
+        _same_bits(wg.kulkarni_nomizu(h, k), [wg.kulkarni_nomizu(a, b) for a, b in zip(h, k)])
+        _same_bits(wg.kulkarni_nomizu(h, np.eye(4)), [wg.kulkarni_nomizu(a, np.eye(4)) for a in h])
+
+    def test_bianchi_projection_and_barrier(self, n):
+        ms = STACK[:n].copy()
+        ms[:, 0, 5] += 1.0  # off the Bianchi hyperplane
+        _same_bits(wg.project_bianchi(ms), [wg.project_bianchi(m) for m in ms])
+        rng = np.random.default_rng(n)
+        big, small = rng.uniform(-10.0, 10.0, (2, n))
+        ms = STACK[:n]
+        _same_bits(wg.barrier_q_expansion(ms, big, small),
+                   [wg.barrier_q_expansion(m, b, s) for m, b, s in zip(ms, big, small)])
+
+    def test_rotations(self, n):
+        ms, qs = STACK[:n], _rotations(n)
+        _same_bits(wg.induced_wedge_rotation(qs), [wg.induced_wedge_rotation(q) for q in qs])
+        _same_bits(wg.rotate_operator(ms, qs), [wg.rotate_operator(m, q) for m, q in zip(ms, qs)])
+
+    def test_block_products_and_identities(self, n):
+        ms = STACK[:n]
+        bd = dc.decompose(ms)
+        _same_bits(dc.block_sharp3(bd.a), [dc.block_sharp3(a) for a in bd.a])
+        _same_bits(dc.mixed_sharp3(bd.b), [dc.mixed_sharp3(b) for b in bd.b])
+        for fn in (dc.block_sharp_identity, dc.weyl, dc.norm_identity_check):
+            _same_bits(fn(ms), [fn(m) for m in ms])
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestStackedImpliedConditions:
+    def test_two_nonneg_flag_with_one_seed_per_operator(self, n):
+        ms = STACK[:n]
+        seeds = 100 + np.arange(n)
+        smin, cert = cn.two_nonneg_flag(ms, 5, seeds)
+        singles = [cn.two_nonneg_flag(m, 5, int(s)) for m, s in zip(ms, seeds)]
+        _same_bits(smin, [s[0] for s in singles])
+        _same_bits(cert, [s[1] for s in singles])
+        # one integer seed: every operator takes the same frames
+        _same_bits(cn.two_nonneg_flag(ms, 5, 7)[0], [cn.two_nonneg_flag(m, 5, 7)[0] for m in ms])
+
+    def test_uniform_pic_with_a_zero_operator(self, n):
+        ms = STACK[:n].copy()
+        ms[n // 2] = 0.0
+        upic = cn.uniform_pic_check(ms, P12)
+        _same_bits(upic, [cn.uniform_pic_check(m, P12) for m in ms])
+        assert np.isnan(upic[n // 2])
+
+    def test_ricci_pinch_with_minus_identity(self, n):
+        ms = STACK[:n].copy()
+        ms[n // 2] = -np.eye(6)
+        pinch = cn.ricci_pinch_check(ms, P05)
+        _same_bits(pinch, [cn.ricci_pinch_check(m, P05) for m in ms])
+        assert np.isnan(pinch[n // 2])
+        _same_bits(cn.ricci_pinch_check(ms, P12), np.full(n, np.nan))  # eta >= 9/16
+
+    def test_bianchi_and_nonmember_samplers(self, n):
+        cfg = smp.SamplerConfig(seed=5, scale=3.0)
+        idx = np.arange(n)[::-1] * 3
+        _same_bits(smp.random_bianchi(cfg, index=idx), [smp.random_bianchi(cfg, index=i) for i in idx])
+        _same_bits(smp.random_nonmember(cfg, P05, index=idx), [smp.random_nonmember(cfg, P05, index=i) for i in idx])
+
+
+def test_pinch_on_members_and_empty_stacks():
+    # members pass the pinch preconditions, so the stacked Ricci route runs
+    cfg = smp.SamplerConfig(seed=6)
+    ms = smp.random_member(cfg, P05, index=np.arange(20))
+    ms[3] = -np.eye(6)
+    pinch = cn.ricci_pinch_check(ms, P05)
+    assert np.isnan(pinch[3]) and np.isfinite(np.delete(pinch, 3)).all()
+    assert smp.random_nonmember(cfg, P05, index=np.arange(0)).shape == (0, 6, 6)
+    assert cn.two_nonneg_flag(ms[:0], 3, np.arange(0))[0].shape == (0,)
 
 
 def test_contractions_on_signed_zeros_and_nonfinite_entries():
@@ -105,9 +207,7 @@ def test_contractions_on_signed_zeros_and_nonfinite_entries():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for fn in (wg.ricci, wg.scalar, wg.traceless_ricci):
-            stacked = np.asarray(fn(ms))
-            singles = np.array([fn(m) for m in ms])
-            assert stacked.tobytes() == singles.tobytes()
+            _same_bits(fn(ms), [fn(m) for m in ms])
 
 
 def test_stacked_ricci_warns_when_any_slice_breaks_bianchi():
@@ -207,6 +307,13 @@ def test_single_operator_returns_scalar_types():
     assert type(cn.lower_bound_l(m - 5.0 * np.eye(6), P_ETA0)) is float
     assert type(cn.implies_wpic(m, P12)) is bool
     assert cn.l_face(m, P12) is None
+    assert all(type(v) is float for v in cn.two_nonneg_flag(m, 3, 0))
+    assert type(cn.uniform_pic_check(m, P12)) is float
+    assert type(cn.ricci_pinch_check(m, P05)) is float and type(cn.ricci_pinch_check(m, P12)) is float
+    assert type(dc.block_sharp_identity(m)) is float and type(dc.norm_identity_check(m)) is float
+    assert type(wg.barrier_q_expansion(m, 2.0, 0.5)) is float
+    assert smp.random_bianchi(smp.SamplerConfig(seed=1)).shape == (6, 6)
+    assert wg.lie_bracket(m[0], m[1]).shape == (6,) and wg.skew_matrix(m[0]).shape == (4, 4)
 
 
 def test_spectra_triple_and_blockdata_serve_as_blocks():

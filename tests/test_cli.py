@@ -1,7 +1,9 @@
 import json
+import math
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -113,11 +115,28 @@ class TestCheckAtExtremeScale:
         p = tmp_path / "big.jsonl"
         write_ops(p, *(c * m for m in ops))
         out = tmp_path / "out.jsonl"
-        assert cli.main(["check", "--input", str(p), "--output", str(out)]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow or Bianchi warning on the way
+            assert cli.main(["check", "--input", str(p), "--output", str(out)]) == 0
         recs = [json.loads(line, parse_constant=_no_constants) for line in out.read_text().splitlines()]
         assert [r["member"] for r in recs] == [True, True, False]
         assert recs[0]["upic_slack"] is not None and recs[0]["upic_slack"] > 0.0
         assert recs[2]["l_face"] in ("F1", "F2", "F3")
+
+    @pytest.mark.parametrize("c", [1e160, 1e300])
+    def test_ricci_pinch_fields_warn_nothing(self, tmp_path, c):
+        from curvcone.sampling import random_member
+
+        cfg, params = SamplerConfig(seed=3), ConeParams(0.5, 1.5)
+        p = tmp_path / "big.jsonl"
+        write_ops(p, *(c * m for m in (random_member(cfg, params, index=0), random_nonmember(cfg, params, index=0), -I6)))
+        out = tmp_path / "out.jsonl"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["check", "--eta", "0.5", "--mu", "1.5", "--input", str(p), "--output", str(out)]) == 0
+        recs = [json.loads(line, parse_constant=_no_constants) for line in out.read_text().splitlines()]
+        assert recs[0]["ricci_pinch_slack"] > 0.0
+        assert recs[1]["ricci_pinch_slack"] is None and recs[2]["ricci_pinch_slack"] is None
 
     def test_one_block_spectra_per_record(self, tmp_path, monkeypatch):
         from curvcone import cone as cn
@@ -229,6 +248,12 @@ class TestSample:
             assert a.read_bytes() == b.read_bytes()
             assert len(a.read_text().splitlines()) == 3
 
+    def test_negative_sample_count_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "ops.jsonl"
+        assert cli.main(["sample", "--samples", "-3", "--output", str(out)]) == 2
+        assert "samples must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCutoffCommand:
     def test_report(self, tmp_path, capsys):
@@ -269,6 +294,30 @@ class TestVerifyCommand:
         assert "checks passed" not in captured.out
         with pytest.raises(ValueError):
             vf.run("algebra", seed=1, samples=-1)
+
+    @pytest.mark.parametrize("kind", ["residual", "slack", "count"])
+    @pytest.mark.parametrize("values", [[0.0, math.nan, 0.0], [math.nan, 0.0, 0.0]], ids=["middle", "first"])
+    def test_nan_sample_fails_the_check(self, kind, values):
+        chk = vf._Check("algebra", "probe", "claim", kind, 1e-10, 0)
+        for i, v in enumerate(values):
+            chk.add(v, i)
+        rec = chk.done()
+        assert rec["passed"] is False
+        assert [(f["index"], f["value"]) for f in rec["failures"]] == [(values.index(math.nan), None)]
+        assert rec["worst"] is None
+        json.dumps(rec, allow_nan=False)  # strict JSON
+
+    @pytest.mark.parametrize("kind", ["residual", "slack", "count"])
+    def test_array_add_equals_one_add_per_value(self, kind):
+        vals = np.array([0.0, 2.0, -2.0, 0.0, 5.0, -1.0])
+        ops = np.arange(len(vals) * 36, dtype=float).reshape(-1, 6, 6)
+        one = vf._Check("algebra", "probe", "claim", kind, 1.0, 0)
+        one.add(vals, np.arange(len(vals)) + 10, ops, [f"k={k}" for k in range(len(vals))])
+        each = vf._Check("algebra", "probe", "claim", kind, 1.0, 0)
+        for k, v in enumerate(vals):
+            each.add(v, k + 10, ops[k], f"k={k}")
+        assert one.done() == each.done()
+        assert one.record["failures"]
 
     def test_report_carries_its_version(self):
         assert vf.run("cutoff", seed=1, samples=0)["report_version"] == 2

@@ -423,10 +423,9 @@ class TestImpliedConditions:
             assert cn.ricci_pinch_check(m, p0) == pytest.approx(0.0, abs=1e-10)
 
     def test_ricci_pinch_preconditions(self):
-        with pytest.raises(ValueError, match="9/16"):
-            cn.ricci_pinch_check(I6, cn.ConeParams(0.6, 2.0))
-        with pytest.raises(ValueError, match="scalar"):
-            cn.ricci_pinch_check(-I6, cn.ConeParams(0.5, 1.5))
+        # eta >= 9/16, and negative scalar curvature: the bound does not apply
+        assert math.isnan(cn.ricci_pinch_check(I6, cn.ConeParams(0.6, 2.0)))
+        assert math.isnan(cn.ricci_pinch_check(-I6, cn.ConeParams(0.5, 1.5)))
 
     def test_uniform_pic(self):
         assert cn.uniform_pic_check(I6, P12) == pytest.approx(7.0, abs=1e-12)
@@ -434,8 +433,7 @@ class TestImpliedConditions:
             for i in range(100):
                 m = random_member(CFG, p, index=5900 + i)
                 assert cn.uniform_pic_check(m, p) >= -1e-10 * max(1.0, np.linalg.norm(m))
-        with pytest.raises(ValueError):
-            cn.uniform_pic_check(np.zeros((6, 6)), P12)
+        assert math.isnan(cn.uniform_pic_check(np.zeros((6, 6)), P12))
 
     @pytest.mark.parametrize("c", [1e160, 1e300])
     def test_uniform_pic_past_norm_overflow(self, c):
