@@ -5,9 +5,10 @@
 Run from the root of a source checkout.  Each kernel is timed with
 ``time.perf_counter`` as the best of REPEATS runs: once as a loop of
 N_SINGLE single-operator calls, and once as one call on a stack of N_STACKED
-operators (indices for the samplers).  The ``integrate`` row counts a whole
-trajectory as one operator: N_TRAJ member starts integrated one by one, and
-as one stack.  Wall times are taken for each ``verify`` suite at the CLI
+operators (indices for the samplers).  ``_draw_member_data``, the member
+samplers' per-index attempt loop, has only the single form.  The
+``integrate`` row counts a whole trajectory as one operator: N_TRAJ member
+starts integrated one by one, and as one stack.  Wall times are taken for each ``verify`` suite at the CLI
 default ``--samples 1000``, for ``evolve``'s integration of a blow-up from
 |R| = 3e7, and for one Tier-1 run (``pytest`` in the checkout that holds the
 package).  With ``--baseline-src`` the single-operator kernels and the wall
@@ -78,8 +79,13 @@ def kernels(cfg, params, members, nonmembers):
     # Ricci pinching needs eta < 9/16, and members of that cone
     p05 = cone.ConeParams(0.5, 1.5)
     pinched = sampling.random_member(cfg, p05, index=idx)
+    # one generator per operator; each draw advances it, so repeats draw afresh
+    rngs = [sampling.substream(cfg.seed, "draw", i) for i in range(len(members))]
     return {
         "q_operator": (lambda i: wedge.q_operator(members[i]), lambda: wedge.q_operator(members)),
+        "sharp (M#M)": (lambda i: wedge.sharp(members[i], members[i]), lambda: wedge.sharp(members, members)),
+        "sharp (M#N)": (lambda i: wedge.sharp(members[i], nonmembers[i]),
+                        lambda: wedge.sharp(members, nonmembers)),
         "block_spectra": (lambda i: decomposition.block_spectra(members[i]),
                           lambda: decomposition.block_spectra(members)),
         "decompose": (lambda i: decomposition.decompose(members[i]), lambda: decomposition.decompose(members)),
@@ -98,6 +104,8 @@ def kernels(cfg, params, members, nonmembers):
                           lambda: sampling.random_member(cfg, params, index=idx)),
         "boundary_member": (lambda i: sampling.boundary_member(cfg, params, "F1", index=i),
                             lambda: sampling.boundary_member(cfg, params, "F1", index=idx)),
+        "_draw_member_data": (
+            lambda i: sampling._draw_member_data(rngs[i], params, cfg.scale, cfg.margin), None),
         "rk4_step": (lambda i: flow._rk4_step(members[i], 1e-3), lambda: flow._rk4_step(members, 1e-3)),
         "kulkarni_nomizu (Ric, g)": (lambda i: wedge.kulkarni_nomizu(ric[i], eye4),
                                      lambda: wedge.kulkarni_nomizu(ric, eye4)),
@@ -124,7 +132,8 @@ def time_kernels(stacked: bool) -> dict:
     if stacked:
         many = kernels(cfg, params, members, nonmembers)
         for name, (_, stack) in many.items():
-            out[name]["stacked_us"] = 1e6 * best_of(stack, REPEATS) / N_STACKED
+            if stack is not None:
+                out[name]["stacked_us"] = 1e6 * best_of(stack, REPEATS) / N_STACKED
     return out
 
 

@@ -12,7 +12,10 @@ Bianchi constraint), the mixed block's singular values are capped by the
 isotropic inequality, and the blocks are conjugated by independent random
 rotations.  The one caveat is the trace-matching shift, which can erode the
 C margins; those draws are resampled (bounded retries) rather than solved
-for, and retry counts are exposed for diagnostics.
+for, and retry counts are exposed for diagnostics.  Each attempt takes its
+six eigenvalue uniforms from one ``rng.random(6)`` call and keeps them as
+Python floats until it is accepted; the stream and the values are those of
+six scalar ``uniform`` calls.
 
 Boundary points move a member along a ray that keeps tr A = tr C, so they
 are curvature operators too: the mixed block is scaled onto F1, or the
@@ -150,34 +153,35 @@ def _draw_member_data(rng: np.random.Generator, params: ConeParams, scale: float
     The eigenvalue-sum inequalities are enforced with the margin applied to
     the gap mu - 1 (applying it to mu itself is infeasible once
     mu(1 - margin) < 1, e.g. mu = 1.1); the isotropic inequality takes the
-    margin directly.
+    margin directly.  Each uniform u of an attempt's one draw call becomes
+    ``lo + (hi - lo) * u``, the map ``Generator.uniform`` applies.
     """
     gap = 1.0 + (1.0 - margin) * (params.mu - 1.0)
 
-    def sums_triplet():
-        s = scale * rng.uniform(margin, 1.0)
-        mid = rng.uniform(0.5 * s, 0.5 * gap * s)
-        lo = s - mid
-        hi = rng.uniform(mid, gap * s - mid)
-        return np.array([lo, mid, hi])
+    def sums_triplet(u0, u1, u2):
+        s = scale * (margin + (1.0 - margin) * u0)
+        mid = 0.5 * s + (0.5 * gap * s - 0.5 * s) * u1
+        return s - mid, mid, mid + ((gap * s - mid) - mid) * u2
 
     for attempt in range(1000):
-        eigs_a = sums_triplet()
-        eigs_c = sums_triplet()
-        eigs_c = eigs_c + (eigs_a.sum() - eigs_c.sum()) / 3.0
-        sum_c = eigs_c[0] + eigs_c[1]
-        f3 = params.mu * sum_c - (eigs_c[1] + eigs_c[2])
+        u = rng.random(6).tolist()
+        a0, a1, a2 = sums_triplet(*u[:3])
+        c0, c1, c2 = sums_triplet(*u[3:])
+        shift = (((a0 + a1) + a2) - ((c0 + c1) + c2)) / 3.0
+        c0, c1, c2 = c0 + shift, c1 + shift, c2 + shift
+        sum_c = c0 + c1
+        f3 = params.mu * sum_c - (c1 + c2)
         if sum_c < 0.5 * margin * scale or f3 < margin * (params.mu - 1.0) * sum_c:
             _count_retry("trace-shift")
             log.debug("trace-matching shift broke the C margins; resampling")
             continue
-        sum_a = eigs_a[0] + eigs_a[1]
+        sum_a = a0 + a1
         cap = (1.0 - margin) * params.eta * sum_a * sum_c
         raw = np.sort(np.abs(rng.standard_normal(3))) * scale
         target = rng.uniform(0.1, 1.0) * cap
         denom = (raw[1] + raw[2]) ** 2
         svals = raw * np.sqrt(target / denom)
-        return eigs_a, eigs_c, svals
+        return np.array([a0, a1, a2]), np.array([c0, c1, c2]), svals
     raise RuntimeError(
         "member sampling exhausted 1000 retries; margin is infeasible for "
         f"eta={params.eta}, mu={params.mu}, margin={margin}"

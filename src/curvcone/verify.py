@@ -490,7 +490,7 @@ def run(suites, seed: int, samples: int) -> dict:
             raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES} or 'all'")
         checks.extend(_SUITE_FUNCS[name](seed, samples))
     return {
-        "report_version": 2,  # bumped whenever a seed's numbers may move
+        "report_version": 3,  # bumped whenever a seed's numbers may move
         "seed": seed,
         "samples": samples,
         "suites": list(suites),

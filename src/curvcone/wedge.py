@@ -22,6 +22,9 @@ instead carry an extra factor of 2 in those quantities.
 
 All functions are pure and never mutate their inputs.
 
+The #-product is a sum of 2x2 minors of M, gathered at positions taken
+once from the structure constants (:func:`sharp`).
+
 Contractions are closed forms in M: the scalar curvature is 2 tr M (each
 coordinate plane's sectional curvature counted as R_ijij and R_jiji), and
 the Ricci tensor is one product of M with a constant (6, 6, 4, 4) map built
@@ -198,27 +201,51 @@ def structure_constants() -> np.ndarray:
     return _STRUCT
 
 
-def _sharp_raw(m: np.ndarray, n: np.ndarray, c: np.ndarray) -> np.ndarray:
-    t = np.einsum("bdt,...gd->...bgt", c, m)
-    t = np.einsum("...bgt,...ht->...bgh", t, n)
-    return 0.5 * np.einsum("agh,...bgh->...ab", c, t)
+def _minor_positions() -> np.ndarray:
+    # Each b_a is the bracket of exactly two unordered pairs of basis forms,
+    # with C = +-1; (g_p, h_p), p = 0, 1, orients pair p so that C[a, g, h] = +1.
+    _, g, h = np.nonzero(structure_constants() > 0.0)
+    g, h = g.reshape(6, 2), h.reshape(6, 2)
+    # pair combinations (p, q) in the order 00, 11, 01, 10; rows a take pair p,
+    # columns b pair q
+    p, q = [0, 1, 0, 1], [0, 1, 1, 0]
+    ga, ha = g[:, p].T[:, :, None], h[:, p].T[:, :, None]
+    gb, hb = g[:, q].T[:, None, :], h[:, q].T[:, None, :]
+    # flat positions of the minor entries (g d, h t, g t, h d): (4, 4, 36)
+    return np.stack([6 * ga + gb, 6 * ha + hb, 6 * ga + hb, 6 * ha + gb]).reshape(4, 4, 36)
+
+
+_MINOR = _minor_positions()
 
 
 def sharp(m, n) -> np.ndarray:
     """Hamilton #-product (M#N)_ab = C_a^{gh} C_b^{dt} M_gd N_ht / 2.
 
     Defined for all symmetric bilinear forms on the 2-forms; the first
-    Bianchi identity is not required.  Commutative in (M, N) bit-for-bit
-    by construction.
+    Bianchi identity is not required.  C[a] is nonzero on two pairs of basis
+    forms only, so (M#M)_ab is the sum of four 2x2 minors
+    M_gd M_ht - M_gt M_hd, one for each pair (g, h) of b_a and (d, t) of b_b,
+    oriented so that C = +1.  M#N is the polarized minor
+    ((M_gd N_ht - M_gt N_hd) + (N_gd M_ht - N_gt M_hd)) / 2, so it is
+    commutative in (M, N) bit for bit.  The minors are gathered from the
+    structure constants at import, independently of :func:`sharp_coord` and
+    of the block #-products.  Like a contraction, it warns of no overflow or
+    invalid value: non-finite entries give non-finite output silently.
     """
-    c = structure_constants()
     ma = np.asarray(m, dtype=float)
     na = np.asarray(n, dtype=float)
-    if ma is na or np.array_equal(ma, na):
-        out = _sharp_raw(ma, ma, c)
-    else:
-        out = 0.5 * (_sharp_raw(ma, na, c) + _sharp_raw(na, ma, c))
-    return 0.5 * (out + out.swapaxes(-1, -2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = _take(ma, _MINOR)
+        gd, ht, gt, hd = (t[..., r, :, :] for r in range(4))
+        if ma is na or np.array_equal(ma, na):
+            x = gd * ht - gt * hd
+        else:
+            t = _take(na, _MINOR)
+            ngd, nht, ngt, nhd = (t[..., r, :, :] for r in range(4))
+            x = 0.5 * ((gd * nht - gt * nhd) + (ngd * ht - ngt * hd))
+        # (00 + 11) + (01 + 10) is symmetric under a <-> b, as the minors are
+        out = ((x[..., 0, :] + x[..., 1, :]) + (x[..., 2, :] + x[..., 3, :])).reshape(x.shape[:-2] + (6, 6))
+        return 0.5 * (out + out.swapaxes(-1, -2))
 
 
 def four_index(m) -> np.ndarray:
@@ -248,7 +275,11 @@ def q_operator(m) -> np.ndarray:
     """Reaction term Q(R) = R^2 + R#R of the curvature evolution equation."""
     m = np.asarray(m, dtype=float)
     sq = m @ m
-    return 0.5 * (sq + sq.swapaxes(-1, -2)) + sharp(m, m)
+    sq = 0.5 * (sq + sq.swapaxes(-1, -2))
+    # inf - inf arises only where m @ m has overflowed or met a non-finite
+    # entry, which the product has already reported
+    with np.errstate(invalid="ignore"):
+        return sq + sharp(m, m)
 
 
 def kulkarni_nomizu(h, k) -> np.ndarray:

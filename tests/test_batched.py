@@ -101,6 +101,69 @@ def test_curvature_contractions(n):
             _same_bits(fn(ms), [fn(m) for m in ms])
 
 
+def _dense_sharp(m, n):
+    """The #-product as the three-einsum contraction over all of C[a, g, h]."""
+    c = wg.structure_constants()
+
+    def raw(x, y):
+        t = np.einsum("bdt,...gd->...bgt", c, x)
+        t = np.einsum("...bgt,...ht->...bgh", t, y)
+        return 0.5 * np.einsum("agh,...bgh->...ab", c, t)
+
+    out = raw(m, m) if m is n else 0.5 * (raw(m, n) + raw(n, m))
+    return 0.5 * (out + out.swapaxes(-1, -2))
+
+
+def _with_nonfinite(ms: np.ndarray) -> np.ndarray:
+    """A copy with one symmetric pair of entries per operator set to inf, -inf or NaN."""
+    rng = np.random.default_rng(len(ms))
+    out, k = ms.copy(), np.arange(len(ms))
+    i, j = rng.integers(0, 6, (2, len(ms)))
+    out[k, i, j] = out[k, j, i] = np.array([np.inf, -np.inf, np.nan])[k % 3]
+    return out
+
+
+def _warnings_of(fn) -> set[str]:
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        fn()
+    return {str(w.message) for w in seen}
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("pair", ["M#M", "M#N"])
+@pytest.mark.parametrize("finite", [True, False], ids=["finite", "nonfinite"])
+def test_sharp_matches_the_dense_contraction(n, pair, finite):
+    ms = STACK[:n] if finite else _with_nonfinite(STACK[:n])
+    ns = ms if pair == "M#M" else STACK[::-1][:n]  # N from the other end: other scales
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # like the contraction, no overflow or invalid warnings
+        out = wg.sharp(ms, ns)
+    # the sign of a NaN from NaN + NaN follows the add loop numpy picks for a
+    # layout, so non-finite input is compared with every NaN as one NaN
+    bits = (lambda x: x) if finite else (lambda x: np.where(np.isnan(x), np.nan, x))
+    _same_bits(bits(out), bits(np.array([wg.sharp(m, k) for m, k in zip(ms, ns)])))
+    _same_bits(bits(wg.sharp(ns, ms)), bits(out))
+    # against the contraction on the finite entries (the contraction spreads a
+    # non-finite entry to every output through C's zeros): non-finite only
+    # where the contraction is, and equal to rounding where both are finite
+    clean = np.where(np.isfinite(ms), ms, 0.0)
+    with np.errstate(all="ignore"):
+        other = clean if pair == "M#M" else ns
+        dense = _dense_sharp(clean, other)
+        tol = 1e-14 * (wg.frobenius(clean) * wg.frobenius(other))[:, None, None]
+    assert not np.any(~np.isfinite(out) & np.isfinite(dense) & np.isfinite(ms).all(axis=(-2, -1))[:, None, None])
+    both = np.isfinite(out) & np.isfinite(dense)
+    assert np.all((np.abs(out - dense) <= tol)[both])
+    assert np.count_nonzero(both) >= out.size // (3 if finite else 6)
+    if pair == "M#M":
+        def dense_q():
+            sq = ms @ ms
+            return 0.5 * (sq + sq.swapaxes(-1, -2)) + _dense_sharp(ms, ms)
+
+        assert _warnings_of(lambda: wg.q_operator(ms)) <= _warnings_of(dense_q)
+
+
 def _rotations(n: int) -> np.ndarray:
     return np.array([smp.random_rotation(smp.substream(4, "rot", i), 4) for i in range(n)])
 

@@ -320,7 +320,7 @@ class TestVerifyCommand:
         assert one.record["failures"]
 
     def test_report_carries_its_version(self):
-        assert vf.run("cutoff", seed=1, samples=0)["report_version"] == 2
+        assert vf.run("cutoff", seed=1, samples=0)["report_version"] == 3
 
     def test_certify_checks_match_the_benchmark_reference(self, tmp_path):
         # the (id, samples) list the certify benchmark expects, read only

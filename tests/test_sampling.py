@@ -155,3 +155,57 @@ def test_random_nonmember():
     for i in range(100):
         m = smp.random_nonmember(cfg, p, index=i)
         assert not cn.is_member(m, p)
+
+
+def _uniform_draw(rng, params, scale, margin):
+    """The member draw as six scalar ``Generator.uniform`` calls per attempt.
+
+    The formulation the sampler had before it took one ``rng.random(6)`` per
+    attempt; returns the eigenvalue data and the number of trace-shift retries.
+    """
+    gap = 1.0 + (1.0 - margin) * (params.mu - 1.0)
+
+    def sums_triplet():
+        s = scale * rng.uniform(margin, 1.0)
+        mid = rng.uniform(0.5 * s, 0.5 * gap * s)
+        lo = s - mid
+        hi = rng.uniform(mid, gap * s - mid)
+        return np.array([lo, mid, hi])
+
+    for retries in range(1000):
+        eigs_a = sums_triplet()
+        eigs_c = sums_triplet()
+        eigs_c = eigs_c + (eigs_a.sum() - eigs_c.sum()) / 3.0
+        sum_c = eigs_c[0] + eigs_c[1]
+        f3 = params.mu * sum_c - (eigs_c[1] + eigs_c[2])
+        if sum_c < 0.5 * margin * scale or f3 < margin * (params.mu - 1.0) * sum_c:
+            continue
+        sum_a = eigs_a[0] + eigs_a[1]
+        cap = (1.0 - margin) * params.eta * sum_a * sum_c
+        raw = np.sort(np.abs(rng.standard_normal(3))) * scale
+        target = rng.uniform(0.1, 1.0) * cap
+        svals = raw * np.sqrt(target / (raw[1] + raw[2]) ** 2)
+        return (eigs_a, eigs_c, svals), retries
+    raise AssertionError("no draw in 1000 attempts")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 77])
+@pytest.mark.parametrize(
+    "params,scale,margin",
+    [(PARAM_SETS[1], 1.0, 0.1), (PARAM_SETS[2], 1e-3, 0.5), (cn.ConeParams(2.0, 4.0), 7.0, 0.1)],
+    ids=["eta1-mu2", "eta0.1-mu1.1", "eta2-mu4-many-retries"],
+)
+def test_member_draw_equals_six_scalar_uniform_calls(seed, params, scale, margin):
+    retries = 0
+    for i in range(200):
+        rng, ref_rng = smp.substream(seed, "member", i), smp.substream(seed, "member", i)
+        before = smp.RETRY_COUNTS.get("trace-shift", 0)
+        data = smp._draw_member_data(rng, params, scale, margin)
+        ref, ref_retries = _uniform_draw(ref_rng, params, scale, margin)
+        for got, want in zip(data, ref):
+            assert got.tobytes() == want.tobytes()
+        assert smp.RETRY_COUNTS.get("trace-shift", 0) - before == ref_retries
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        retries += ref_retries
+    if params.mu == 4.0:
+        assert retries > 100
