@@ -6,9 +6,12 @@ Run from the root of a source checkout.  Each kernel is timed with
 ``time.perf_counter`` as the best of REPEATS runs: once as a loop of
 N_SINGLE single-operator calls, and once as one call on a stack of N_STACKED
 operators (indices for the samplers).  ``_draw_member_data``, the member
-samplers' per-index attempt loop, has only the single form.  The
-``integrate`` row counts a whole trajectory as one operator: N_TRAJ member
-starts integrated one by one, and as one stack.  Wall times are taken for each ``verify`` suite at the CLI
+samplers' per-index attempt loop, has only the single form, and so do the
+CLI rows: one in-process ``cli.main`` call of ``check`` and of ``l`` on one
+member record, and ``cli.build_parser()`` alone, which shows how much of
+such a call building the parser takes.  The ``integrate`` row counts a
+whole trajectory as one operator: N_TRAJ member starts integrated one by
+one, and as one stack.  Wall times are taken for each ``verify`` suite at the CLI
 default ``--samples 1000``, for ``evolve``'s integration of a blow-up from
 |R| = 3e7, and for one Tier-1 run (``pytest`` in the checkout that holds the
 package).  With ``--baseline-src`` the single-operator kernels and the wall
@@ -27,6 +30,8 @@ import os
 os.environ.update({v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import subprocess  # noqa: E402
@@ -68,9 +73,24 @@ def inputs(n: int):
     return cfg, params, members, nonmembers
 
 
+def cli_call(argv, line: str) -> None:
+    """One in-process ``cli.main(argv)`` with ``line`` as stdin; the output is dropped."""
+    from curvcone import cli
+
+    saved = sys.stdin
+    sys.stdin = io.StringIO(line)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+    finally:
+        sys.stdin = saved
+    if code != 0:
+        raise RuntimeError(f"curvcone {' '.join(argv)} exited {code}")
+
+
 def kernels(cfg, params, members, nonmembers):
     """name -> (single-operator call on operator/index i, stacked call)."""
-    from curvcone import cone, decomposition, flow, sampling, wedge
+    from curvcone import cli, cone, decomposition, flow, sampling, wedge
 
     idx = np.arange(len(members))
     ea, ec, sb = spectra = decomposition.block_spectra(nonmembers)
@@ -81,6 +101,9 @@ def kernels(cfg, params, members, nonmembers):
     pinched = sampling.random_member(cfg, p05, index=idx)
     # one generator per operator; each draw advances it, so repeats draw afresh
     rngs = [sampling.substream(cfg.seed, "draw", i) for i in range(len(members))]
+    # packages before SamplerConfig lost its scale take it as an argument
+    draw_args = (params, cfg.scale, cfg.margin) if hasattr(cfg, "scale") else (params, cfg.margin)
+    lines = [json.dumps(wedge.operator_to_json_dict(m)) + "\n" for m in members[:N_SINGLE]]
     return {
         "q_operator": (lambda i: wedge.q_operator(members[i]), lambda: wedge.q_operator(members)),
         "sharp (M#M)": (lambda i: wedge.sharp(members[i], members[i]), lambda: wedge.sharp(members, members)),
@@ -105,7 +128,10 @@ def kernels(cfg, params, members, nonmembers):
         "boundary_member": (lambda i: sampling.boundary_member(cfg, params, "F1", index=i),
                             lambda: sampling.boundary_member(cfg, params, "F1", index=idx)),
         "_draw_member_data": (
-            lambda i: sampling._draw_member_data(rngs[i], params, cfg.scale, cfg.margin), None),
+            lambda i: sampling._draw_member_data(rngs[i], *draw_args), None),
+        "cli.main check (one record)": (lambda i: cli_call(["check"], lines[i]), None),
+        "cli.main l (one record)": (lambda i: cli_call(["l"], lines[i]), None),
+        "cli.build_parser": (lambda i: cli.build_parser(), None),
         "rk4_step": (lambda i: flow._rk4_step(members[i], 1e-3), lambda: flow._rk4_step(members, 1e-3)),
         "kulkarni_nomizu (Ric, g)": (lambda i: wedge.kulkarni_nomizu(ric[i], eye4),
                                      lambda: wedge.kulkarni_nomizu(ric, eye4)),

@@ -7,10 +7,11 @@ trajectories leave as CSV.  Exit codes: 0 success, 1 semantic failure
 2 input/format error, 3 numerical abort (step underflow).
 
 Behaviour is a pure function of (argv, input files, seed): no clocks and no
-environment dependence, except that CURVCONE_SEED supplies the seed when
-neither --seed nor a config file does.  An optional config file (plain
-``key = value`` lines, # comments) fills in flag defaults but never
-overrides a flag given explicitly on the command line.
+environment dependence, except that CURVCONE_SEED is the default --seed.
+An optional config file (plain ``key = value`` lines, # comments) sets the
+chosen subcommand's flag defaults, parsed as the flags are (a bad value
+exits 2; ``true``/``false`` for --require-member); keys naming no flag of
+it are ignored.  Precedence: flag (even abbreviated) > config > env > 0.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import os
 import sys
 
@@ -157,8 +157,7 @@ def cmd_l(args) -> int:
 def _csv_row(sample) -> str:
     vals = [repr(float(sample.t))]
     vals += [repr(float(x)) for x in upper_triangle(sample.operator)]
-    lv = sample.l
-    vals.append("inf" if lv is not None and math.isinf(lv) else repr(float(lv)))
+    vals.append(repr(float(sample.l)))
     vals.append(repr(float(sample.scalar)))
     vals.append(repr(float(sample.bianchi)))
     vals.append("1" if sample.member else "0")
@@ -179,7 +178,7 @@ def cmd_evolve(args) -> int:
         out.write(",".join(_CSV_COLUMNS) + "\n")
         for s in traj.samples:
             out.write(_csv_row(s) + "\n")
-    max_l = max((s.l for s in traj.samples if s.l is not None), default=float("nan"))
+    max_l = max(s.l for s in traj.samples)
     final_norm = frobenius(traj.final.operator)
     print(
         f"status={traj.status} steps={len(traj.samples) - 1} "
@@ -295,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cone_flags(s)
     s.add_argument("--kind", default="raw",
                    choices=["member", "boundary-f1", "boundary-f2", "boundary-f3", "raw"])
-    s.add_argument("--seed", type=int, default=None)
+    s.add_argument("--seed", type=int, default=os.environ.get("CURVCONE_SEED", "0"))
     s.add_argument("--samples", type=int, default=10)
     s.add_argument("--margin", type=float, default=0.1)
     s.set_defaults(func=cmd_sample)
@@ -311,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run the certification suites")
     v.add_argument("--suite", default="all",
                    choices=["all", "algebra", "cone", "nullvector", "flow", "cutoff"])
-    v.add_argument("--seed", type=int, default=None)
+    v.add_argument("--seed", type=int, default=os.environ.get("CURVCONE_SEED", "0"))
     v.add_argument("--samples", type=int, default=1000)
     v.add_argument("--output", default=None, help="write the JSON report here instead of stdout")
     v.set_defaults(func=cmd_verify)
@@ -333,48 +332,40 @@ def _load_config(path) -> dict:
     return values
 
 
-def _coerce(raw: str):
-    low = raw.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    for cast in (int, float):
-        try:
-            return cast(raw)
-        except ValueError:
-            continue
-    return raw
+def _set_config_defaults(parser, command, config) -> None:
+    """Make the config values for ``command``'s flags that subparser's defaults.
 
-
-def _apply_config_and_env(args, argv) -> None:
-    explicit = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            explicit.add(tok.split("=", 1)[0][2:].replace("-", "_"))
-    cfg = _load_config(args.config) if args.config else {}
-    for key, raw in cfg.items():
-        if key in explicit or not hasattr(args, key) or key in ("config", "command", "func"):
+    argparse checks neither ``choices`` nor a flag that takes no value
+    against a default, so those two are checked here.
+    """
+    (sub,) = (a.choices[command] for a in parser._actions if a.dest == "command")
+    for action in sub._actions:
+        raw = config.get(action.dest)
+        if raw is None or action.default is argparse.SUPPRESS:
             continue
-        setattr(args, key, _coerce(raw))
-    if getattr(args, "seed", "absent") is None:
-        env = os.environ.get("CURVCONE_SEED")
-        args.seed = int(env) if env is not None else 0
+        if action.nargs == 0:
+            if raw.lower() not in ("true", "false"):
+                sub.error(f"config {action.dest}: expected true or false, got {raw!r}")
+            raw = raw.lower() == "true"
+        elif action.choices is not None and raw not in action.choices:
+            sub.error(f"config {action.dest}: invalid choice {raw!r} "
+                      f"(choose from {', '.join(action.choices)})")
+        sub.set_defaults(**{action.dest: raw})
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
+        parser = build_parser()
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad flags, which matches the format-error code
-        return EXIT_FORMAT if exc.code else EXIT_OK
-    try:
-        _apply_config_and_env(args, argv)
+        if args.config is not None:
+            _set_config_defaults(parser, args.command, _load_config(args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
-    except _LineError as exc:
-        _err(str(exc))
-        return EXIT_FORMAT
-    except (ValueError, OSError) as exc:
+    except SystemExit as exc:
+        # argparse exits 2 on a bad flag or config value: the format-error code
+        return EXIT_FORMAT if exc.code else EXIT_OK
+    except (_LineError, ValueError, OSError) as exc:
         _err(str(exc))
         return EXIT_FORMAT
     except StepUnderflowError as exc:

@@ -235,7 +235,7 @@ def _grid(spec: CutoffSpec) -> np.ndarray:
     return np.union1d(g, [spec.r, spec.r + spec.sigma])
 
 
-def verify_cutoff(fn: CutoffFunction, grid_n: int | None = None) -> CutoffReport:
+def verify_cutoff(fn: CutoffFunction) -> CutoffReport:
     """Grid certification of the four cutoff conclusions.
 
     Sign and range constraints (phi in [0, 1], phi' <= 0, exact 1/0 on the
@@ -244,7 +244,7 @@ def verify_cutoff(fn: CutoffFunction, grid_n: int | None = None) -> CutoffReport
     p-powers on both sides, so the checks reduce to the base-profile bounds
     without floating-point power mismatch.
     """
-    spec = fn.spec if grid_n is None else CutoffSpec(fn.spec.eps, fn.spec.sigma, fn.spec.r, grid_n)
+    spec = fn.spec
     x = _grid(spec)
     u, p, inner, _ = fn._parts(x)
     val, d1, d2 = fn.value(x), fn.d1(x), fn.d2(x)

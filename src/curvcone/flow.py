@@ -138,7 +138,6 @@ def _integrate_stack(r0s, cfgs, params: ConeParams | None = None) -> list[Trajec
     y = 0.5 * (r0s + r0s.swapaxes(-1, -2))  # every trajectory's state, updated in place
     t = [0.0] * n
     h = [c.dt for c in cfgs]
-    h_floor = [1e-14 * max(1.0, c.t_max) for c in cfgs]
     t_end = [c.t_max * (1.0 - 1e-12) for c in cfgs]
     status = ["completed"] * n
     accepted = [0] * n
@@ -169,10 +168,12 @@ def _integrate_stack(r0s, cfgs, params: ConeParams | None = None) -> list[Trajec
             ok = []
             for k, (i, err, tol) in enumerate(zip(rows, errs, tols)):
                 if not err <= tol:
-                    if h[i] <= h_floor[i] * 1.01:
+                    # relative to t, not t_max: an early blow-up in a long horizon
+                    h_floor = 1e-14 * max(1.0, t[i])
+                    if h[i] <= h_floor * 1.01:
                         raise StepUnderflowError(f"step underflow at t={t[i]:.6g}")
                     shrink = max(0.2, 0.9 * (tol / err) ** 0.2)
-                    h[i] = max(h[i] * shrink, h_floor[i])
+                    h[i] = max(h[i] * shrink, h_floor)
                     rejected[i] += 1
                     continue
                 grow = 2.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (tol / err) ** 0.2))

@@ -55,21 +55,19 @@ RETRY_COUNTS: dict[str, int] = {}
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Seed, entry scale, and interior margin for the generators.
+    """Seed and interior margin for the generators, which draw at unit scale.
 
-    Identical configs yield identical streams.  ``margin`` in (0, 1) sets
-    how strictly member draws sit inside the cone: each inequality is
-    satisfied with a relative gap of at least ``margin`` (measured against
-    mu - 1 for the eigenvalue-sum inequalities, so small mu stays feasible).
+    Identical configs yield identical streams; for another magnitude,
+    multiply the output.  ``margin`` in (0, 1) sets how strictly member
+    draws sit inside the cone: each inequality is satisfied with a relative
+    gap of at least ``margin`` (measured against mu - 1 for the
+    eigenvalue-sum inequalities, so small mu stays feasible).
     """
 
     seed: int
-    scale: float = 1.0
     margin: float = 0.1
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
         if not 0.0 < self.margin < 1.0:
             raise ValueError("margin must lie in (0, 1)")
 
@@ -133,21 +131,21 @@ def random_bianchi(cfg: SamplerConfig, index=0) -> np.ndarray:
     """Gaussian symmetric operator projected onto the Bianchi hyperplane."""
     index = np.asarray(index)
     g = [substream(cfg.seed, "bianchi", i).standard_normal((6, 6)) for i in index.ravel().tolist()]
-    g = np.reshape(g, index.shape + (6, 6)) * cfg.scale
+    g = np.reshape(g, index.shape + (6, 6))
     return project_bianchi(0.5 * (g + g.swapaxes(-1, -2)))
 
 
 def random_symmetric_tensor(cfg: SamplerConfig, index: int = 0, traceless: bool = False) -> np.ndarray:
     """Gaussian symmetric 4x4 tensor, optionally traceless."""
     rng = substream(cfg.seed, "symtensor", index)
-    g = rng.standard_normal((4, 4)) * cfg.scale
+    g = rng.standard_normal((4, 4))
     h = 0.5 * (g + g.T)
     if traceless:
         h = h - (np.trace(h) / 4.0) * np.eye(4)
     return h
 
 
-def _draw_member_data(rng: np.random.Generator, params: ConeParams, scale: float, margin: float):
+def _draw_member_data(rng: np.random.Generator, params: ConeParams, margin: float):
     """Sorted block eigenvalue data strictly inside the cone inequalities.
 
     The eigenvalue-sum inequalities are enforced with the margin applied to
@@ -159,7 +157,7 @@ def _draw_member_data(rng: np.random.Generator, params: ConeParams, scale: float
     gap = 1.0 + (1.0 - margin) * (params.mu - 1.0)
 
     def sums_triplet(u0, u1, u2):
-        s = scale * (margin + (1.0 - margin) * u0)
+        s = margin + (1.0 - margin) * u0
         mid = 0.5 * s + (0.5 * gap * s - 0.5 * s) * u1
         return s - mid, mid, mid + ((gap * s - mid) - mid) * u2
 
@@ -171,13 +169,13 @@ def _draw_member_data(rng: np.random.Generator, params: ConeParams, scale: float
         c0, c1, c2 = c0 + shift, c1 + shift, c2 + shift
         sum_c = c0 + c1
         f3 = params.mu * sum_c - (c1 + c2)
-        if sum_c < 0.5 * margin * scale or f3 < margin * (params.mu - 1.0) * sum_c:
+        if sum_c < 0.5 * margin or f3 < margin * (params.mu - 1.0) * sum_c:
             _count_retry("trace-shift")
             log.debug("trace-matching shift broke the C margins; resampling")
             continue
         sum_a = a0 + a1
         cap = (1.0 - margin) * params.eta * sum_a * sum_c
-        raw = np.sort(np.abs(rng.standard_normal(3))) * scale
+        raw = np.sort(np.abs(rng.standard_normal(3)))
         target = rng.uniform(0.1, 1.0) * cap
         denom = (raw[1] + raw[2]) ** 2
         svals = raw * np.sqrt(target / denom)
@@ -232,7 +230,7 @@ def random_member(cfg: SamplerConfig, params: ConeParams, index=0) -> np.ndarray
             break
         data, draws = [], []
         for k in pending.tolist():
-            data.append(_draw_member_data(rngs[k], params, cfg.scale, cfg.margin))
+            data.append(_draw_member_data(rngs[k], params, cfg.margin))
             draws.append(rngs[k].standard_normal((4, 3, 3)))
         ms = _assemble(np.array(draws), *(np.array(v) for v in zip(*data)))
         ok = is_member(ms, params)
@@ -275,7 +273,7 @@ def boundary_member(cfg: SamplerConfig, params: ConeParams, face: str, index=0):
                 if attempts[k] == 64:
                     raise RuntimeError(f"boundary sampling failed for face {face}")  # pragma: no cover
                 attempts[k] += 1
-                ray = _boundary_ray(*_draw_member_data(rngs[k], params, cfg.scale, cfg.margin), params, face)
+                ray = _boundary_ray(*_draw_member_data(rngs[k], params, cfg.margin), params, face)
                 if ray is not None:
                     break
                 _count_retry("boundary-ray")
@@ -352,5 +350,5 @@ def random_3frame(cfg: SamplerConfig, index: int = 0) -> np.ndarray:
 def random_nonmember(cfg: SamplerConfig, params: ConeParams, index=0) -> np.ndarray:
     """Bianchi operator outside the cone (Gaussian draw, shifted if needed)."""
     m = random_bianchi(cfg, index=index)
-    shift = np.abs(block_spectra(m)[0][..., 0]) + cfg.scale
+    shift = np.abs(block_spectra(m)[0][..., 0]) + 1.0
     return np.where(np.asarray(is_member(m, params))[..., None, None], m - shift[..., None, None] * np.eye(6), m)

@@ -142,12 +142,10 @@ def test_ac08_empirical_cone_invariance():
     t0 = time.perf_counter()
     worst = 0.0
     for params in PARAM_SETS:
-        for i in range(100):
-            r0 = smp.random_member(CFG, params, index=8000 + i)
-            t_max = min(0.05, 0.5 / wg.frobenius(r0))
-            traj = fl.integrate(
-                r0, fl.TrajectoryConfig(dt=1e-3, t_max=t_max, rtol=1e-8, blowup_norm=1e6)
-            )
+        r0s = smp.random_member(CFG, params, index=8000 + np.arange(100))
+        cfgs = [fl.TrajectoryConfig(dt=1e-3, t_max=min(0.05, 0.5 / nrm), rtol=1e-8, blowup_norm=1e6)
+                for nrm in wg.frobenius(r0s).tolist()]
+        for traj in fl._integrate_stack(r0s, cfgs):
             scale = max(1.0, max(wg.frobenius(s.operator) for s in traj.samples))
             worst = max(worst, fl.invariance_monitor(traj, params) / scale)
     elapsed = time.perf_counter() - t0
@@ -226,9 +224,9 @@ def test_ac12_l_differential_inequality():
     worst = math.inf
     r0s = smp.random_nonmember(CFG, p, index=14_000 + np.arange(100))
     assert not np.any(cn.is_member(r0s, p))
-    for r0, nrm in zip(r0s, wg.frobenius(r0s).tolist()):
-        t_max = min(0.02, 0.3 / nrm)
-        traj = fl.integrate(r0, fl.TrajectoryConfig(dt=2e-4, t_max=t_max, adaptive=False))
+    cfgs = [fl.TrajectoryConfig(dt=2e-4, t_max=min(0.02, 0.3 / nrm), adaptive=False)
+            for nrm in wg.frobenius(r0s).tolist()]
+    for traj in fl._integrate_stack(r0s, cfgs):
         rep = fl.l_inequality_monitor(traj, p)
         worst = min(worst, rep.worst_slack)
     _report(

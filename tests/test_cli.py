@@ -389,6 +389,70 @@ class TestConfigAndEnv:
     def test_unknown_flag_rejected(self):
         assert cli.main(["check", "--frobnicate"]) == 2
 
+    def test_abbreviated_flag_beats_config(self, tmp_path):
+        cfgf = tmp_path / "conf"
+        cfgf.write_text("samples = 7\n")
+        out = tmp_path / "v.json"
+        rc = cli.main(["--config", str(cfgf), "verify", "--suite", "cutoff", "--sam", "2",
+                       "--output", str(out)])
+        assert rc == 0
+        assert json.loads(out.read_text())["samples"] == 2
+
+    @pytest.mark.parametrize("line,argv,flag", [
+        ("samples = abc", ["verify", "--suite", "cutoff"], "--samples"),
+        ("eta = abc", ["check"], "--eta"),
+        ("kind = bogus", ["sample"], "kind"),
+        ("require_member = maybe", ["check"], "require_member"),
+    ])
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, ops_file, line, argv, flag):
+        cfgf = tmp_path / "conf"
+        cfgf.write_text(line + "\n")
+        out = tmp_path / "out"
+        rc = cli.main(["--config", str(cfgf)] + argv + ["--output", str(out)]
+                      + (["--input", str(ops_file)] if argv == ["check"] else []))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and flag in err
+        assert not out.exists()
+
+    def test_bad_env_seed_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("CURVCONE_SEED", "abc")
+        assert cli.main(["sample", "--samples", "1"]) == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_config_seed_beats_env(self, tmp_path, monkeypatch):
+        cfgf = tmp_path / "conf"
+        cfgf.write_text("seed = 3\n")
+        monkeypatch.setenv("CURVCONE_SEED", "9")
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        assert cli.main(["--config", str(cfgf), "sample", "--samples", "2", "--output", str(a)]) == 0
+        assert cli.main(["sample", "--samples", "2", "--seed", "3", "--output", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("value,code", [("true", 1), ("false", 0), ("True", 1)])
+    def test_require_member_from_config(self, tmp_path, ops_file, value, code):
+        cfgf = tmp_path / "conf"
+        cfgf.write_text(f"require_member = {value}\n")
+        out = tmp_path / "chk.jsonl"
+        # ops_file holds -I, a non-member
+        assert cli.main(["--config", str(cfgf), "check", "--input", str(ops_file),
+                         "--output", str(out)]) == code
+
+    def test_shared_config_ignores_other_subcommands_keys(self, tmp_path, ops_file):
+        cfgf = tmp_path / "conf"
+        cfgf.write_text("samples = abc\nkind = bogus\nsuite = none\neta = 0.5\nmu = 1.5\n")
+        out = tmp_path / "chk.jsonl"
+        rc = cli.main(["--config", str(cfgf), "check", "--input", str(ops_file), "--output", str(out)])
+        assert rc == 0
+        assert json.loads(out.read_text().splitlines()[0])["F1"] == pytest.approx(2.0, abs=1e-9)
+
+    def test_missing_or_malformed_config_exits_2(self, tmp_path, ops_file, capsys):
+        assert cli.main(["--config", str(tmp_path / "absent"), "check", "--input", str(ops_file)]) == 2
+        cfgf = tmp_path / "conf"
+        cfgf.write_text("eta 0.5\n")
+        assert cli.main(["--config", str(cfgf), "check", "--input", str(ops_file)]) == 2
+        assert "line 1" in capsys.readouterr().err
+
 
 def test_module_entry_point(tmp_path):
     p = tmp_path / "ops.jsonl"

@@ -119,6 +119,21 @@ class TestIntegrate:
         traj = fl.integrate(I6, fl.TrajectoryConfig(dt=1e-3, t_max=0.01))
         assert traj.final.member is None and traj.final.l is None
 
+    def test_step_floor_follows_the_time_not_the_horizon(self):
+        # a non-member at |R| = 3e7 reaches the blow-up norm before t = 1e-7,
+        # with steps below the 1e-8 floor a horizon of 1e6 would set if the
+        # floor followed t_max rather than the trajectory's time
+        m = random_nonmember(SamplerConfig(seed=1), P12, index=0)
+        start = m * (3e7 / wg.frobenius(m))
+        ref = fl.integrate(start, fl.TrajectoryConfig(dt=1e-3, t_max=100.0), params=P12)
+        assert ref.status == "blowup-stopped" and ref.final.t < 1e-7
+        for t_max in (1e6, math.inf):
+            traj = fl.integrate(start, fl.TrajectoryConfig(dt=1e-3, t_max=t_max), params=P12)
+            assert traj.status == "blowup-stopped"
+            assert (traj.accepted, traj.rejected) == (ref.accepted, ref.rejected)
+            for s, r in zip(traj.samples, ref.samples, strict=True):
+                assert s.t == r.t and s.operator.tobytes() == r.operator.tobytes()
+
     def test_times_strictly_increase(self):
         traj = fl.integrate(I6, fl.TrajectoryConfig(dt=1e-3, t_max=0.05))
         ts = [s.t for s in traj.samples]

@@ -11,7 +11,7 @@ PARAM_SETS = (cn.ConeParams(0.5, 1.5), cn.ConeParams(1.0, 2.0), cn.ConeParams(0.
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        smp.SamplerConfig(seed=1, scale=0.0)
+        smp.SamplerConfig(seed=1, margin=0.0)
     with pytest.raises(ValueError):
         smp.SamplerConfig(seed=1, margin=1.5)
 
@@ -57,15 +57,15 @@ def test_substream_separation():
 
 
 def test_random_bianchi_properties():
-    cfg = smp.SamplerConfig(seed=11, scale=2.0)
+    cfg = smp.SamplerConfig(seed=11)
     acc = np.zeros((6, 6))
     n = 2000
     for i in range(n):
         m = smp.random_bianchi(cfg, index=i)
-        assert wg.bianchi_residual(m) <= 1e-12 * cfg.scale
+        assert wg.bianchi_residual(m) <= 1e-12
         acc += m
     # entrywise mean within 5 standard errors of zero
-    stderr = cfg.scale / np.sqrt(n)
+    stderr = 1.0 / np.sqrt(n)
     assert np.max(np.abs(acc / n)) <= 5.0 * stderr
 
 
@@ -157,7 +157,7 @@ def test_random_nonmember():
         assert not cn.is_member(m, p)
 
 
-def _uniform_draw(rng, params, scale, margin):
+def _uniform_draw(rng, params, margin):
     """The member draw as six scalar ``Generator.uniform`` calls per attempt.
 
     The formulation the sampler had before it took one ``rng.random(6)`` per
@@ -166,7 +166,7 @@ def _uniform_draw(rng, params, scale, margin):
     gap = 1.0 + (1.0 - margin) * (params.mu - 1.0)
 
     def sums_triplet():
-        s = scale * rng.uniform(margin, 1.0)
+        s = rng.uniform(margin, 1.0)
         mid = rng.uniform(0.5 * s, 0.5 * gap * s)
         lo = s - mid
         hi = rng.uniform(mid, gap * s - mid)
@@ -178,11 +178,11 @@ def _uniform_draw(rng, params, scale, margin):
         eigs_c = eigs_c + (eigs_a.sum() - eigs_c.sum()) / 3.0
         sum_c = eigs_c[0] + eigs_c[1]
         f3 = params.mu * sum_c - (eigs_c[1] + eigs_c[2])
-        if sum_c < 0.5 * margin * scale or f3 < margin * (params.mu - 1.0) * sum_c:
+        if sum_c < 0.5 * margin or f3 < margin * (params.mu - 1.0) * sum_c:
             continue
         sum_a = eigs_a[0] + eigs_a[1]
         cap = (1.0 - margin) * params.eta * sum_a * sum_c
-        raw = np.sort(np.abs(rng.standard_normal(3))) * scale
+        raw = np.sort(np.abs(rng.standard_normal(3)))
         target = rng.uniform(0.1, 1.0) * cap
         svals = raw * np.sqrt(target / (raw[1] + raw[2]) ** 2)
         return (eigs_a, eigs_c, svals), retries
@@ -191,17 +191,17 @@ def _uniform_draw(rng, params, scale, margin):
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 77])
 @pytest.mark.parametrize(
-    "params,scale,margin",
-    [(PARAM_SETS[1], 1.0, 0.1), (PARAM_SETS[2], 1e-3, 0.5), (cn.ConeParams(2.0, 4.0), 7.0, 0.1)],
+    "params,margin",
+    [(PARAM_SETS[1], 0.1), (PARAM_SETS[2], 0.5), (cn.ConeParams(2.0, 4.0), 0.1)],
     ids=["eta1-mu2", "eta0.1-mu1.1", "eta2-mu4-many-retries"],
 )
-def test_member_draw_equals_six_scalar_uniform_calls(seed, params, scale, margin):
+def test_member_draw_equals_six_scalar_uniform_calls(seed, params, margin):
     retries = 0
     for i in range(200):
         rng, ref_rng = smp.substream(seed, "member", i), smp.substream(seed, "member", i)
         before = smp.RETRY_COUNTS.get("trace-shift", 0)
-        data = smp._draw_member_data(rng, params, scale, margin)
-        ref, ref_retries = _uniform_draw(ref_rng, params, scale, margin)
+        data = smp._draw_member_data(rng, params, margin)
+        ref, ref_retries = _uniform_draw(ref_rng, params, margin)
         for got, want in zip(data, ref):
             assert got.tobytes() == want.tobytes()
         assert smp.RETRY_COUNTS.get("trace-shift", 0) - before == ref_retries
