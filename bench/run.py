@@ -5,11 +5,12 @@
 Run from the root of a source checkout.  Each kernel is timed with
 ``time.perf_counter`` as the best of REPEATS runs: once as a loop of
 N_SINGLE single-operator calls, and once as one call on a stack of N_STACKED
-operators (indices for the samplers).  ``_draw_member_data``, the member
-samplers' per-index attempt loop, has only the single form, and so do the
-CLI rows: one in-process ``cli.main`` call of ``check`` and of ``l`` on one
+operators (indices for the samplers).  The CLI rows have only the single
+form: one in-process ``cli.main`` call of ``check`` and of ``l`` on one
 member record, and ``cli.build_parser()`` alone, which shows how much of
-such a call building the parser takes.  The ``integrate`` row counts a
+such a call building the parser takes.  ``philox`` gives the µs of one
+evaluation of the samplers' Philox kernel on 1 block and on N_STACKED
+blocks (packages without the kernel have no such row).  The ``integrate`` row counts a
 whole trajectory as one operator: N_TRAJ member starts integrated one by
 one, and as one stack.  Wall times are taken for each ``verify`` suite at the CLI
 default ``--samples 1000``, for ``evolve``'s integration of a blow-up from
@@ -67,8 +68,8 @@ def inputs(n: int):
 
     cfg = sampling.SamplerConfig(seed=0)
     params = cone.ConeParams(1.0, 2.0)
-    members = np.array([sampling.random_member(cfg, params, index=i) for i in range(n)])
-    raw = np.array([sampling.random_bianchi(cfg, index=i) for i in range(n)])
+    members = sampling.random_member(cfg, params, index=np.arange(n))
+    raw = sampling.random_bianchi(cfg, index=np.arange(n))
     nonmembers = raw - 3.0 * np.eye(6)  # shifted so that every one has l > 0
     return cfg, params, members, nonmembers
 
@@ -99,10 +100,6 @@ def kernels(cfg, params, members, nonmembers):
     # Ricci pinching needs eta < 9/16, and members of that cone
     p05 = cone.ConeParams(0.5, 1.5)
     pinched = sampling.random_member(cfg, p05, index=idx)
-    # one generator per operator; each draw advances it, so repeats draw afresh
-    rngs = [sampling.substream(cfg.seed, "draw", i) for i in range(len(members))]
-    # packages before SamplerConfig lost its scale take it as an argument
-    draw_args = (params, cfg.scale, cfg.margin) if hasattr(cfg, "scale") else (params, cfg.margin)
     lines = [json.dumps(wedge.operator_to_json_dict(m)) + "\n" for m in members[:N_SINGLE]]
     return {
         "q_operator": (lambda i: wedge.q_operator(members[i]), lambda: wedge.q_operator(members)),
@@ -127,8 +124,6 @@ def kernels(cfg, params, members, nonmembers):
                           lambda: sampling.random_member(cfg, params, index=idx)),
         "boundary_member": (lambda i: sampling.boundary_member(cfg, params, "F1", index=i),
                             lambda: sampling.boundary_member(cfg, params, "F1", index=idx)),
-        "_draw_member_data": (
-            lambda i: sampling._draw_member_data(rngs[i], *draw_args), None),
         "cli.main check (one record)": (lambda i: cli_call(["check"], lines[i]), None),
         "cli.main l (one record)": (lambda i: cli_call(["l"], lines[i]), None),
         "cli.build_parser": (lambda i: cli.build_parser(), None),
@@ -169,7 +164,7 @@ def time_integrate(stacked: bool) -> dict:
 
     params = cone.ConeParams(1.0, 2.0)
     cfg = sampling.SamplerConfig(seed=0)
-    starts = np.array([sampling.random_member(cfg, params, index=i) for i in range(N_TRAJ)])
+    starts = sampling.random_member(cfg, params, index=np.arange(N_TRAJ))
     cfgs = [flow.TrajectoryConfig(dt=1e-3, t_max=min(0.05, 0.5 / nrm), rtol=1e-8, blowup_norm=1e6)
             for nrm in wedge.frobenius(starts).tolist()]
     row = {"per_operator_us": 1e6 * best_of(
@@ -177,6 +172,21 @@ def time_integrate(stacked: bool) -> dict:
     if stacked:
         row["stacked_us"] = 1e6 * best_of(lambda: flow._integrate_stack(starts, cfgs), REPEATS) / N_TRAJ
     return row
+
+
+def time_philox() -> dict:
+    """µs per evaluation of the Philox kernel, on 1 block and on N_STACKED blocks."""
+    from curvcone import sampling
+
+    if not hasattr(sampling, "philox"):
+        return {}
+    key = np.array([1, 2], dtype=np.uint64)
+    out = {}
+    for n, reps in ((1, 100), (N_STACKED, 10)):
+        ctr = np.zeros((n, 4), dtype=np.uint64)
+        ctr[:, 0] = np.arange(n)
+        out[f"{n} blocks"] = 1e6 * best_of(lambda: [sampling.philox(key, ctr) for _ in range(reps)], REPEATS) / reps
+    return out
 
 
 def time_tier1(src: str) -> float:
@@ -225,7 +235,7 @@ def measure(src: str, stacked: bool) -> dict:
     kernels[f"integrate ({N_TRAJ} member starts, per trajectory)"] = time_integrate(stacked)
     wall = time_wall()
     wall["tier-1 pytest (one run)"] = time_tier1(src)
-    return {"kernels": kernels, "wall_s": wall}
+    return {"kernels": kernels, "philox_us_per_evaluation": time_philox(), "wall_s": wall}
 
 
 def main(argv=None) -> int:

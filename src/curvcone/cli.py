@@ -4,7 +4,8 @@ Subcommands: decompose, check, l, evolve, sample, cutoff, verify.
 Operators stream as JSON lines ({"basis": "wedge4", "upper": [21 numbers]});
 trajectories leave as CSV.  Exit codes: 0 success, 1 semantic failure
 (non-member under --require-member, failing suite, failing cutoff bound),
-2 input/format error, 3 numerical abort (step underflow).
+2 input/format error, 3 numerical abort (step underflow, or a step past
+the largest float under --t-max inf).
 
 Behaviour is a pure function of (argv, input files, seed): no clocks and no
 environment dependence, except that CURVCONE_SEED is the default --seed.
@@ -185,22 +186,24 @@ def cmd_evolve(args) -> int:
         f"max_l={max_l!r} final_norm={final_norm!r} rejected={traj.rejected}",
         file=sys.stderr,
     )
-    return EXIT_OK
+    # a run whose next step would pass the largest float stops at its last finite time
+    return EXIT_NUMERIC if traj.status == "time-overflow" else EXIT_OK
 
 
 def cmd_sample(args) -> int:
     if args.samples < 0:
         raise ValueError(f"samples must be nonnegative, got {args.samples}")
     cfg = SamplerConfig(seed=args.seed, margin=args.margin)
+    idx = np.arange(args.samples)
+    if args.kind == "raw":
+        ms = random_bianchi(cfg, index=idx)
+    elif args.kind == "member":
+        ms = random_member(cfg, _cone_params(args), index=idx)
+    else:
+        face = {"boundary-f1": "F1", "boundary-f2": "F2", "boundary-f3": "F3"}[args.kind]
+        ms, _ = boundary_member(cfg, _cone_params(args), face, index=idx)
     with _output(args.output) as out:
-        for i in range(args.samples):
-            if args.kind == "raw":
-                m = random_bianchi(cfg, index=i)
-            elif args.kind == "member":
-                m = random_member(cfg, _cone_params(args), index=i)
-            else:
-                face = {"boundary-f1": "F1", "boundary-f2": "F2", "boundary-f3": "F3"}[args.kind]
-                m, _ = boundary_member(cfg, _cone_params(args), face, index=i)
+        for m in ms:
             out.write(json.dumps(operator_to_json_dict(m)) + "\n")
     return EXIT_OK
 
@@ -225,12 +228,12 @@ def cmd_cutoff(args) -> int:
         },
         indent=2, sort_keys=True,
     ))
-    if args.output not in (None, "-"):
+    if args.output is not None:
         x = np.linspace(spec.r - spec.sigma, spec.r + 2.0 * spec.sigma, spec.grid_n)
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write("x,phi,dphi,d2phi\n")
+        with _output(args.output) as out:
+            out.write("x,phi,dphi,d2phi\n")
             for xi, v, d1, d2 in zip(x, fn.value(x), fn.d1(x), fn.d2(x)):
-                fh.write(f"{xi!r},{v!r},{d1!r},{d2!r}\n")
+                out.write(f"{xi!r},{v!r},{d1!r},{d2!r}\n")
     return EXIT_OK if rep.passed else EXIT_SEMANTIC
 
 
@@ -304,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     cu.add_argument("--sigma", type=float, required=True)
     cu.add_argument("--r", type=float, required=True)
     cu.add_argument("--grid", type=int, default=10_000)
-    cu.add_argument("--output", default=None, help="optional CSV of (x, phi, phi', phi'')")
+    cu.add_argument("--output", default=None,
+                    help="optional CSV of (x, phi, phi', phi''); '-' writes it to stdout after the report")
     cu.set_defaults(func=cmd_cutoff)
 
     v = sub.add_parser("verify", help="run the certification suites")

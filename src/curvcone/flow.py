@@ -29,6 +29,7 @@ saturate that inequality exactly, which pins the constant pairing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,10 @@ class TrajectoryConfig:
     ``dt`` is the initial (or, with ``adaptive=False``, the fixed) step;
     local error per step is held below ``rtol * max(1, |R|)`` by step
     halving/doubling; integration stops at ``t_max`` or once |R| reaches
-    ``blowup_norm``.  In a stack integrated together each trajectory keeps
-    its own config; only ``adaptive`` must agree across the stack.
+    ``blowup_norm``.  With ``t_max = inf`` (adaptive steps only) it also
+    stops, with status ``time-overflow``, at the last time whose next step
+    would not be finite.  In a stack integrated together each trajectory
+    keeps its own config; only ``adaptive`` must agree across the stack.
     """
 
     dt: float
@@ -62,6 +65,8 @@ class TrajectoryConfig:
     def __post_init__(self):
         if not 0.0 < self.dt <= self.t_max:
             raise ValueError("need 0 < dt <= t_max")
+        if not (self.adaptive or math.isfinite(self.t_max)):
+            raise ValueError("a fixed step needs a finite t_max")
         if not 1e-14 < self.rtol < 1e-2:
             raise ValueError("rtol must lie in (1e-14, 1e-2)")
         if not self.blowup_norm > 0:
@@ -81,7 +86,7 @@ class TrajectorySample:
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     samples: tuple[TrajectorySample, ...]
-    status: str  # "completed" | "blowup-stopped"
+    status: str  # "completed" | "blowup-stopped" | "time-overflow"
     accepted: int  # accepted steps
     rejected: int  # trial steps rejected by the error control
 
@@ -152,6 +157,10 @@ def _integrate_stack(r0s, cfgs, params: ConeParams | None = None) -> list[Trajec
                 status[i] = "blowup-stopped"
                 continue
             h[i] = min(h[i], cfgs[i].t_max - t[i])
+            if not math.isfinite(t[i] + h[i]):
+                # an infinite horizon: the step has grown past the largest float
+                status[i] = "time-overflow"
+                continue
             rows.append(i)
             tols.append(cfgs[i].rtol * max(1.0, nrm))
         if not rows:

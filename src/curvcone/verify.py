@@ -3,13 +3,14 @@
 Five suites (algebra, cone, nullvector, flow, cutoff) draw seeded samples,
 evaluate the corresponding identities or inequalities, and report one
 record per claim: a worst observed value, the tolerance it must meet, and
-replayable failure artifacts (substream index plus the offending operator
-serialized as JSON).  Reports contain no timestamps and all randomness is
-keyed by (seed, tag, index) substreams, so a fixed seed yields
-byte-identical JSON across runs regardless of execution order.  Suites
-draw per index as listed and then evaluate each check over the stack of
-draws; the stacked kernels give each operator the bits of a single call, so
-the report does not depend on how the work is batched.
+replayable failure artifacts (sample index plus the offending operator
+serialized as JSON).  Reports contain no timestamps, and every draw is a
+Philox block keyed by (seed, tag) at a counter that starts with the sample
+index, so a fixed seed yields byte-identical JSON across runs regardless of
+execution order.  Suites draw each index array in one sampler call and then
+evaluate each check over the stack of draws; the samplers and the stacked
+kernels give each operator the bits of a single call, so the report does
+not depend on how the work is batched.
 
 Check kinds:
 * ``residual`` passes when worst <= tol,
@@ -155,15 +156,12 @@ def suite_algebra(seed: int, n: int) -> list[dict]:
     wy = dc.weyl(ms)
     c_wey.add(wg.frobenius(star @ wy - wy @ star) / scale1, idx, ms)
 
-    # the per-index draws, in the order each substream gives them
-    g, mb, phis, uvz, w3 = (np.zeros((n,) + shape) for shape in ((6, 6), (6, 6), (2,), (3, 6), (3,)))
-    for i in idx.tolist():
-        rng = smp.substream(seed, "algebra-misc", i)
-        g[i] = rng.standard_normal((6, 6))
-        mb[i] = rng.uniform(-10.0, 10.0, size=(6, 6))
-        phis[i] = rng.uniform(-10.0, 10.0, size=2)
-        uvz[i] = rng.standard_normal((3, 6))
-        w3[i] = rng.standard_normal(3)
+    # 24 blocks per index: 57 normals (from 58 uniforms), then 38 uniforms
+    u = smp._uniforms(seed, "algebra-misc", idx, 0, range(24))
+    normals = smp._gaussians(u[:, :58])
+    g, uvz, w3 = normals[:, :36].reshape(n, 6, 6), normals[:, 36:54].reshape(n, 3, 6), normals[:, 54:57]
+    mb = -10.0 + 20.0 * u[:, 58:94].reshape(n, 6, 6)
+    phis = -10.0 + 20.0 * u[:, 94:96]
 
     sym = 0.5 * (g + g.swapaxes(-1, -2))
     c_dual.add(wg.frobenius(wg.sharp(sym, sym) - wg.sharp_coord(sym))
@@ -239,8 +237,7 @@ def suite_cone(seed: int, n: int) -> list[dict]:
         # once a shift is inside, every larger shift must be too
         after_first = np.arange(100) >= np.argmax(inside, axis=-1)[:, None]
         c_mono.add(inside.any(axis=-1) & ~(inside | ~after_first).all(axis=-1), idx, ms)
-        gauss = [smp.substream(seed, "cone-rot", i).standard_normal((4, 4)) for i in idx.tolist()]
-        m2s = wg.rotate_operator(ms, smp._rotations(np.reshape(gauss, (-1, 4, 4))))
+        m2s = wg.rotate_operator(ms, smp._rotations(smp._normals(seed, "cone-rot", idx, (4, 4))))
         lv2 = np.array(cn._l_each(m2s, params))
         c_rot.add(
             (cn.is_member(m2s, params) != base) | (np.abs(lv - lv2) > 1e-10 * np.maximum(1.0, norms) + 2e-12),
@@ -262,11 +259,14 @@ def suite_cone(seed: int, n: int) -> list[dict]:
         if params.eta < 9.0 / 16.0:
             c_pinch = _Check("cone", f"ricci-pinch-{tag}", "members with eta < 9/16: Ric >= (1 - 4 sqrt(eta)/3) scal/4", "slack", 0.0, seed)
         idx = np.arange(n)
-        ms = smp.random_member(cfg, params, index=idx)
+        n_mid = min(small, n)
+        # one sampler call for the members, their midpoint partners and the
+        # members of the frame-sampling checks below
+        ms, m2s, inf_ms = np.split(
+            smp.random_member(cfg, params, index=np.concatenate([idx, n + idx[:n_mid], 5000 + np.arange(small)])),
+            [n, n + n_mid])
         spectra = dc.block_spectra(ms)
         norms = wg.frobenius(ms)
-        n_mid = min(small, n)
-        m2s = smp.random_member(cfg, params, index=n + idx[:n_mid])
         c_mid.add(~cn.is_member(0.5 * (ms[:n_mid] + m2s), params), idx, ms)
         c_wpic.add(~cn.implies_wpic(ms, params, blocks=spectra), idx, ms)
         scale1 = np.maximum(1.0, norms)
@@ -285,8 +285,7 @@ def suite_cone(seed: int, n: int) -> list[dict]:
 
         c_inf = _Check("cone", f"sampled-inf-dominates-{tag}", "frame sampling never beats the closed forms on members", "slack", 1e-10, seed)
         c_ext = _Check("cone", f"extremal-attains-{tag}", "extremal frames reproduce the closed forms", "residual", 1e-10, seed)
-        for i in range(small):
-            m = smp.random_member(cfg, params, index=5000 + i)
+        for i, m in enumerate(inf_ms):
             est = cn.sampled_inf(m, params, 500, seed=seed + i)
             cf = cn.hat_f(m, params)
             scale2 = max(1.0, wg.frobenius(m) ** 2)
@@ -316,7 +315,7 @@ def suite_cone(seed: int, n: int) -> list[dict]:
 
     c_zero = _Check("cone", "vanishing-xsum-nonmember", "nonzero operators with A1+A2 = 0 are never members", "count", 0.0, seed)
     idx = np.arange(small)
-    a3 = np.array([smp.substream(seed, "xsum-zero", i).uniform(0.5, 2.0) for i in idx.tolist()])
+    a3 = 0.5 + 1.5 * smp._uniforms(seed, "xsum-zero", idx, 0, range(1))[:, 0]
     eigs_a = np.stack([-a3 * 0.3, a3 * 0.3, a3], axis=-1)
     eigs_c = np.array([0.1, 0.2, 0.3])
     eigs_c = eigs_c + (eigs_a.sum(axis=-1, keepdims=True) - eigs_c.sum()) / 3.0
@@ -490,7 +489,7 @@ def run(suites, seed: int, samples: int) -> dict:
             raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES} or 'all'")
         checks.extend(_SUITE_FUNCS[name](seed, samples))
     return {
-        "report_version": 3,  # bumped whenever a seed's numbers may move
+        "report_version": 4,  # bumped whenever a seed's numbers may move
         "seed": seed,
         "samples": samples,
         "suites": list(suites),

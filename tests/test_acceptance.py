@@ -31,7 +31,7 @@ def _report(tag, passed, detail):
 
 
 def _bianchi_batch(n, offset=0):
-    return [smp.random_bianchi(CFG, index=offset + i) for i in range(n)]
+    return smp.random_bianchi(CFG, index=offset + np.arange(n))
 
 
 def test_ac01_sharp_identity_pair():
@@ -160,15 +160,13 @@ def test_ac09_lower_bound_functional():
     l_neg = cn.lower_bound_l(-I6, p, tol=1e-9)
     ok_neg = abs(l_neg - 1.0) <= 1e-8
     worst_hom = 0.0
-    for i in range(50):
-        m = smp.random_bianchi(CFG, index=9000 + i)
+    for m in smp.random_bianchi(CFG, index=9000 + np.arange(50)):
         lv = cn.lower_bound_l(m, p, tol=1e-9)
         for c in (0.1, 10.0):
             worst_hom = max(worst_hom, abs(cn.lower_bound_l(c * m, p, tol=1e-9) - c * lv))
     ok_bound = True
     for params in PARAM_SETS:
-        for i in range(1000):
-            m = smp.random_bianchi(CFG, index=10_000 + i)
+        for m in smp.random_bianchi(CFG, index=10_000 + np.arange(1000)):
             lv = cn.lower_bound_l(m, params, tol=1e-9)
             ok_bound = ok_bound and lv <= (1.0 + 2.0 / params.eta) * wg.frobenius(m) + 1e-6
     _report(

@@ -226,6 +226,19 @@ class TestEvolve:
         assert list(fields) == ["status", "steps", "max_l", "final_norm", "rejected"]
         assert int(fields["rejected"]) > 0
 
+    def test_infinite_horizon_stops_at_a_finite_time(self, tmp_path, capsys):
+        # from 0 the step doubles until the next time would pass the largest
+        # float (from --dt 1e-3 that takes 1033 steps)
+        p = tmp_path / "zero.jsonl"
+        write_ops(p, np.zeros((6, 6)))
+        out = tmp_path / "traj.csv"
+        rc = cli.main(["evolve", "--input", str(p), "--t-max", "inf", "--dt", "1e300", "--output", str(out)])
+        assert rc == cli.EXIT_NUMERIC
+        assert "status=time-overflow" in capsys.readouterr().err
+        rows = out.read_text().splitlines()[1:]
+        assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+        assert float(rows[-1].split(",")[0]) > 1e307
+
     def test_overflowing_trial_step_shrinks(self, tmp_path, capsys):
         # a non-member at |R| = 3e7 overflows trial steps on its way to the
         # default blow-up norm 1e8; those steps must be rejected, not kept
@@ -248,6 +261,23 @@ class TestSample:
             assert a.read_bytes() == b.read_bytes()
             assert len(a.read_text().splitlines()) == 3
 
+    @pytest.mark.parametrize("kind", ["raw", "member", "boundary-f1", "boundary-f2", "boundary-f3"])
+    def test_one_stacked_call_writes_the_per_index_draws(self, tmp_path, kind):
+        from curvcone.sampling import boundary_member, random_bianchi, random_member
+
+        out = tmp_path / "ops.jsonl"
+        argv = ["sample", "--kind", kind, "--eta", "0.5", "--mu", "1.5", "--samples", "6", "--seed", "9",
+                "--margin", "0.2", "--output", str(out)]
+        assert cli.main(argv) == 0
+        cfg, params = SamplerConfig(seed=9, margin=0.2), ConeParams(0.5, 1.5)
+        if kind == "raw":
+            ops = [random_bianchi(cfg, index=i) for i in range(6)]
+        elif kind == "member":
+            ops = [random_member(cfg, params, index=i) for i in range(6)]
+        else:
+            ops = [boundary_member(cfg, params, kind[-2:].upper(), index=i)[0] for i in range(6)]
+        assert out.read_text() == "".join(json.dumps(operator_to_json_dict(m)) + "\n" for m in ops)
+
     def test_negative_sample_count_exits_2(self, tmp_path, capsys):
         out = tmp_path / "ops.jsonl"
         assert cli.main(["sample", "--samples", "-3", "--output", str(out)]) == 2
@@ -267,6 +297,16 @@ class TestCutoffCommand:
         rows = out.read_text().splitlines()
         assert rows[0] == "x,phi,dphi,d2phi"
         assert len(rows) == 2001
+
+    def test_dash_writes_the_csv_to_stdout_after_the_report(self, capsys):
+        argv = ["cutoff", "--eps", "0.5", "--sigma", "1", "--r", "1", "--grid", "200"]
+        assert cli.main(argv) == 0
+        json.loads(capsys.readouterr().out)  # no --output: the report alone
+        assert cli.main(argv + ["--output", "-"]) == 0
+        report, _, csv = capsys.readouterr().out.partition("x,phi,dphi,d2phi\n")
+        assert json.loads(report)["grid_n"] == 200
+        rows = csv.splitlines()
+        assert len(rows) == 200 and all(len(r.split(",")) == 4 for r in rows)
 
 
 class TestVerifyCommand:
@@ -320,7 +360,7 @@ class TestVerifyCommand:
         assert one.record["failures"]
 
     def test_report_carries_its_version(self):
-        assert vf.run("cutoff", seed=1, samples=0)["report_version"] == 3
+        assert vf.run("cutoff", seed=1, samples=0)["report_version"] == 4
 
     def test_certify_checks_match_the_benchmark_reference(self, tmp_path):
         # the (id, samples) list the certify benchmark expects, read only

@@ -54,8 +54,7 @@ class TestFrameFunctionals:
             assert getattr(f3, name) == pytest.approx(3.0 * getattr(f1, name), abs=1e-12)
 
     def test_x_dominates_smallest_eigen_pair(self):
-        for i in range(200):
-            m = random_bianchi(CFG, index=100 + i)
+        for i, m in enumerate(random_bianchi(CFG, index=100 + np.arange(200))):
             ea, _, _ = dc.block_spectra(m)
             f = cn.frame_functionals(m, random_frame_octet(CFG, index=300 + i))
             assert f.x >= ea[0] + ea[1] - 1e-12 * max(1.0, np.linalg.norm(m))
@@ -94,23 +93,20 @@ class TestHatFAndMembership:
                 assert not cn.is_member(m, p)
 
     def test_scaling_invariance(self):
-        for i in range(100):
-            m = random_bianchi(CFG, index=2000 + i)
+        for m in random_bianchi(CFG, index=2000 + np.arange(100)):
             base = cn.is_member(m, P12)
             for c in (0.1, 10.0):
                 assert cn.is_member(c * m, P12) == base
 
     def test_member_midpoints(self):
         for p in PARAM_SETS:
-            for i in range(50):
-                m1 = random_member(CFG, p, index=i)
-                m2 = random_member(CFG, p, index=1000 + i)
+            pairs = zip(random_member(CFG, p, index=np.arange(50)), random_member(CFG, p, index=1000 + np.arange(50)))
+            for m1, m2 in pairs:
                 assert cn.is_member(0.5 * (m1 + m2), p)
 
     def test_rotation_invariance(self):
         rng = substream(32, "rot")
-        for i in range(50):
-            m = random_bianchi(CFG, index=2300 + i)
+        for m in random_bianchi(CFG, index=2300 + np.arange(50)):
             q = random_rotation(rng, 4)
             m2 = wg.rotate_operator(m, q)
             assert cn.is_member(m, P12) == cn.is_member(m2, P12)
@@ -129,8 +125,7 @@ class TestExtremalFrames:
         assert f.w == pytest.approx(5.0, abs=1e-12)
 
     def test_attains_closed_forms(self):
-        for i in range(100):
-            m = random_bianchi(CFG, index=2600 + i)
+        for m in random_bianchi(CFG, index=2600 + np.arange(100)):
             bd = dc.decompose(m)
             f1, f2, f3 = cn.hat_f(m, P12, blocks=bd)
             scale = max(1.0, np.linalg.norm(m) ** 2)
@@ -143,8 +138,7 @@ class TestExtremalFrames:
             assert abs(P12.mu * fr.y - fr.v - f3) <= 1e-10 * scale
 
     def test_sampled_inf_never_beats_extremal(self):
-        for i in range(10):
-            m = random_member(CFG, P12, index=4000 + i)
+        for i, m in enumerate(random_member(CFG, P12, index=4000 + np.arange(10))):
             est = cn.sampled_inf(m, P12, 2000, seed=55 + i)
             cf = cn.hat_f(m, P12)
             for e, c in zip(est, cf):
@@ -173,29 +167,25 @@ class TestLowerBound:
             cn.shifted_membership(I6, -0.1, P12)
 
     def test_shifted_membership_matches_fast_path(self):
-        for i in range(50):
-            m = random_bianchi(CFG, index=2900 + i)
+        for m in random_bianchi(CFG, index=2900 + np.arange(50)):
             lv = cn.lower_bound_l(m, P12, tol=1e-10)
             assert cn.shifted_membership(m, lv + 1e-8, P12)
             if lv > 1e-6:
                 assert not cn.shifted_membership(m, max(0.0, lv - 1e-6), P12)
 
     def test_homogeneity(self):
-        for i in range(30):
-            m = random_bianchi(CFG, index=3200 + i)
+        for m in random_bianchi(CFG, index=3200 + np.arange(30)):
             lv = cn.lower_bound_l(m, P12, tol=1e-10)
             for c in (0.1, 10.0):
                 assert cn.lower_bound_l(c * m, P12, tol=1e-10) == pytest.approx(c * lv, abs=1e-6)
 
     def test_linear_bound(self):
         for p in PARAM_SETS:
-            for i in range(100):
-                m = random_bianchi(CFG, index=3500 + i)
+            for m in random_bianchi(CFG, index=3500 + np.arange(100)):
                 assert cn.lower_bound_l(m, p) <= p.c_eta * np.linalg.norm(m) + 1e-6
 
     def test_shift_monotonicity(self):
-        for i in range(20):
-            m = random_bianchi(CFG, index=3800 + i)
+        for m in random_bianchi(CFG, index=3800 + np.arange(20)):
             lv = cn.lower_bound_l(m, P12)
             seen = False
             for alpha in np.linspace(0.0, 2.0 * lv + 1.0, 100):
@@ -253,13 +243,12 @@ class TestEtaZeroMembership:
 
 class TestLFace:
     def test_members_have_none(self):
-        for i in range(20):
-            assert cn.l_face(random_member(CFG, P12, index=6400 + i), P12) is None
+        for m in random_member(CFG, P12, index=6400 + np.arange(20)):
+            assert cn.l_face(m, P12) is None
 
     def test_shift_by_l_lands_on_the_named_face(self):
         for p in PARAM_SETS:
-            for i in range(100):
-                m = random_bianchi(CFG, index=6500 + i)
+            for m in random_bianchi(CFG, index=6500 + np.arange(100)):
                 face = cn.l_face(m, p)
                 if face is None:
                     continue
@@ -270,8 +259,7 @@ class TestLFace:
 
     def test_boundary_shift_binds_its_face(self):
         for face in ("F2", "F3"):
-            for i in range(10):
-                m, _ = boundary_member(CFG, P12, face, index=6600 + i)
+            for m in boundary_member(CFG, P12, face, index=6600 + np.arange(10))[0]:
                 assert cn.l_face(m - 0.5 * I6, P12) == face
 
     def test_eta_zero_mixed_block_binds_f1(self):
@@ -305,8 +293,7 @@ class TestLowerBoundClosedForm:
     @pytest.mark.parametrize("p", PARAM_SETS + (cn.ConeParams(4.0, 5.0),), ids=str)
     def test_matches_bisection_oracle(self, p):
         positive = 0
-        for i in range(60):
-            m = random_bianchi(CFG, index=5000 + i)
+        for i, m in enumerate(random_bianchi(CFG, index=5000 + np.arange(60))):
             if i % 3 == 0:
                 m = m + 2.0 * I6
             lv = cn.lower_bound_l(m, p)
@@ -316,8 +303,7 @@ class TestLowerBoundClosedForm:
 
     def test_eta_zero_against_oracle(self):
         p0 = cn.ConeParams(0.0, 1.5)
-        for i in range(20):
-            m = random_bianchi(CFG, index=5100 + i)
+        for m in random_bianchi(CFG, index=5100 + np.arange(20)):
             assert cn.lower_bound_l(m, p0) == math.inf == _bisected_l(m, p0)
         rng = substream(34, "eta0")
         for i in range(20):
@@ -334,8 +320,10 @@ class TestLowerBoundClosedForm:
     @pytest.mark.parametrize("c", [1e-300, 1e-150, 1e6, 1e12, 1e300])
     def test_scale_homogeneity_across_range(self, c):
         for p in PARAM_SETS:
-            for i in range(20):
-                m = random_bianchi(CFG, index=5200 + i) if i % 2 else random_member(CFG, p, index=5200 + i)
+            idx = 5200 + np.arange(20)  # raw operators at odd indices, members at even ones
+            odd = (idx % 2 == 1)[:, None, None]
+            ms = np.where(odd, random_bianchi(CFG, index=idx), random_member(CFG, p, index=idx))
+            for m in ms:
                 base = cn.is_member(m, p)
                 assert cn.is_member(c * m, p) == base
                 lv = cn.lower_bound_l(m, p)
@@ -354,8 +342,7 @@ class TestNullVector:
     @pytest.mark.parametrize("face", ["F1", "F2", "F3"])
     def test_boundary_slack(self, face):
         for p in PARAM_SETS:
-            for i in range(30):
-                m, cert = boundary_member(CFG, p, face, index=i)
+            for m, cert in zip(*boundary_member(CFG, p, face, index=np.arange(30))):
                 assert cert["face"] == face
                 rep = cn.null_vector_verify(m, p, face)
                 assert rep.precondition_ok, rep.message
@@ -369,8 +356,7 @@ class TestNullVector:
 
     def test_hamilton_intermediate_bound(self):
         # holds for arbitrary Bianchi operators at the A-extremal frame
-        for i in range(200):
-            m = random_bianchi(CFG, index=4200 + i)
+        for m in random_bianchi(CFG, index=4200 + np.arange(200)):
             slack = cn.hamilton_intermediate_slack(m)
             assert slack >= -1e-10 * max(1.0, np.linalg.norm(m) ** 2)
 
@@ -383,8 +369,8 @@ class TestImpliedConditions:
         assert cn.implies_wpic(I6, P12)
         assert not cn.implies_wpic(-I6, P12)
         for p in PARAM_SETS:
-            for i in range(100):
-                assert cn.implies_wpic(random_member(CFG, p, index=5000 + i), p)
+            for m in random_member(CFG, p, index=5000 + np.arange(100)):
+                assert cn.implies_wpic(m, p)
 
     def test_two_nonneg_flag_identity(self):
         smin, cert = cn.two_nonneg_flag(I6, 200, seed=3)
@@ -395,8 +381,7 @@ class TestImpliedConditions:
 
     def test_two_nonneg_flag_members(self):
         for p in PARAM_SETS:  # all have eta <= 1
-            for i in range(60):
-                m = random_member(CFG, p, index=5300 + i)
+            for i, m in enumerate(random_member(CFG, p, index=5300 + np.arange(60))):
                 tol = 1e-10 * max(1.0, np.linalg.norm(m))
                 smin, cert = cn.two_nonneg_flag(m, 60, seed=11 + i)
                 assert cert >= -tol
@@ -406,8 +391,7 @@ class TestImpliedConditions:
         p = cn.ConeParams(0.25, 1.5)
         assert cn.ricci_pinch_check(I6, p) == pytest.approx(2.0, abs=1e-12)
         p5 = cn.ConeParams(0.5, 1.5)
-        for i in range(100):
-            m = random_member(CFG, p5, index=5600 + i)
+        for m in random_member(CFG, p5, index=5600 + np.arange(100)):
             assert cn.ricci_pinch_check(m, p5) >= -1e-10 * max(1.0, np.linalg.norm(m))
 
     def test_ricci_pinch_eta_zero_members_are_einstein(self):
@@ -430,16 +414,14 @@ class TestImpliedConditions:
     def test_uniform_pic(self):
         assert cn.uniform_pic_check(I6, P12) == pytest.approx(7.0, abs=1e-12)
         for p in PARAM_SETS:
-            for i in range(100):
-                m = random_member(CFG, p, index=5900 + i)
+            for m in random_member(CFG, p, index=5900 + np.arange(100)):
                 assert cn.uniform_pic_check(m, p) >= -1e-10 * max(1.0, np.linalg.norm(m))
         assert math.isnan(cn.uniform_pic_check(np.zeros((6, 6)), P12))
 
     @pytest.mark.parametrize("c", [1e160, 1e300])
     def test_uniform_pic_past_norm_overflow(self, c):
         for p in PARAM_SETS:
-            for i in range(20):
-                m = random_member(CFG, p, index=6100 + i)
+            for m in random_member(CFG, p, index=6100 + np.arange(20)):
                 ref = cn.uniform_pic_check(m, p)
                 scaled = cn.uniform_pic_check(c * m, p) / c
                 assert math.isfinite(scaled)
@@ -448,9 +430,9 @@ class TestImpliedConditions:
     @pytest.mark.parametrize("c", [1e160, 1e300])
     def test_f1_sign_past_product_overflow(self, c):
         for face in ("F1", "F2", "F3"):
-            for i in range(10):
-                m, _ = boundary_member(CFG, P12, face, index=6200 + i)
-                for op in (m, random_member(CFG, P12, index=6300 + i), m - 0.5 * I6):
+            for m, m2 in zip(boundary_member(CFG, P12, face, index=6200 + np.arange(10))[0],
+                             random_member(CFG, P12, index=6300 + np.arange(10))):
+                for op in (m, m2, m - 0.5 * I6):
                     f1 = cn.hat_f(c * op, P12)[0]
                     assert not math.isnan(f1)
                     ref = cn.hat_f(op, P12)[0]

@@ -170,8 +170,7 @@ class TestDecompose:
         assert np.linalg.norm(bd.b) > 0.1
 
     def test_roundtrip_and_traces(self):
-        for i in range(300):
-            m = random_bianchi(CFG, index=i)
+        for m in random_bianchi(CFG, index=np.arange(300)):
             nrm = max(1.0, np.linalg.norm(m))
             bd = dc.decompose(m)
             np.testing.assert_allclose(dc.reassemble(bd.a, bd.b, bd.c), m, atol=1e-12 * nrm)
@@ -189,8 +188,7 @@ class TestDecompose:
             assert wg.bianchi_residual(m) == pytest.approx(0.5 * gap, abs=1e-13 * max(1, gap))
 
     def test_frames_are_orthonormal_eigenframes(self):
-        for i in range(100):
-            m = random_bianchi(CFG, index=400 + i)
+        for m in random_bianchi(CFG, index=400 + np.arange(100)):
             bd = dc.decompose(m)
             for mat, vals, vecs in ((bd.a, bd.eigs_a, bd.vecs_a), (bd.c, bd.eigs_c, bd.vecs_c)):
                 np.testing.assert_allclose(vecs.T @ vecs, np.eye(3), atol=1e-12)
@@ -204,16 +202,14 @@ class TestDecompose:
 
     def test_rotation_invariance_of_spectra(self):
         rng = substream(26, "rotinv")
-        for i in range(100):
-            m = random_bianchi(CFG, index=700 + i)
+        for m in random_bianchi(CFG, index=700 + np.arange(100)):
             q = random_rotation(rng, 4)
             m2 = wg.rotate_operator(m, q)
             for e1, e2 in zip(dc.block_spectra(m), dc.block_spectra(m2)):
                 np.testing.assert_allclose(e1, e2, atol=1e-10 * max(1.0, np.linalg.norm(m)))
 
     def test_block_spectra_matches_decompose(self):
-        for i in range(50):
-            m = random_bianchi(CFG, index=800 + i)
+        for m in random_bianchi(CFG, index=800 + np.arange(50)):
             bd = dc.decompose(m)
             ea, ec, sb = dc.block_spectra(m)
             np.testing.assert_allclose(ea, bd.eigs_a, atol=1e-13)
@@ -241,8 +237,7 @@ class TestBlockSharp:
     def test_block_sharp_identity(self):
         assert dc.block_sharp_identity(I6) <= 1e-13
         worst = 0.0
-        for i in range(300):
-            m = random_bianchi(CFG, index=1200 + i)
+        for m in random_bianchi(CFG, index=1200 + np.arange(300)):
             worst = max(worst, dc.block_sharp_identity(m) / max(1.0, np.linalg.norm(m) ** 2))
         assert worst <= 1e-10
 
@@ -266,14 +261,12 @@ class TestWeylAndNorms:
 
     def test_weyl_commutes_with_star(self):
         star = dc.hodge_star()
-        for i in range(300):
-            m = random_bianchi(CFG, index=1600 + i)
+        for m in random_bianchi(CFG, index=1600 + np.arange(300)):
             wy = dc.weyl(m)
             assert np.linalg.norm(star @ wy - wy @ star) <= 1e-12 * max(1.0, np.linalg.norm(m))
 
     def test_weyl_blocks(self):
-        for i in range(50):
-            m = random_bianchi(CFG, index=1900 + i)
+        for m in random_bianchi(CFG, index=1900 + np.arange(50)):
             bd = dc.decompose(dc.weyl(m))
             nrm = max(1.0, np.linalg.norm(m))
             assert abs(np.trace(bd.a)) <= 1e-12 * nrm
@@ -282,8 +275,7 @@ class TestWeylAndNorms:
 
     def test_norm_identity(self):
         assert dc.norm_identity_check(I6) <= 1e-14
-        for i in range(300):
-            m = random_bianchi(CFG, index=2200 + i)
+        for m in random_bianchi(CFG, index=2200 + np.arange(300)):
             assert dc.norm_identity_check(m) <= 1e-10 * max(1.0, np.linalg.norm(m))
 
     def test_einstein_iff_no_mixed_block(self):

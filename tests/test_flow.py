@@ -30,6 +30,7 @@ class TestConfig:
             dict(dt=0.1, t_max=1.0, rtol=1e-15),
             dict(dt=0.1, t_max=1.0, blowup_norm=-1.0),
             dict(dt=math.nan, t_max=1.0),
+            dict(dt=0.1, t_max=math.inf, adaptive=False),
         ],
     )
     def test_validation(self, kwargs):
@@ -134,6 +135,19 @@ class TestIntegrate:
             for s, r in zip(traj.samples, ref.samples, strict=True):
                 assert s.t == r.t and s.operator.tobytes() == r.operator.tobytes()
 
+    def test_infinite_horizon_stops_before_the_time_overflows(self):
+        # from 0 and from -I the error estimate is 0 or tiny, so the step
+        # grows until the next time would pass the largest float
+        cfg = fl.TrajectoryConfig(dt=1e-3, t_max=math.inf)
+        for traj in fl._integrate_stack(np.stack([0.0 * I6, -I6]), [cfg, cfg]):
+            assert traj.status == "time-overflow"
+            ts = [s.t for s in traj.samples]
+            assert all(b > a for a, b in zip(ts, ts[1:]))
+            assert math.isfinite(ts[-1]) and ts[-1] > 1e307
+            # c I follows c / (1 - 6 c t): zero stays zero, -I decays below
+            # the local error tolerance
+            assert np.abs(traj.final.operator).max() <= 1e-9
+
     def test_times_strictly_increase(self):
         traj = fl.integrate(I6, fl.TrajectoryConfig(dt=1e-3, t_max=0.05))
         ts = [s.t for s in traj.samples]
@@ -149,16 +163,17 @@ def _starts(n: int, adaptive: bool):
     steps overflow on its way to the blow-up norm.
     """
     starts, cfgs = [], []
+    members, nonmembers = (draw(CFG, P12, index=300 + np.arange(n)) for draw in (random_member, random_nonmember))
     for i in range(n):
         kind = i % 4
         if kind == 0:
-            r0 = random_member(CFG, P12, index=300 + i)
+            r0 = members[i]
             t_max = min(0.05, 0.5 / np.linalg.norm(r0))
         elif kind == 1:
-            r0 = random_nonmember(CFG, P12, index=300 + i)
+            r0 = nonmembers[i]
             t_max = min(0.02, 0.3 / np.linalg.norm(r0))
         elif kind == 2:
-            m = random_nonmember(CFG, P12, index=300 + i)
+            m = nonmembers[i]
             r0, t_max = m * (3e7 / np.linalg.norm(m)), 100.0
         else:
             r0, t_max = np.zeros((6, 6)), 0.05 + 0.01 * i
@@ -261,8 +276,7 @@ class TestMonitors:
 
     def test_invariance_on_members(self):
         for p in PARAM_SETS:
-            for i in range(10):
-                r0 = random_member(CFG, p, index=50 + i)
+            for r0 in random_member(CFG, p, index=50 + np.arange(10)):
                 t_max = min(0.05, 0.5 / np.linalg.norm(r0))
                 traj = fl.integrate(r0, fl.TrajectoryConfig(dt=1e-3, t_max=t_max, rtol=1e-8))
                 scale = max(1.0, max(np.linalg.norm(s.operator) for s in traj.samples))
@@ -290,8 +304,7 @@ class TestMonitors:
         assert rep.worst_slack_left < 0.0
 
     def test_l_inequality_on_nonmembers(self):
-        for i in range(20):
-            r0 = random_nonmember(CFG, P12, index=100 + i)
+        for r0 in random_nonmember(CFG, P12, index=100 + np.arange(20)):
             t_max = min(0.02, 0.3 / np.linalg.norm(r0))
             traj = fl.integrate(r0, fl.TrajectoryConfig(dt=2e-4, t_max=t_max, adaptive=False))
             rep = fl.l_inequality_monitor(traj, P12)
@@ -311,8 +324,7 @@ class TestMonitors:
 
     def test_strong_max_advisory_on_members(self):
         ok_fraction = []
-        for i in range(10):
-            r0 = random_member(CFG, P12, index=200 + i)
+        for r0 in random_member(CFG, P12, index=200 + np.arange(10)):
             t_max = min(0.05, 0.5 / np.linalg.norm(r0))
             traj = fl.integrate(r0, fl.TrajectoryConfig(dt=1e-3, t_max=t_max, rtol=1e-9))
             ok_fraction.append(fl.strong_max_monitor(traj).fraction_ok)

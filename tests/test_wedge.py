@@ -102,8 +102,7 @@ def test_sharp_on_identity_is_exact():
 
 
 def test_sharp_identity_relation():
-    for i in range(100):
-        m = random_bianchi(CFG, index=i)
+    for m in random_bianchi(CFG, index=np.arange(100)):
         lhs = wg.sharp(m, I6)
         rhs = 0.5 * wg.kulkarni_nomizu(wg.ricci(m), np.eye(4)) - m
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(m) ** 2)
@@ -137,8 +136,7 @@ def test_q_operator_examples():
 
 
 def test_q_preserves_bianchi():
-    for i in range(200):
-        m = random_bianchi(CFG, index=500 + i)
+    for m in random_bianchi(CFG, index=500 + np.arange(200)):
         q = wg.q_operator(m)
         assert wg.bianchi_residual(q) <= 1e-12 * max(1.0, np.linalg.norm(m) ** 2)
 
@@ -165,8 +163,7 @@ def test_ricci_scalar_examples():
     np.testing.assert_allclose(wg.ricci(I6), 3.0 * np.eye(4), atol=0)
     assert wg.scalar(I6) == 12.0
     assert np.all(wg.traceless_ricci(I6) == 0.0)
-    for i in range(50):
-        m = random_bianchi(CFG, index=900 + i)
+    for m in random_bianchi(CFG, index=900 + np.arange(50)):
         assert abs(np.trace(wg.traceless_ricci(m))) <= 1e-12 * max(1.0, np.linalg.norm(m))
 
 
@@ -174,7 +171,7 @@ def test_ricci_and_scalar_match_the_four_index_contraction():
     # the reference contraction Ric_jl = sum_i R_ijil of the dense tensor,
     # on Bianchi and on non-Bianchi symmetric input
     rng = substream(12, "ricci-ref")
-    ops = [random_bianchi(CFG, index=950 + i) for i in range(30)] + [sym6(rng) for _ in range(30)]
+    ops = list(random_bianchi(CFG, index=950 + np.arange(30))) + [sym6(rng) for _ in range(30)]
     for m in ops:
         ref = np.einsum("...ijil->...jl", wg.four_index(m))
         scale = 1e-12 * max(1.0, np.linalg.norm(m))
