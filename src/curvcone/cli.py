@@ -250,7 +250,9 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_cone_flags(p):
-    p.add_argument("--eta", type=float, default=1.0, help="cone parameter eta (default 1.0)")
+    p.add_argument("--eta", type=float, default=1.0,
+                   help="cone parameter eta (default 1.0); at eta = 0 the mixed-block test is exact, "
+                        "so a mixed block that is zero only up to rounding reads as a non-member with l = inf")
     p.add_argument("--mu", type=float, default=2.0, help="cone parameter mu (default 2.0)")
 
 

@@ -22,8 +22,8 @@ and leaves B alone, so after a single decomposition each closed form is a
 linear (F2, F3) or quadratic (F1) function of alpha, and l is the largest
 of their explicit roots.
 
-Stacks: every function takes operators of shape ``(..., 6, 6)`` except the
-oracle :func:`sampled_inf`, :func:`shifted_membership` and :func:`is_c01`.  A
+Stacks: every function takes operators of shape ``(..., 6, 6)`` except
+:func:`shifted_membership` and :func:`is_c01`.  A
 single 6x6 operator gives the single-operator types (floats, bools, a tuple,
 a report of floats); a stack gives arrays over the leading axes in the same
 places, each entry with the bits of the single call on that slice.  Where a
@@ -60,7 +60,7 @@ def _scalar_or_array(v, kind=float):
     return kind(v) if v.ndim == 0 else v
 
 
-def _spectra(m, blocks):
+def _spectra(m, blocks=None):
     # (eigs_a, eigs_c, svals_b) from a BlockData, a block_spectra triple, or m,
     # eigenvalue axis first: e[k] is a number for one operator (cheaper than 0-d)
     if blocks is None:
@@ -114,20 +114,27 @@ class FrameOctet:
     xi: np.ndarray  # (8, 6), or (..., 8, 6) for the frames of a stack
 
     def validate(self, tol: float = 1e-10) -> None:
+        """Raise ValueError unless every octet of ``xi`` (..., 8, 6) meets
+        the constraints to ``tol``; the message names the first failing
+        vector or pair, in the order unit length, duality, orthogonality."""
         xi = np.asarray(self.xi, dtype=float)
-        if xi.shape != (8, 6):
-            raise ValueError(f"frame octet must be (8, 6), got {xi.shape}")
-        star = hodge_star()
+        if xi.shape[-2:] != (8, 6):
+            raise ValueError(f"frame octet must be (..., 8, 6), got {xi.shape}")
+        sign = np.repeat([1.0, -1.0], 4)[:, None]
+        # NaN compares false and so passes, as in a scalar comparison
+        unit = (np.abs(np.einsum("...ij,...ij->...i", xi, xi) - 1.0) > tol).reshape(-1, 8).any(axis=0)
+        dual = (np.linalg.norm(xi @ hodge_star().T - sign * xi, axis=-1) > tol).reshape(-1, 8).any(axis=0)
+        orth = (np.abs(np.einsum("...ij,...ij->...i", xi[..., 0::2, :], xi[..., 1::2, :])) > tol
+                ).reshape(-1, 4).any(axis=0)
         for i in range(8):
-            if abs(float(xi[i] @ xi[i]) - 1.0) > tol:
+            if unit[i]:
                 raise ValueError(f"frame vector {i + 1} is not unit length")
-            sign = 1.0 if i < 4 else -1.0
-            if float(np.linalg.norm(star @ xi[i] - sign * xi[i])) > tol:
+            if dual[i]:
                 kind = "self-dual" if i < 4 else "anti-self-dual"
                 raise ValueError(f"frame vector {i + 1} is not {kind}")
-        for i in range(0, 8, 2):
-            if abs(float(xi[i] @ xi[i + 1])) > tol:
-                raise ValueError(f"frame pair ({i + 1}, {i + 2}) is not orthogonal")
+        if orth.any():
+            k = int(np.argmax(orth))
+            raise ValueError(f"frame pair ({2 * k + 1}, {2 * k + 2}) is not orthogonal")
 
 
 @dataclass(frozen=True)
@@ -145,8 +152,10 @@ def frame_functionals(m, octet: FrameOctet, validate: bool = True) -> ConeFuncti
     """X, Y, Z, W, V of a symmetric form at an octet.
 
     X pairs (xi_1, xi_2), W pairs (xi_3, xi_4), Y pairs (xi_5, xi_6),
-    V pairs (xi_7, xi_8), and Z = R(xi_7, xi_3) + R(xi_8, xi_4).  Stacked
-    octets (from :func:`extremal_frame` on a stack) need ``validate=False``.
+    V pairs (xi_7, xi_8), and Z = R(xi_7, xi_3) + R(xi_8, xi_4).  The
+    octets of a stack (from :func:`extremal_frame` on it) are validated
+    together; ``validate=False`` skips the check for frames known to be
+    octets.
     """
     if validate:
         octet.validate(1e-10)
@@ -207,7 +216,9 @@ def is_member(m, params: ConeParams, tol_abs: float = 0.0, blocks=None):
     """Closed-cone membership; boundary points (F = 0) count as inside.
 
     ``tol_abs`` slackens all three inequalities additively; the default 0
-    gives exact-boundary semantics.
+    gives exact-boundary semantics.  At eta = 0, F1 reads -(B_2+B_3)^2 >= 0,
+    so the mixed-block test is exact: an operator whose mixed block is zero
+    only up to rounding (a rotated multiple of I) is not a member.
     """
     spectra = _spectra(m, blocks)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -260,38 +271,42 @@ def extremal_frame(m, target: str, blocks=None) -> FrameOctet:
     return FrameOctet(np.stack(rows, axis=-2))
 
 
-def sampled_inf(m, params: ConeParams, n: int, seed: int):
+def sampled_inf(m, params: ConeParams, n: int, seed):
     """Monte-Carlo estimates of the three frame infima over n random octets.
 
     A brute-force oracle for the closed forms: each estimate dominates the
     corresponding closed form (where that closed form is the true infimum)
     and converges toward it as n grows.  Deterministic given (seed, n), and
-    estimates are nested: growing n only lowers them.
+    estimates are nested: growing n only lowers them.  For a stack, ``seed``
+    is an integer array of its leading shape, as in :func:`two_nonneg_flag`:
+    each operator draws its octets from its own seed's substream.
     """
     if n < 1:
         raise ValueError("need at least one sample frame")
     from .sampling import orthonormal_pair_batch, substream
 
     bd = decompose(m)
-    rng = substream(seed, "sampled-inf")
-    pairs = orthonormal_pair_batch(rng, n, 4)  # (n, 4, 2, 3)
-    p1, p2 = pairs[:, 0, 0], pairs[:, 0, 1]
-    q1, q2 = pairs[:, 1, 0], pairs[:, 1, 1]
-    r1, r2 = pairs[:, 2, 0], pairs[:, 2, 1]
-    s1, s2 = pairs[:, 3, 0], pairs[:, 3, 1]
+    seeds = np.asarray(seed)
+    rngs = [substream(s, "sampled-inf") for s in seeds.ravel().tolist()]
+    pairs = orthonormal_pair_batch(rngs, n, 4).reshape(seeds.shape + (n, 4, 2, 3))
+    p1, p2 = pairs[..., 0, 0, :], pairs[..., 0, 1, :]
+    q1, q2 = pairs[..., 1, 0, :], pairs[..., 1, 1, :]
+    r1, r2 = pairs[..., 2, 0, :], pairs[..., 2, 1, :]
+    s1, s2 = pairs[..., 3, 0, :], pairs[..., 3, 1, :]
 
-    def quad(mat, u):
-        return np.einsum("ni,ij,nj->n", u, mat, u)
+    def form(u, mat, v):
+        # u^T mat v for each of the n frames
+        return np.einsum("...ni,...ij,...nj->...n", u, mat, v)
 
-    x = quad(bd.a, p1) + quad(bd.a, p2)
-    w = quad(bd.a, q1) + quad(bd.a, q2)
-    y = quad(bd.c, r1) + quad(bd.c, r2)
-    v = quad(bd.c, s1) + quad(bd.c, s2)
-    z = np.einsum("ni,ij,nj->n", q1, bd.b, s1) + np.einsum("ni,ij,nj->n", q2, bd.b, s2)
+    x = form(p1, bd.a, p1) + form(p2, bd.a, p2)
+    w = form(q1, bd.a, q1) + form(q2, bd.a, q2)
+    y = form(r1, bd.c, r1) + form(r2, bd.c, r2)
+    v = form(s1, bd.c, s1) + form(s2, bd.c, s2)
+    z = form(q1, bd.b, s1) + form(q2, bd.b, s2)
     f1 = params.eta * x * y - z * z
     f2 = params.mu * x - w
     f3 = params.mu * y - v
-    return float(f1.min()), float(f2.min()), float(f3.min())
+    return tuple(_scalar_or_array(f.min(axis=-1)) for f in (f1, f2, f3))
 
 
 # ---------------------------------------------------------------------------
@@ -319,27 +334,27 @@ def lower_bound_l(m, params: ConeParams, tol: float | None = None, blocks=None):
     Zero exactly on members, else the largest root of the shifted faces (see
     module docstring); with x = A_1+A_2, y = C_1+C_2, z = B_2+B_3 the F1
     root, past which both factors of eta x y stay nonnegative, is
-    (hypot(x-y, 2z/sqrt(eta)) - (x+y))/4.  At eta = 0, F1 is -z^2 >= 0, so
-    a nonzero mixed block makes l infinite: the exact test membership makes.
+    (hypot(x-y, 2z/sqrt(eta)) - (x+y))/4.  At eta = 0, F1 is -z^2 >= 0 and
+    the mixed-block test is exact: any nonzero B, even one of rounding size
+    (a rotated multiple of I has B_3 ~ 1e-15), makes l infinite, as it makes
+    :func:`is_member` false.
     ``tol`` is accepted and ignored; it stays only because the benchmark's
     workload script (perfbench/workloads.py) still passes it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = _sums(*_spectra(m, blocks))
-        a1, a2, a3 = _face_roots(sums, params)
-        # the largest root (fmax skips NaN), kept only where it is positive:
-        # a positive maximum has one bit pattern, whatever the order
-        lv = np.fmax(np.fmax(a2, a3), a1)
-        return _scalar_or_array(np.where(~_member_from_sums(sums, params) & (lv > 0.0), lv, 0.0))
+        return _scalar_or_array(_l(_spectra(m, blocks), params))
 
 
-def _l_each(ms, params: ConeParams) -> list[float]:
-    # l of each operator of a stack, from the stack's spectra taken in one
-    # call: lower_bound_l itself takes stacks, but the traced benchmark
-    # (perfbench/tracer.py) tags every lower_bound_l call with float(result),
-    # so the suites and monitors call it once per operator
-    ea, ec, sb = block_spectra(ms)
-    return [lower_bound_l(m, params, blocks=(ea[i], ec[i], sb[i])) for i, m in enumerate(ms)]
+def _l(spectra, params: ConeParams) -> np.ndarray:
+    # the stacked body of lower_bound_l, on spectra as _spectra gives them;
+    # the benchmark's tracer tags each lower_bound_l call with float(result),
+    # so stacks take this private route, and callers silence overflow
+    sums = _sums(*spectra)
+    a1, a2, a3 = _face_roots(sums, params)
+    # the largest root (fmax skips NaN), kept only where it is positive:
+    # a positive maximum has one bit pattern, whatever the order
+    lv = np.fmax(np.fmax(a2, a3), a1)
+    return np.where(~_member_from_sums(sums, params) & (lv > 0.0), lv, 0.0)
 
 
 def l_face(m, params: ConeParams, blocks=None):
@@ -368,18 +383,25 @@ class NullVectorReport:
     fhat: tuple[float, float, float]
 
 
-def _boundary_message(f, nrm: float, which: str) -> str:
-    # why an operator with closed forms f and norm nrm is not a member on
-    # the face ``which``, or "" when it is
-    msgs = []
-    for face, val in zip(_FACES, f):
-        if val < -1e-8 * max(1.0, nrm ** FACE_DEGREE[face]):
-            msgs.append(f"{face} = {val:.3e} < 0: not a cone member")
-    named = f[_FACES.index(which)]
-    face_tol = 1e-8 * max(1.0, nrm ** FACE_DEGREE[which])
-    if abs(named) > face_tol:
-        msgs.append(f"{which} = {named:.3e} is not on the boundary (tol {face_tol:.1e})")
-    return "; ".join(msgs)
+def _boundary_messages(f, norms, which: str) -> list[str]:
+    # why each operator with closed forms f (a triple of arrays) and norm
+    # (array) is not a member on the face ``which``, or "" when it is; the
+    # tests are array expressions, and only the rows they flag build text
+    fs = np.stack(np.broadcast_arrays(*f), axis=-1).reshape(-1, 3)
+    # 1e-8 max(1, |R|^deg), the power by pow as Python's x**deg takes it
+    # (inf where that overflows); fmax(1, x) is Python's max(1.0, x)
+    with np.errstate(over="ignore"):
+        tols = 1e-8 * np.fmax(1.0, np.float_power(np.reshape(norms, (-1, 1)), [FACE_DEGREE[f_] for f_ in _FACES]))
+    named = _FACES.index(which)
+    negative = fs < -tols
+    off = np.abs(fs[:, named]) > tols[:, named]
+    msgs = [""] * len(fs)
+    for k in np.flatnonzero(negative.any(axis=-1) | off).tolist():
+        parts = [f"{face} = {fs[k, j]:.3e} < 0: not a cone member" for j, face in enumerate(_FACES) if negative[k, j]]
+        if off[k]:
+            parts.append(f"{which} = {fs[k, named]:.3e} is not on the boundary (tol {tols[k, named]:.1e})")
+        msgs[k] = "; ".join(parts)
+    return msgs
 
 
 def null_vector_verify(m, params: ConeParams, which: str, blocks=None, q=None) -> NullVectorReport:
@@ -398,9 +420,7 @@ def null_vector_verify(m, params: ConeParams, which: str, blocks=None, q=None) -
     m = np.asarray(m, dtype=float)
     bd = decompose(m) if blocks is None else blocks
     f = hat_f(m, params, blocks=bd)
-    fs = np.stack(np.broadcast_arrays(*f), axis=-1).reshape(-1, 3).tolist()
-    norms = np.reshape(frobenius(m), -1).tolist()
-    msgs = [_boundary_message(fi, nrm, which) for fi, nrm in zip(fs, norms)]
+    msgs = _boundary_messages(f, frobenius(m), which)
     octet = extremal_frame(m, which, blocks=bd)
     fr = frame_functionals(m, octet, validate=False)
     fq = frame_functionals(q_operator(m) if q is None else q, octet, validate=False)

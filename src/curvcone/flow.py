@@ -22,7 +22,8 @@ Monitors recompute their diagnostics from the stored operators -- the
 lower-bound functional l is re-derived from its closed form at every sample
 (from the spectra of all stored operators, taken in one call), never
 propagated -- so nothing in a report can drift away from the
-trajectory data.  The differential inequality for l pairs dR/dt = 2 Q(R) with the
+trajectory data; each monitor is one array expression over the samples.
+The differential inequality for l pairs dR/dt = 2 Q(R) with the
 right-hand side (scal) l + 6 l^2; the multiple-of-identity trajectories
 saturate that inequality exactly, which pins the constant pairing.
 """
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import ConeParams, _l_each, is_member, lower_bound_l
+from .cone import ConeParams, _l, _spectra, is_member
 from .decomposition import block_spectra
 from .wedge import bianchi_residual, frobenius, q_operator, scalar
 
@@ -220,10 +221,10 @@ def _trajectory(stored, status, accepted, rejected, params) -> Trajectory:
     if params is None:
         members = ls = [None] * len(ops)
     else:
-        ea, ec, sb = block_spectra(ops)
-        members = is_member(ops, params, blocks=(ea, ec, sb)).tolist()
-        ls = [0.0 if mb else lower_bound_l(op, params, blocks=(ea[k], ec[k], sb[k]))
-              for k, (op, mb) in enumerate(zip(ops, members))]
+        spectra = block_spectra(ops)
+        members = is_member(ops, params, blocks=spectra).tolist()
+        with np.errstate(over="ignore", invalid="ignore"):
+            ls = _l(_spectra(ops, spectra), params).tolist()
     samples = tuple(
         TrajectorySample(t=ti, operator=op, scalar=s, bianchi=b, l=lv, member=mb)
         for (ti, _), op, s, b, lv, mb in zip(stored, ops, scal, bianchi, ls, members)
@@ -242,12 +243,38 @@ def invariance_monitor(traj: Trajectory, params: ConeParams) -> float:
     of the integrator and the spectra: the cone is invariant under the
     reaction flow.
     """
-    return max(_l_each(_operators(traj), params))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(_l(_spectra(_operators(traj)), params).max())
 
 
 def _operators(traj: Trajectory) -> np.ndarray:
     # the stored operators as one (n, 6, 6) stack
     return np.stack([s.operator for s in traj.samples])
+
+
+# The two step monitors below are array expressions over the steps that
+# reproduce a loop over them in Python floats: maxima and minima keep the
+# first operand unless the second beats it (so NaN never wins), and |R|^3 is
+# taken by pow, as Python's x**3 takes it.  Python floats warn of no inf or
+# NaN (and where x**3 would raise OverflowError the arrays give inf), so the
+# monitors silence numpy's warnings.
+
+def _steps(traj: Trajectory):
+    # operators, and the lengths of the steps with a mask of the positive ones
+    ops = _operators(traj)
+    t = np.array([s.t for s in traj.samples])
+    dt = t[1:] - t[:-1]
+    return ops, dt, ~(dt <= 0.0)
+
+
+def _tol_slack(ops, kept, dt):
+    # 1e-3 (1 + |R|^3) dt on the kept steps, |R| at their left ends
+    return 1e-3 * (1.0 + np.float_power(frobenius(ops)[:-1][kept], 3)) * dt
+
+
+def _least(v) -> float:
+    # the running min from inf
+    return float(np.min(v, initial=np.inf, where=~np.isnan(v)))
 
 
 @dataclass(frozen=True)
@@ -269,24 +296,23 @@ class LInequalityReport:
 
 
 def l_inequality_monitor(traj: Trajectory, params: ConeParams) -> LInequalityReport:
-    """Check D+ l <= (scal) l + 6 l^2 + 1e-3 (1 + |R|^3) dt along a trajectory."""
-    samples = traj.samples
-    ops = _operators(traj)
-    ls = _l_each(ops, params)
-    norms = frobenius(ops).tolist()
-    rhs = [s.scalar * li + 6.0 * li * li for s, li in zip(samples, ls)]
-    worst = worst_left = np.inf
-    steps = 0
-    for i in range(len(samples) - 1):
-        dt_i = samples[i + 1].t - samples[i].t
-        if dt_i <= 0.0 or not (np.isfinite(ls[i]) and np.isfinite(ls[i + 1])):
-            continue
-        quot = (ls[i + 1] - ls[i]) / dt_i
-        tol_slack = 1e-3 * (1.0 + norms[i] ** 3) * dt_i
-        worst = min(worst, max(rhs[i], rhs[i + 1]) + tol_slack - quot)
-        worst_left = min(worst_left, rhs[i] + tol_slack - quot)
-        steps += 1
-    return LInequalityReport(float(worst), float(worst_left), steps)
+    """Check D+ l <= (scal) l + 6 l^2 + 1e-3 (1 + |R|^3) dt along a trajectory.
+
+    Steps of nonpositive length, or with a non-finite l at either end, are
+    skipped.
+    """
+    ops, dt, kept = _steps(traj)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ls = _l(_spectra(ops), params)
+        rhs = scalar(ops) * ls + 6.0 * ls * ls
+        finite = np.isfinite(ls)
+        kept &= finite[:-1] & finite[1:]
+        dt, r0, r1 = dt[kept], rhs[:-1][kept], rhs[1:][kept]
+        quot = (ls[1:][kept] - ls[:-1][kept]) / dt
+        tol_slack = _tol_slack(ops, kept, dt)
+        worst = _least(np.where(r1 > r0, r1, r0) + tol_slack - quot)
+        worst_left = _least(r0 + tol_slack - quot)
+    return LInequalityReport(worst, worst_left, int(kept.sum()))
 
 
 @dataclass(frozen=True)
@@ -303,25 +329,14 @@ def strong_max_monitor(traj: Trajectory) -> StrongMaxReport:
     Lipschitz, so this is a diagnostic (fraction of steps passing), not a
     gate.
     """
-    samples = traj.samples
-    ops = _operators(traj)
-    spectra = block_spectra(ops)[0]
-    norms = frobenius(ops).tolist()
-    rhs = [2.0 * (ea[0] + ea[1]) * (2.0 * ea[2] + ea[0]) for ea in spectra]
-    worst = np.inf
-    ok = 0
-    steps = 0
-    for i in range(len(samples) - 1):
-        dt_i = samples[i + 1].t - samples[i].t
-        if dt_i <= 0.0:
-            continue
-        x0 = spectra[i][0] + spectra[i][1]
-        x1 = spectra[i + 1][0] + spectra[i + 1][1]
-        quot = (x1 - x0) / dt_i
-        tol_slack = 1e-3 * (1.0 + norms[i] ** 3) * dt_i
-        slack = quot - (min(rhs[i], rhs[i + 1]) - tol_slack)
-        worst = min(worst, slack)
-        ok += slack >= 0.0
-        steps += 1
-    frac = ok / steps if steps else 1.0
-    return StrongMaxReport(float(worst), float(frac), steps)
+    ops, dt, kept = _steps(traj)
+    ea = block_spectra(ops)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = ea[:, 0] + ea[:, 1]
+        rhs = 2.0 * x * (2.0 * ea[:, 2] + ea[:, 0])
+        dt, r0, r1 = dt[kept], rhs[:-1][kept], rhs[1:][kept]
+        quot = (x[1:][kept] - x[:-1][kept]) / dt
+        slack = quot - (np.where(r1 < r0, r1, r0) - _tol_slack(ops, kept, dt))
+    steps = int(kept.sum())
+    frac = int((slack >= 0.0).sum()) / steps if steps else 1.0
+    return StrongMaxReport(_least(slack), float(frac), steps)

@@ -114,6 +114,11 @@ def _tag(eta_mu):
     return f"eta{eta_mu[0]}-mu{eta_mu[1]}"
 
 
+def _l(ms, params):
+    # l over a stack of operators, by the stacked body of cone.lower_bound_l
+    return cn._l(cn._spectra(ms), params)
+
+
 def _dot(u, v):
     # <u, v> over the last axis, one BLAS dot per vector as ``u @ v`` takes it
     return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
@@ -228,7 +233,7 @@ def suite_cone(seed: int, n: int) -> list[dict]:
         ms = smp.random_bianchi(cfg, index=1000 + idx)
         norms = wg.frobenius(ms)
         base = cn.is_member(ms, params)
-        lv = np.array(cn._l_each(ms, params))
+        lv = _l(ms, params)
         c_scale.add(
             (cn.is_member(0.1 * ms, params) != base) | (cn.is_member(10.0 * ms, params) != base), idx, ms,
         )
@@ -238,13 +243,13 @@ def suite_cone(seed: int, n: int) -> list[dict]:
         after_first = np.arange(100) >= np.argmax(inside, axis=-1)[:, None]
         c_mono.add(inside.any(axis=-1) & ~(inside | ~after_first).all(axis=-1), idx, ms)
         m2s = wg.rotate_operator(ms, smp._rotations(smp._normals(seed, "cone-rot", idx, (4, 4))))
-        lv2 = np.array(cn._l_each(m2s, params))
+        lv2 = _l(m2s, params)
         c_rot.add(
             (cn.is_member(m2s, params) != base) | (np.abs(lv - lv2) > 1e-10 * np.maximum(1.0, norms) + 2e-12),
             idx, ms,
         )
         c_homl.add(
-            np.stack([np.abs(np.array(cn._l_each(c_ * ms, params)) - c_ * lv) / np.maximum(1.0, c_ * norms)
+            np.stack([np.abs(_l(c_ * ms, params) - c_ * lv) / np.maximum(1.0, c_ * norms)
                       for c_ in (0.1, 10.0)], axis=-1),
             np.repeat(idx, 2), np.repeat(ms, 2, axis=0), ["c=0.1", "c=10.0"] * len(idx),
         )
@@ -277,7 +282,7 @@ def suite_cone(seed: int, n: int) -> list[dict]:
         if c_pinch is not None:
             c_pinch.add((cn.ricci_pinch_check(ms, params, blocks=spectra) + tol) / scale1, idx, ms)
         mbs = smp.random_bianchi(cfg, index=3000 + idx)
-        c_linb.add(params.c_eta * wg.frobenius(mbs) + 1e-6 - np.array(cn._l_each(mbs, params)), idx, mbs)
+        c_linb.add(params.c_eta * wg.frobenius(mbs) + 1e-6 - _l(mbs, params), idx, mbs)
         checks += [c.done() for c in (c_mid, c_wpic, c_flag, c_upic)]
         if c_pinch is not None:
             checks.append(c_pinch.done())
@@ -285,22 +290,23 @@ def suite_cone(seed: int, n: int) -> list[dict]:
 
         c_inf = _Check("cone", f"sampled-inf-dominates-{tag}", "frame sampling never beats the closed forms on members", "slack", 1e-10, seed)
         c_ext = _Check("cone", f"extremal-attains-{tag}", "extremal frames reproduce the closed forms", "residual", 1e-10, seed)
-        for i, m in enumerate(inf_ms):
-            est = cn.sampled_inf(m, params, 500, seed=seed + i)
-            cf = cn.hat_f(m, params)
-            scale2 = max(1.0, wg.frobenius(m) ** 2)
-            c_inf.add(min((e - c_) / scale2 for e, c_ in zip(est, cf)), i, m)
-            bd = dc.decompose(m)
-            fr1 = cn.frame_functionals(m, cn.extremal_frame(m, "F1", blocks=bd))
-            fr2 = cn.frame_functionals(m, cn.extremal_frame(m, "F2", blocks=bd))
-            c_ext.add(
-                max(
-                    abs(params.eta * fr1.x * fr1.y - fr1.z**2 - cf[0]),
-                    abs(params.mu * fr2.x - fr2.w - cf[1]),
-                    abs(params.mu * fr2.y - fr2.v - cf[2]),
-                ) / scale2,
-                i, m,
-            )
+        inf_idx = np.arange(small)
+        est = cn.sampled_inf(inf_ms, params, 500, seed=seed + inf_idx)
+        cf = cn.hat_f(inf_ms, params)
+        # the square by pow, as Python's x**2 takes it (see suite_algebra)
+        scale2 = np.maximum(1.0, np.float_power(wg.frobenius(inf_ms), 2))
+        c_inf.add(np.minimum.reduce([(e - c_) / scale2 for e, c_ in zip(est, cf)]), inf_idx, inf_ms)
+        bd = dc.decompose(inf_ms)
+        fr1 = cn.frame_functionals(inf_ms, cn.extremal_frame(inf_ms, "F1", blocks=bd))
+        fr2 = cn.frame_functionals(inf_ms, cn.extremal_frame(inf_ms, "F2", blocks=bd))
+        c_ext.add(
+            np.maximum.reduce([
+                np.abs(params.eta * fr1.x * fr1.y - np.float_power(fr1.z, 2) - cf[0]),
+                np.abs(params.mu * fr2.x - fr2.w - cf[1]),
+                np.abs(params.mu * fr2.y - fr2.v - cf[2]),
+            ]) / scale2,
+            inf_idx, inf_ms,
+        )
         checks += [c.done() for c in (c_inf, c_ext)]
 
     c01 = _Check("cone", "isotropic-ray-detection", "multiples of I: k I detected iff k >= 0", "count", 0.0, seed)
@@ -376,41 +382,44 @@ def suite_flow(seed: int, n: int) -> list[dict]:
 
     c_exact = _Check("flow", "reaction-closed-form", "from I the flow matches 1/(1-6t) times I", "residual", 1e-8, seed)
     traj = fl.integrate(i6, fl.TrajectoryConfig(dt=1e-3, t_max=0.1, rtol=1e-10))
-    for s in traj.samples:
-        c_fac = 1.0 / (1.0 - 6.0 * s.t)
-        c_exact.add(wg.frobenius(s.operator - c_fac * i6) / (c_fac * math.sqrt(6.0)))
+    c_fac = 1.0 / (1.0 - 6.0 * np.array([s.t for s in traj.samples]))
+    c_exact.add(wg.frobenius(fl._operators(traj) - c_fac[:, None, None] * i6) / (c_fac * math.sqrt(6.0)))
     checks.append(c_exact.done())
 
-    c_ord = _Check("flow", "rk4-order", "halving the fixed step cuts the error ~16x", "residual", 4.0, seed)
+    # two stacks: the adaptive one holds the scaling pairs and the member
+    # starts of all three (eta, mu), the fixed-step one the step-halving
+    # starts and the non-member starts
+    eq_r0s = smp.random_member(cfg, cn.ConeParams(1.0, 2.0), index=9000 + np.arange(3))
+    idx = 7000 + np.arange(small)
+    member_r0s = np.concatenate([smp.random_member(cfg, _params(eta_mu), index=idx) for eta_mu in PARAM_SETS])
+    adaptive = fl._integrate_stack(
+        np.concatenate([2.0 * eq_r0s, eq_r0s, member_r0s]),
+        [fl.TrajectoryConfig(dt=1e-4, t_max=0.01, rtol=1e-11)] * 3
+        + [fl.TrajectoryConfig(dt=1e-4, t_max=0.02, rtol=1e-11)] * 3
+        + [fl.TrajectoryConfig(dt=1e-3, t_max=min(0.05, 0.5 / nrm), rtol=1e-8, blowup_norm=1e6)
+           for nrm in wg.frobenius(member_r0s).tolist()],
+    )
+    lineq_params = cn.ConeParams(1.0, 2.0)
+    lineq_r0s = smp.random_nonmember(cfg, lineq_params, index=np.arange(small))
     dts = (1e-2, 5e-3, 2.5e-3)
-    trajs = fl._integrate_stack(
-        np.stack([i6] * len(dts)), [fl.TrajectoryConfig(dt=dt, t_max=0.1, adaptive=False) for dt in dts])
-    errs = [wg.frobenius(t.final.operator - (1.0 / 0.4) * i6) for t in trajs]
+    fixed = fl._integrate_stack(
+        np.concatenate([np.stack([i6] * len(dts)), lineq_r0s]),
+        [fl.TrajectoryConfig(dt=dt, t_max=0.1, adaptive=False) for dt in dts]
+        + [fl.TrajectoryConfig(dt=2e-4, t_max=min(0.02, 0.3 / nrm), adaptive=False)
+           for nrm in wg.frobenius(lineq_r0s).tolist()],
+    )
+
+    c_ord = _Check("flow", "rk4-order", "halving the fixed step cuts the error ~16x", "residual", 4.0, seed)
+    errs = [wg.frobenius(t.final.operator - (1.0 / 0.4) * i6) for t in fixed[:len(dts)]]
     for r in (errs[0] / errs[1], errs[1] / errs[2]):
         c_ord.add(abs(r - 16.0), contexts="error ratio")
     checks.append(c_ord.done())
 
     c_scaleq = _Check("flow", "scaling-equivariance", "integrating c R to t matches c times (R to c t)", "residual", 1e-8, seed)
-    r0s = smp.random_member(cfg, cn.ConeParams(1.0, 2.0), index=9000 + np.arange(3))
-    trajs = fl._integrate_stack(
-        np.concatenate([2.0 * r0s, r0s]),
-        [fl.TrajectoryConfig(dt=1e-4, t_max=0.01, rtol=1e-11)] * 3
-        + [fl.TrajectoryConfig(dt=1e-4, t_max=0.02, rtol=1e-11)] * 3,
-    )
-    for i, (t1, t2) in enumerate(zip(trajs[:3], trajs[3:])):
-        c_scaleq.add(
-            wg.frobenius(t1.final.operator - 2.0 * t2.final.operator)
-            / max(1.0, wg.frobenius(t1.final.operator)),
-            i,
-        )
+    ends = np.stack([t.final.operator for t in adaptive[:6]])
+    c_scaleq.add(wg.frobenius(ends[:3] - 2.0 * ends[3:]) / np.maximum(1.0, wg.frobenius(ends[:3])), np.arange(3))
     checks.append(c_scaleq.done())
 
-    # the member starts of all three (eta, mu) are integrated as one stack
-    idx = 7000 + np.arange(small)
-    r0s = np.concatenate([smp.random_member(cfg, _params(eta_mu), index=idx) for eta_mu in PARAM_SETS])
-    cfgs = [fl.TrajectoryConfig(dt=1e-3, t_max=min(0.05, 0.5 / nrm), rtol=1e-8, blowup_norm=1e6)
-            for nrm in wg.frobenius(r0s).tolist()]
-    trajs = fl._integrate_stack(r0s, cfgs)
     for p, eta_mu in enumerate(PARAM_SETS):
         params = _params(eta_mu)
         tag = _tag(eta_mu)
@@ -418,7 +427,7 @@ def suite_flow(seed: int, n: int) -> list[dict]:
         c_drift = _Check("flow", f"bianchi-drift-{tag}", "Bianchi residual stays at rounding level along trajectories", "residual", 1e-9, seed)
         c_tr = _Check("flow", f"trace-balance-{tag}", "tr A = tr C is maintained along trajectories", "residual", 1e-10, seed)
         for i in range(small):
-            r0, tr = r0s[p * small + i], trajs[p * small + i]
+            r0, tr = member_r0s[p * small + i], adaptive[6 + p * small + i]
             ops = fl._operators(tr)
             norms = wg.frobenius(ops)
             scale = max(1.0, max(norms.tolist()))
@@ -431,13 +440,8 @@ def suite_flow(seed: int, n: int) -> list[dict]:
 
     c_lineq = _Check("flow", "l-reaction-inequality",
                      "D+ l <= (scal) l + 6 l^2 + 1e-3 (1+|R|^3) dt from non-member starts", "slack", 0.0, seed)
-    params = cn.ConeParams(1.0, 2.0)
-    r0s = smp.random_nonmember(cfg, params, index=np.arange(small))
-    cfgs = [fl.TrajectoryConfig(dt=2e-4, t_max=min(0.02, 0.3 / nrm), adaptive=False)
-            for nrm in wg.frobenius(r0s).tolist()]
-    for i, (r0, tr) in enumerate(zip(r0s, fl._integrate_stack(r0s, cfgs))):
-        rep = fl.l_inequality_monitor(tr, params)
-        c_lineq.add(rep.worst_slack, i, r0)
+    c_lineq.add([fl.l_inequality_monitor(tr, lineq_params).worst_slack for tr in fixed[len(dts):]],
+                np.arange(small), lineq_r0s)
     checks.append(c_lineq.done())
 
     return checks

@@ -5,7 +5,8 @@ of n operators (2-forms, 4x4 tensors, rotations) equals n single calls bit
 for bit, for n in {1, 7, 1000}, across members, non-members and scales from
 1e-300 to 1e300, with NaN slices where a condition does not apply.  The
 samplers take index arrays and must match per-index draws, retry counts
-included.
+included.  The frame oracles, octet validation, flow stacks and monitors
+are held to per-operator and per-sample reference loops kept here.
 """
 
 import warnings
@@ -16,6 +17,7 @@ import pytest
 
 from curvcone import cone as cn
 from curvcone import decomposition as dc
+from curvcone import flow as fl
 from curvcone import sampling as smp
 from curvcone import wedge as wg
 
@@ -229,6 +231,16 @@ class TestStackedImpliedConditions:
         # one integer seed: every operator takes the same frames
         _same_bits(cn.two_nonneg_flag(ms, 5, 7)[0], [cn.two_nonneg_flag(m, 5, 7)[0] for m in ms])
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_sampled_inf_with_one_seed_per_operator(self, n):
+        ms = STACK[:n]
+        seeds = 200 + np.arange(n)
+        est = np.stack(cn.sampled_inf(ms, P12, 5, seeds), axis=-1)
+        _same_bits(est, [_sampled_inf_reference(m, P12, 5, int(s)) for m, s in zip(ms, seeds)])
+        _same_bits(est, [cn.sampled_inf(m, P12, 5, int(s)) for m, s in zip(ms, seeds)])
+        # one integer seed: every operator takes the same octets
+        _same_bits(cn.sampled_inf(ms, P12, 5, 7)[1], [cn.sampled_inf(m, P12, 5, 7)[1] for m in ms])
+
     def test_uniform_pic_with_a_zero_operator(self, n):
         ms = STACK[:n].copy()
         ms[n // 2] = 0.0
@@ -249,6 +261,154 @@ class TestStackedImpliedConditions:
         idx = np.arange(n)[::-1] * 3
         _same_bits(smp.random_bianchi(cfg, index=idx), [smp.random_bianchi(cfg, index=i) for i in idx])
         _same_bits(smp.random_nonmember(cfg, P05, index=idx), [smp.random_nonmember(cfg, P05, index=i) for i in idx])
+
+
+def _sampled_inf_reference(m, params, n, seed):
+    # the single-operator oracle as a loop-free copy of its first form: one
+    # substream, one (n, 4, 2, 3) draw, one 3x3 quadratic form per functional
+    bd = dc.decompose(m)
+    pairs = smp._orthonormalize_pair(smp.substream(seed, "sampled-inf").standard_normal((n, 4, 2, 3)))
+    (p1, p2), (q1, q2), (r1, r2), (s1, s2) = (pairs[:, k].swapaxes(0, 1) for k in range(4))
+
+    def form(u, mat, v):
+        return np.einsum("ni,ij,nj->n", u, mat, v)
+
+    x = form(p1, bd.a, p1) + form(p2, bd.a, p2)
+    w = form(q1, bd.a, q1) + form(q2, bd.a, q2)
+    y = form(r1, bd.c, r1) + form(r2, bd.c, r2)
+    v = form(s1, bd.c, s1) + form(s2, bd.c, s2)
+    z = form(q1, bd.b, s1) + form(q2, bd.b, s2)
+    return (float((params.eta * x * y - z * z).min()), float((params.mu * x - w).min()),
+            float((params.mu * y - v).min()))
+
+
+def test_stacked_sampled_inf_keeps_nested_minima():
+    ms = smp.random_member(smp.SamplerConfig(seed=9), P12, index=np.arange(4)).reshape(2, 2, 6, 6)
+    seeds = np.arange(4).reshape(2, 2)
+    coarse, fine = (cn.sampled_inf(ms, P12, k, seeds) for k in (50, 400))
+    for a, b in zip(coarse, fine):
+        assert a.shape == (2, 2) and (b <= a).all()
+
+
+def test_stacked_octet_validation_rejects_one_bad_octet():
+    ms = smp.random_member(smp.SamplerConfig(seed=10), P12, index=np.arange(12)).reshape(3, 4, 6, 6)
+    xi = cn.extremal_frame(ms, "F1").xi
+    cn.FrameOctet(xi).validate()
+    cn.frame_functionals(ms, cn.FrameOctet(xi))
+    for row, new, msg in [
+        (2, 1.001 * xi[1, 2, 2], "frame vector 3 is not unit length"),
+        (5, xi[1, 2, 0], "frame vector 6 is not anti-self-dual"),
+        (1, xi[1, 2, 0], r"frame pair \(1, 2\) is not orthogonal"),
+    ]:
+        bad = xi.copy()
+        bad[1, 2, row] = new
+        with pytest.raises(ValueError, match=msg):
+            cn.FrameOctet(bad).validate()
+        with pytest.raises(ValueError, match=msg):
+            cn.frame_functionals(ms, cn.FrameOctet(bad))
+        with pytest.raises(ValueError, match=msg):
+            cn.FrameOctet(bad[1, 2]).validate()
+        cn.FrameOctet(np.delete(bad.reshape(12, 8, 6), 6, axis=0)).validate()
+    with pytest.raises(ValueError, match="must be"):
+        cn.FrameOctet(xi[..., :7, :]).validate()
+
+
+def _l_inequality_reference(traj, params):
+    # the monitor as a loop over steps, with l from one public call per sample
+    samples = traj.samples
+    ls = [cn.lower_bound_l(s.operator, params) for s in samples]
+    norms = [wg.frobenius(s.operator) for s in samples]
+    rhs = [s.scalar * li + 6.0 * li * li for s, li in zip(samples, ls)]
+    worst = worst_left = np.inf
+    steps = 0
+    for i in range(len(samples) - 1):
+        dt_i = samples[i + 1].t - samples[i].t
+        if dt_i <= 0.0 or not (np.isfinite(ls[i]) and np.isfinite(ls[i + 1])):
+            continue
+        quot = (ls[i + 1] - ls[i]) / dt_i
+        tol_slack = 1e-3 * (1.0 + norms[i] ** 3) * dt_i
+        worst = min(worst, max(rhs[i], rhs[i + 1]) + tol_slack - quot)
+        worst_left = min(worst_left, rhs[i] + tol_slack - quot)
+        steps += 1
+    return fl.LInequalityReport(float(worst), float(worst_left), steps)
+
+
+def _strong_max_reference(traj):
+    samples = traj.samples
+    spectra = [dc.block_spectra(s.operator)[0] for s in samples]
+    norms = [wg.frobenius(s.operator) for s in samples]
+    rhs = [2.0 * (ea[0] + ea[1]) * (2.0 * ea[2] + ea[0]) for ea in spectra]
+    worst, ok, steps = np.inf, 0, 0
+    for i in range(len(samples) - 1):
+        dt_i = samples[i + 1].t - samples[i].t
+        if dt_i <= 0.0:
+            continue
+        quot = ((spectra[i + 1][0] + spectra[i + 1][1]) - (spectra[i][0] + spectra[i][1])) / dt_i
+        tol_slack = 1e-3 * (1.0 + norms[i] ** 3) * dt_i
+        slack = quot - (min(rhs[i], rhs[i + 1]) - tol_slack)
+        worst = min(worst, slack)
+        ok += slack >= 0.0
+        steps += 1
+    return fl.StrongMaxReport(float(worst), float(ok / steps if steps else 1.0), steps)
+
+
+def _monitored_trajectories():
+    cfg = smp.SamplerConfig(seed=12)
+    nonmembers = smp.random_nonmember(cfg, P12, index=np.arange(4))
+    members = smp.random_member(cfg, P12, index=np.arange(3))
+    # B of rounding size: l = inf at eta = 0 (see the cone module)
+    rotated = wg.rotate_operator(0.3 * np.eye(6), smp.random_rotation(smp.substream(12, "rot"), 4))
+    starts = np.concatenate([nonmembers, members, [rotated, -np.eye(6), np.zeros((6, 6))]])
+    cfgs = [fl.TrajectoryConfig(dt=1e-3, t_max=min(0.02, 0.3 / max(1.0, wg.frobenius(m))), rtol=1e-8)
+            for m in starts]
+    return starts, fl._integrate_stack(starts, cfgs)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("params", [P12, P05, cn.ConeParams(0.0, 1.5)], ids=str)
+def test_monitors_match_per_sample_loops(params):
+    _, trajs = _monitored_trajectories()
+    skipped = 0
+    for traj in trajs:
+        rep = fl.l_inequality_monitor(traj, params)
+        assert repr(rep) == repr(_l_inequality_reference(traj, params))
+        skipped += rep.steps < len(traj.samples) - 1
+        assert repr(fl.strong_max_monitor(traj)) == repr(_strong_max_reference(traj))
+        assert fl.invariance_monitor(traj, params) == max(cn.lower_bound_l(s.operator, params) for s in traj.samples)
+    # at eta = 0 an infinite l skips steps
+    assert (skipped > 0) == (params.eta == 0.0)
+
+
+def _same_trajectory(a, b):
+    assert (a.status, a.accepted, a.rejected, len(a.samples)) == (b.status, b.accepted, b.rejected, len(b.samples))
+    for sa, sb in zip(a.samples, b.samples):
+        assert sa.operator.tobytes() == sb.operator.tobytes()
+        assert repr((sa.t, sa.scalar, sa.bianchi, sa.l, sa.member)) == repr((sb.t, sb.scalar, sb.bianchi, sb.l, sb.member))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("adaptive", [True, False], ids=["adaptive", "fixed"])
+def test_mixed_config_stack_gives_each_trajectory_its_solo_bits(adaptive):
+    # as in the flow suite: starts with their own rtol, t_max and blow-up
+    # norm, a blow-up start among them, integrated as one stack
+    cfg = smp.SamplerConfig(seed=13)
+    members = smp.random_member(cfg, P12, index=np.arange(4))
+    far = smp.random_nonmember(cfg, P12, index=0)
+    starts = np.concatenate([2.0 * members, members, [np.eye(6), 3e7 * far / wg.frobenius(far)]])
+    cfgs = ([fl.TrajectoryConfig(dt=1e-4, t_max=0.01, rtol=1e-11, adaptive=adaptive)] * 4
+            + [fl.TrajectoryConfig(dt=1e-3, t_max=min(0.05, 0.5 / wg.frobenius(m)), rtol=1e-8,
+                                   blowup_norm=1e6, adaptive=adaptive) for m in members]
+            + [fl.TrajectoryConfig(dt=1e-2, t_max=0.1, adaptive=adaptive),
+               fl.TrajectoryConfig(dt=1e-4, t_max=1.0, rtol=1e-9, adaptive=adaptive)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked = fl._integrate_stack(starts, cfgs, P12)
+        solo = [fl.integrate(r0, c, P12) for r0, c in zip(starts, cfgs)]
+    assert {t.status for t in stacked} == {"completed", "blowup-stopped"}
+    for a, b in zip(stacked, solo):
+        _same_trajectory(a, b)
+    # the stacked l of the stored samples equals one public call per sample
+    for traj in stacked[:-1]:
+        assert [s.l for s in traj.samples] == [cn.lower_bound_l(s.operator, P12) for s in traj.samples]
 
 
 def test_pinch_on_members_and_empty_stacks():
@@ -391,17 +551,35 @@ def test_spectra_triple_and_blockdata_serve_as_blocks():
         assert cn.two_nonneg_flag(m, 5, 0, blocks=spectra) == cn.two_nonneg_flag(m, 5, 0)
 
 
+def _boundary_message_reference(f, nrm, which):
+    # the precondition message of one operator, in Python floats
+    msgs = []
+    for face, val in zip(("F1", "F2", "F3"), f):
+        if val < -1e-8 * max(1.0, nrm ** cn.FACE_DEGREE[face]):
+            msgs.append(f"{face} = {val:.3e} < 0: not a cone member")
+    named = f[("F1", "F2", "F3").index(which)]
+    face_tol = 1e-8 * max(1.0, nrm ** cn.FACE_DEGREE[which])
+    if abs(named) > face_tol:
+        msgs.append(f"{which} = {named:.3e} is not on the boundary (tol {face_tol:.1e})")
+    return "; ".join(msgs)
+
+
 def test_null_vector_and_hamilton_stacks_match_single_calls():
     cfg = smp.SamplerConfig(seed=8)
     for face in ("F1", "F2", "F3"):
         ms, _ = smp.boundary_member(cfg, P12, face, index=np.arange(9))
         ms[4] = ms[4] - np.eye(6)  # one operator off the face, with a message
+        ms[5] = ms[5] + 0.01 * np.eye(6)  # a member off the face
+        ms[6], ms[7] = 1e100 * ms[6], -1e-200 * ms[7]
         rep = cn.null_vector_verify(ms, P12, face)
         singles = [cn.null_vector_verify(m, P12, face) for m in ms]
         _equal(rep.slack, [s.slack for s in singles])
         _equal(rep.precondition_ok, [s.precondition_ok for s in singles])
         assert list(rep.message) == [s.message for s in singles]
+        assert list(rep.message) == [_boundary_message_reference(f, wg.frobenius(m), face)
+                                     for f, m in zip(np.stack(rep.fhat, axis=-1).tolist(), ms)]
         assert not rep.precondition_ok[4] and rep.message[4]
+        assert rep.message[5] and not rep.message[6]
         _equal(cn.hamilton_intermediate_slack(ms), [cn.hamilton_intermediate_slack(m) for m in ms])
 
 

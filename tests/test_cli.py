@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -16,6 +17,8 @@ from curvcone.sampling import SamplerConfig, random_nonmember
 from curvcone.wedge import operator_from_upper, operator_to_json_dict
 
 I6 = np.eye(6)
+#: sha256 of the ``verify --suite all --seed 1 --samples 100`` JSON, report version 4
+REPORT_V4_SHA256 = "610748e777dbf43551f98f1b69df30c4df948005ab54c5f949e73d82477ba879"
 
 
 def write_ops(path, *ops):
@@ -361,6 +364,12 @@ class TestVerifyCommand:
 
     def test_report_carries_its_version(self):
         assert vf.run("cutoff", seed=1, samples=0)["report_version"] == 4
+
+    def test_report_bytes_are_pinned(self):
+        # a change that moves any number of a report bumps report_version and
+        # this digest together
+        report = vf.report_json(vf.run("all", seed=1, samples=100))
+        assert hashlib.sha256(report.encode("utf-8")).hexdigest() == REPORT_V4_SHA256
 
     def test_certify_checks_match_the_benchmark_reference(self, tmp_path):
         # the (id, samples) list the certify benchmark expects, read only

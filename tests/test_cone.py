@@ -240,6 +240,19 @@ class TestEtaZeroMembership:
             members += member
         assert 0 < members < 40
 
+    def test_rounding_size_mixed_block_is_not_a_member(self):
+        # the mixed-block test at eta = 0 is exact: a rotated 3 I, whose B is
+        # zero only up to rounding, is a non-member with l = inf, while 3 I
+        # itself is a member and eta > 0 accepts the rotated operator
+        q = random_rotation(substream(36, "eta0-rotated"), 4)
+        m = wg.rotate_operator(3.0 * I6, q)
+        assert 0.0 < dc.block_spectra(m)[2][2] < 1e-13
+        assert not cn.is_member(m, self.P0)
+        assert cn.lower_bound_l(m, self.P0) == math.inf
+        assert cn.l_face(m, self.P0) == "F1"
+        p = cn.ConeParams(0.5, 1.5)
+        assert cn.is_member(m, p) and cn.lower_bound_l(m, p) == 0.0
+
 
 class TestLFace:
     def test_members_have_none(self):
