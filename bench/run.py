@@ -13,7 +13,8 @@ evaluation of the samplers' Philox kernel on 1 block and on N_STACKED
 blocks (packages without the kernel have no such row).  The ``integrate`` row counts a
 whole trajectory as one operator: N_TRAJ member starts integrated one by
 one, and as one stack.  Wall times are taken for each ``verify`` suite at the CLI
-default ``--samples 1000``, for ``evolve``'s integration of a blow-up from
+default ``--samples 1000``, for ``verify --suite all`` at ``--samples 100`` (the
+size the certify benchmark runs), for ``evolve``'s integration of a blow-up from
 |R| = 3e7, and for one Tier-1 run (``pytest`` in the checkout that holds the
 package).  With ``--baseline-src`` the single-operator kernels and the wall
 times are also taken for another checkout's package, in a subprocess, and
@@ -45,6 +46,7 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 SUITES = ("algebra", "cone", "nullvector", "flow", "cutoff")
 SUITE_SAMPLES = 1000
+CERTIFY_SAMPLES = 100  # the sample count of perfbench's certify workload
 N_SINGLE = 1000
 N_STACKED = 10_000
 N_TRAJ = 30  # as many member starts as certify's member-invariance checks
@@ -209,6 +211,8 @@ def time_wall() -> dict:
     for name in SUITES:
         out[f"verify {name} (samples={SUITE_SAMPLES})"] = best_of(
             lambda: verify.run(name, 1, SUITE_SAMPLES), SUITE_REPEATS)
+    out[f"verify all (samples={CERTIFY_SAMPLES})"] = best_of(
+        lambda: verify.run("all", 1, CERTIFY_SAMPLES), SUITE_REPEATS)
     params = cone.ConeParams(1.0, 2.0)
     m = sampling.random_nonmember(sampling.SamplerConfig(seed=0), params, index=0)
     start = m * (3e7 / wedge.frobenius(m))

@@ -271,6 +271,10 @@ def extremal_frame(m, target: str, blocks=None) -> FrameOctet:
     return FrameOctet(np.stack(rows, axis=-2))
 
 
+#: operators whose octets :func:`sampled_inf` draws and holds at once
+_INF_CHUNK = 16
+
+
 def sampled_inf(m, params: ConeParams, n: int, seed):
     """Monte-Carlo estimates of the three frame infima over n random octets.
 
@@ -279,24 +283,48 @@ def sampled_inf(m, params: ConeParams, n: int, seed):
     and converges toward it as n grows.  Deterministic given (seed, n), and
     estimates are nested: growing n only lowers them.  For a stack, ``seed``
     is an integer array of its leading shape, as in :func:`two_nonneg_flag`:
-    each operator draws its octets from its own seed's substream.
+    each operator draws its octets from its own seed's substream, so the
+    stack is evaluated a fixed number of operators at a time and its memory
+    does not grow with its size.
     """
     if n < 1:
         raise ValueError("need at least one sample frame")
     from .sampling import orthonormal_pair_batch, substream
 
-    bd = decompose(m)
+    def octets(seeds):
+        # the n octets of each seed, as its own substream gives them
+        rngs = [substream(s, "sampled-inf") for s in seeds.ravel().tolist()]
+        return orthonormal_pair_batch(rngs, n, 4).reshape(seeds.shape + (n, 4, 2, 3))
+
+    m = np.asarray(m, dtype=float)
     seeds = np.asarray(seed)
-    rngs = [substream(s, "sampled-inf") for s in seeds.ravel().tolist()]
-    pairs = orthonormal_pair_batch(rngs, n, 4).reshape(seeds.shape + (n, 4, 2, 3))
-    p1, p2 = pairs[..., 0, 0, :], pairs[..., 0, 1, :]
-    q1, q2 = pairs[..., 1, 0, :], pairs[..., 1, 1, :]
-    r1, r2 = pairs[..., 2, 0, :], pairs[..., 2, 1, :]
-    s1, s2 = pairs[..., 3, 0, :], pairs[..., 3, 1, :]
+    lead = np.broadcast_shapes(m.shape[:-2], seeds.shape)
+    ms = np.broadcast_to(m, lead + (6, 6)).reshape(-1, 6, 6)
+    ss = np.broadcast_to(seeds, lead).ravel()
+    shared = octets(seeds) if seeds.ndim == 0 else None  # one seed: every operator meets the same octets
+    mins = np.empty((3, len(ms)))
+    for k in range(0, len(ms), _INF_CHUNK):
+        part = slice(k, k + _INF_CHUNK)
+        mins[:, part] = _octet_minima(ms[part], params, octets(ss[part]) if shared is None else shared)
+    return tuple(_scalar_or_array(f) for f in mins.reshape((3,) + lead))
+
+
+def _octet_minima(m, params: ConeParams, pairs) -> np.ndarray:
+    # (3, ...) minima of F1, F2, F3 over the octets ``pairs`` (..., n, 4, 2, 3)
+    bd = decompose(m)
+    # the octets' vectors as contiguous (3, ..., n) component arrays
+    p1, p2, q1, q2, r1, r2, s1, s2 = np.ascontiguousarray(
+        np.moveaxis(pairs, (-3, -2, -1), (0, 1, 2)).reshape((8, 3) + pairs.shape[:-3]))
 
     def form(u, mat, v):
-        # u^T mat v for each of the n frames
-        return np.einsum("...ni,...ij,...nj->...n", u, mat, v)
+        # u^T mat v for each of the n frames: the nine terms (u_i mat_ij) v_j
+        # added to 0 in the order np.einsum("...ni,...ij,...nj->...n") adds
+        # them
+        acc = 0.0
+        for i in range(3):
+            for j in range(3):
+                acc = acc + (u[i] * mat[..., i, j, None]) * v[j]
+        return acc
 
     x = form(p1, bd.a, p1) + form(p2, bd.a, p2)
     w = form(q1, bd.a, q1) + form(q2, bd.a, q2)
@@ -306,7 +334,7 @@ def sampled_inf(m, params: ConeParams, n: int, seed):
     f1 = params.eta * x * y - z * z
     f2 = params.mu * x - w
     f3 = params.mu * y - v
-    return tuple(_scalar_or_array(f.min(axis=-1)) for f in (f1, f2, f3))
+    return np.stack([f.min(axis=-1) for f in (f1, f2, f3)])
 
 
 # ---------------------------------------------------------------------------

@@ -202,29 +202,29 @@ class CutoffFunction:
         flat_one = (u <= 0.0) | ((u < 1.0) & (p >= 1.0))
         return u, p, inner, flat_one
 
+    def _jet(self, x):
+        # p and the interior mask, then phi, phi' and phi'', from one
+        # evaluation of the parts and of psi' on the interior
+        u, p, inner, flat_one = self._parts(x)
+        val, d1, d2 = np.zeros_like(p), np.zeros_like(p), np.zeros_like(p)
+        val[flat_one] = 1.0
+        pi, ui = p[inner], u[inner]
+        psi1 = self.psi.d1(ui)
+        val[inner] = pi ** self.k
+        d1[inner] = (self.k / self.spec.sigma) * pi ** (self.k - 1.0) * psi1
+        d2[inner] = (self.k / self.spec.sigma**2) * pi ** (self.k - 2.0) * (
+            (self.k - 1.0) * psi1 * psi1 + pi * self.psi.d2(ui)
+        )
+        return p, inner, val, d1, d2
+
     def value(self, x):
-        _, p, inner, flat_one = self._parts(x)
-        out = np.zeros_like(p)
-        out[flat_one] = 1.0
-        out[inner] = p[inner] ** self.k
-        return out
+        return self._jet(x)[2]
 
     def d1(self, x):
-        u, p, inner, _ = self._parts(x)
-        out = np.zeros_like(p)
-        out[inner] = (self.k / self.spec.sigma) * p[inner] ** (self.k - 1.0) * self.psi.d1(u[inner])
-        return out
+        return self._jet(x)[3]
 
     def d2(self, x):
-        u, p, inner, _ = self._parts(x)
-        out = np.zeros_like(p)
-        pi = p[inner]
-        d1 = self.psi.d1(u[inner])
-        d2 = self.psi.d2(u[inner])
-        out[inner] = (self.k / self.spec.sigma**2) * pi ** (self.k - 2.0) * (
-            (self.k - 1.0) * d1 * d1 + pi * d2
-        )
-        return out
+        return self._jet(x)[4]
 
     def __call__(self, x):
         return self.value(x)
@@ -246,8 +246,7 @@ def verify_cutoff(fn: CutoffFunction) -> CutoffReport:
     """
     spec = fn.spec
     x = _grid(spec)
-    u, p, inner, _ = fn._parts(x)
-    val, d1, d2 = fn.value(x), fn.d1(x), fn.d2(x)
+    p, inner, val, d1, d2 = fn._jet(x)
     eps, sig = spec.eps, spec.sigma
 
     def margin_of(allowed, actual):

@@ -194,13 +194,24 @@ def _rotations(g: np.ndarray) -> np.ndarray:
 
 
 def _orthonormalize_pair(g: np.ndarray) -> np.ndarray:
-    # g: (..., 2, k) Gaussian rows -> orthonormal rows, batched
-    v1 = g[..., 0, :]
-    v1 = v1 / np.linalg.norm(v1, axis=-1, keepdims=True)
-    v2 = g[..., 1, :]
-    v2 = v2 - np.sum(v2 * v1, axis=-1, keepdims=True) * v1
-    v2 = v2 / np.linalg.norm(v2, axis=-1, keepdims=True)
-    return np.stack([v1, v2], axis=-2)
+    # g: (..., 2, k) Gaussian rows -> orthonormal rows, batched: Gram-Schmidt
+    # on the rows as contiguous (k, ...) component arrays
+    a, b = np.moveaxis(g, (-2, -1), (0, 1)).copy()
+    a = a / np.sqrt(_sum_rows(a * a))
+    b = b - _sum_rows(b * a) * a
+    b = b / np.sqrt(_sum_rows(b * b))
+    out = np.empty(g.shape)
+    out[..., 0, :], out[..., 1, :] = np.moveaxis(a, 0, -1), np.moveaxis(b, 0, -1)
+    return out
+
+
+def _sum_rows(x: np.ndarray) -> np.ndarray:
+    # x[0] + x[1] + ... added left to right, as numpy's norm and sum add the
+    # entries of a short last axis
+    acc = x[0]
+    for row in x[1:]:
+        acc = acc + row
+    return acc
 
 
 def orthonormal_pair_batch(rngs, n: int, pairs: int) -> np.ndarray:

@@ -380,43 +380,43 @@ def suite_flow(seed: int, n: int) -> list[dict]:
     small = max(2, n // 10)
     i6 = np.eye(6)
 
-    c_exact = _Check("flow", "reaction-closed-form", "from I the flow matches 1/(1-6t) times I", "residual", 1e-8, seed)
-    traj = fl.integrate(i6, fl.TrajectoryConfig(dt=1e-3, t_max=0.1, rtol=1e-10))
-    c_fac = 1.0 / (1.0 - 6.0 * np.array([s.t for s in traj.samples]))
-    c_exact.add(wg.frobenius(fl._operators(traj) - c_fac[:, None, None] * i6) / (c_fac * math.sqrt(6.0)))
-    checks.append(c_exact.done())
-
-    # two stacks: the adaptive one holds the scaling pairs and the member
-    # starts of all three (eta, mu), the fixed-step one the step-halving
-    # starts and the non-member starts
+    # one stack of every start: I for the closed form, the scaling pairs, the
+    # member starts of all three (eta, mu), and the fixed-step starts for
+    # step halving and from non-members
     eq_r0s = smp.random_member(cfg, cn.ConeParams(1.0, 2.0), index=9000 + np.arange(3))
     idx = 7000 + np.arange(small)
     member_r0s = np.concatenate([smp.random_member(cfg, _params(eta_mu), index=idx) for eta_mu in PARAM_SETS])
-    adaptive = fl._integrate_stack(
-        np.concatenate([2.0 * eq_r0s, eq_r0s, member_r0s]),
-        [fl.TrajectoryConfig(dt=1e-4, t_max=0.01, rtol=1e-11)] * 3
-        + [fl.TrajectoryConfig(dt=1e-4, t_max=0.02, rtol=1e-11)] * 3
-        + [fl.TrajectoryConfig(dt=1e-3, t_max=min(0.05, 0.5 / nrm), rtol=1e-8, blowup_norm=1e6)
-           for nrm in wg.frobenius(member_r0s).tolist()],
-    )
     lineq_params = cn.ConeParams(1.0, 2.0)
     lineq_r0s = smp.random_nonmember(cfg, lineq_params, index=np.arange(small))
     dts = (1e-2, 5e-3, 2.5e-3)
-    fixed = fl._integrate_stack(
-        np.concatenate([np.stack([i6] * len(dts)), lineq_r0s]),
-        [fl.TrajectoryConfig(dt=dt, t_max=0.1, adaptive=False) for dt in dts]
+    trajs = fl._integrate_stack(
+        np.concatenate([i6[None], 2.0 * eq_r0s, eq_r0s, member_r0s, np.stack([i6] * len(dts)), lineq_r0s]),
+        [fl.TrajectoryConfig(dt=1e-3, t_max=0.1, rtol=1e-10)]
+        + [fl.TrajectoryConfig(dt=1e-4, t_max=0.01, rtol=1e-11)] * 3
+        + [fl.TrajectoryConfig(dt=1e-4, t_max=0.02, rtol=1e-11)] * 3
+        + [fl.TrajectoryConfig(dt=1e-3, t_max=min(0.05, 0.5 / nrm), rtol=1e-8, blowup_norm=1e6)
+           for nrm in wg.frobenius(member_r0s).tolist()]
+        + [fl.TrajectoryConfig(dt=dt, t_max=0.1, adaptive=False) for dt in dts]
         + [fl.TrajectoryConfig(dt=2e-4, t_max=min(0.02, 0.3 / nrm), adaptive=False)
            for nrm in wg.frobenius(lineq_r0s).tolist()],
     )
+    bounds = np.cumsum([0, 1, 6, 3 * small, len(dts), small]).tolist()
+    exact, scaled, members, halved, lineq = (trajs[a:b] for a, b in zip(bounds, bounds[1:]))
+
+    c_exact = _Check("flow", "reaction-closed-form", "from I the flow matches 1/(1-6t) times I", "residual", 1e-8, seed)
+    ops, t, _ = fl._columns(exact)
+    c_fac = 1.0 / (1.0 - 6.0 * t)
+    c_exact.add(wg.frobenius(ops - c_fac[:, None, None] * i6) / (c_fac * math.sqrt(6.0)))
+    checks.append(c_exact.done())
 
     c_ord = _Check("flow", "rk4-order", "halving the fixed step cuts the error ~16x", "residual", 4.0, seed)
-    errs = [wg.frobenius(t.final.operator - (1.0 / 0.4) * i6) for t in fixed[:len(dts)]]
+    errs = [wg.frobenius(t.final.operator - (1.0 / 0.4) * i6) for t in halved]
     for r in (errs[0] / errs[1], errs[1] / errs[2]):
         c_ord.add(abs(r - 16.0), contexts="error ratio")
     checks.append(c_ord.done())
 
     c_scaleq = _Check("flow", "scaling-equivariance", "integrating c R to t matches c times (R to c t)", "residual", 1e-8, seed)
-    ends = np.stack([t.final.operator for t in adaptive[:6]])
+    ends = np.stack([t.final.operator for t in scaled])
     c_scaleq.add(wg.frobenius(ends[:3] - 2.0 * ends[3:]) / np.maximum(1.0, wg.frobenius(ends[:3])), np.arange(3))
     checks.append(c_scaleq.done())
 
@@ -426,21 +426,23 @@ def suite_flow(seed: int, n: int) -> list[dict]:
         c_inv = _Check("flow", f"member-invariance-{tag}", "trajectories from members keep l at zero", "residual", 1e-6, seed)
         c_drift = _Check("flow", f"bianchi-drift-{tag}", "Bianchi residual stays at rounding level along trajectories", "residual", 1e-9, seed)
         c_tr = _Check("flow", f"trace-balance-{tag}", "tr A = tr C is maintained along trajectories", "residual", 1e-10, seed)
-        for i in range(small):
-            r0, tr = member_r0s[p * small + i], adaptive[6 + p * small + i]
-            ops = fl._operators(tr)
-            norms = wg.frobenius(ops)
-            scale = max(1.0, max(norms.tolist()))
-            c_inv.add(fl.invariance_monitor(tr, params) / scale, i, r0)
-            c_drift.add(max(s.bianchi for s in tr.samples) / scale, i, r0)
-            a, _, c3 = dc._blocks_of(ops)
-            gaps = np.abs(np.trace(a, axis1=-2, axis2=-1) - np.trace(c3, axis1=-2, axis2=-1))
-            c_tr.add(max([0.0] + (gaps / np.maximum(1.0, norms)).tolist()), i, r0)
+        trs = members[p * small:(p + 1) * small]
+        r0s = member_r0s[p * small:(p + 1) * small]
+        # the stored operators of these trajectories as one stack, reduced per trajectory
+        ops, _, first = fl._columns(trs)
+        norms = wg.frobenius(ops)
+        scale = np.maximum(1.0, np.maximum.reduceat(norms, first))
+        c_inv.add(fl.invariance_monitor(trs, params) / scale, np.arange(small), r0s)
+        bianchi = np.array([s.bianchi for tr in trs for s in tr.samples])
+        c_drift.add(np.maximum.reduceat(bianchi, first) / scale, np.arange(small), r0s)
+        a, _, c3 = dc._blocks_of(ops)
+        gaps = np.abs(np.trace(a, axis1=-2, axis2=-1) - np.trace(c3, axis1=-2, axis2=-1))
+        c_tr.add(np.maximum(0.0, np.maximum.reduceat(gaps / np.maximum(1.0, norms), first)), np.arange(small), r0s)
         checks += [c.done() for c in (c_inv, c_drift, c_tr)]
 
     c_lineq = _Check("flow", "l-reaction-inequality",
                      "D+ l <= (scal) l + 6 l^2 + 1e-3 (1+|R|^3) dt from non-member starts", "slack", 0.0, seed)
-    c_lineq.add([fl.l_inequality_monitor(tr, lineq_params).worst_slack for tr in fixed[len(dts):]],
+    c_lineq.add([rep.worst_slack for rep in fl.l_inequality_monitor(lineq, lineq_params)],
                 np.arange(small), lineq_r0s)
     checks.append(c_lineq.done())
 

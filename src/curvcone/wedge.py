@@ -235,17 +235,27 @@ def sharp(m, n) -> np.ndarray:
     ma = np.asarray(m, dtype=float)
     na = np.asarray(n, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        t = _take(ma, _MINOR)
-        gd, ht, gt, hd = (t[..., r, :, :] for r in range(4))
         if ma is na or np.array_equal(ma, na):
+            lead = ma.shape[:-2]
+            gd, ht, gt, hd = _minors(ma, lead)
             x = gd * ht - gt * hd
         else:
-            t = _take(na, _MINOR)
-            ngd, nht, ngt, nhd = (t[..., r, :, :] for r in range(4))
+            lead = np.broadcast_shapes(ma.shape[:-2], na.shape[:-2])
+            gd, ht, gt, hd = _minors(ma, lead)
+            ngd, nht, ngt, nhd = _minors(na, lead)
             x = 0.5 * ((gd * nht - gt * nhd) + (ngd * ht - ngt * hd))
         # (00 + 11) + (01 + 10) is symmetric under a <-> b, as the minors are
-        out = ((x[..., 0, :] + x[..., 1, :]) + (x[..., 2, :] + x[..., 3, :])).reshape(x.shape[:-2] + (6, 6))
+        out = ((x[0] + x[1]) + (x[2] + x[3])).T.reshape(lead + (6, 6))
         return 0.5 * (out + out.swapaxes(-1, -2))
+
+
+def _minors(a, lead) -> np.ndarray:
+    # the minor entries (4, 4, 36, k) of the k operators of a, gathered along
+    # the transposed (36, k) stack so that each entry is a contiguous row;
+    # k = 1 for one operator against a stack of the broadcast shape ``lead``
+    if a.shape[:-2] != lead and a.size > 36:
+        a = np.broadcast_to(a, lead + (6, 6))
+    return np.take(a.reshape(-1, 36).T, _MINOR, axis=0)
 
 
 def four_index(m) -> np.ndarray:

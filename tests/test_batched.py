@@ -9,6 +9,7 @@ included.  The frame oracles, octet validation, flow stacks and monitors
 are held to per-operator and per-sample reference loops kept here.
 """
 
+import dataclasses
 import warnings
 from collections import Counter
 
@@ -263,11 +264,21 @@ class TestStackedImpliedConditions:
         _same_bits(smp.random_nonmember(cfg, P05, index=idx), [smp.random_nonmember(cfg, P05, index=i) for i in idx])
 
 
+def _orthonormalize_reference(g):
+    # Gram-Schmidt on the (..., 2, 3) rows by numpy's norm and sum
+    v1 = g[..., 0, :]
+    v1 = v1 / np.linalg.norm(v1, axis=-1, keepdims=True)
+    v2 = g[..., 1, :]
+    v2 = v2 - np.sum(v2 * v1, axis=-1, keepdims=True) * v1
+    v2 = v2 / np.linalg.norm(v2, axis=-1, keepdims=True)
+    return np.stack([v1, v2], axis=-2)
+
+
 def _sampled_inf_reference(m, params, n, seed):
     # the single-operator oracle as a loop-free copy of its first form: one
     # substream, one (n, 4, 2, 3) draw, one 3x3 quadratic form per functional
     bd = dc.decompose(m)
-    pairs = smp._orthonormalize_pair(smp.substream(seed, "sampled-inf").standard_normal((n, 4, 2, 3)))
+    pairs = _orthonormalize_reference(smp.substream(seed, "sampled-inf").standard_normal((n, 4, 2, 3)))
     (p1, p2), (q1, q2), (r1, r2), (s1, s2) = (pairs[:, k].swapaxes(0, 1) for k in range(4))
 
     def form(u, mat, v):
@@ -282,12 +293,37 @@ def _sampled_inf_reference(m, params, n, seed):
             float((params.mu * y - v).min()))
 
 
+def test_orthonormalized_pairs_equal_numpy_norm_and_sum():
+    g = np.random.default_rng(14).standard_normal((7, 50, 4, 2, 3))
+    g[0, 0, 0] *= 1e-300
+    g[0, 0, 1] *= 1e300
+    for draw in (g, g[0], g[0, 0, 0]):
+        with np.errstate(all="ignore"):  # the scaled row overflows and underflows
+            out, ref = smp._orthonormalize_pair(draw), _orthonormalize_reference(draw)
+        assert out.flags.c_contiguous
+        _same_bits(out, ref)
+
+
 def test_stacked_sampled_inf_keeps_nested_minima():
     ms = smp.random_member(smp.SamplerConfig(seed=9), P12, index=np.arange(4)).reshape(2, 2, 6, 6)
     seeds = np.arange(4).reshape(2, 2)
     coarse, fine = (cn.sampled_inf(ms, P12, k, seeds) for k in (50, 400))
     for a, b in zip(coarse, fine):
         assert a.shape == (2, 2) and (b <= a).all()
+
+
+def test_sampled_inf_over_several_chunks_equals_per_operator_calls():
+    # a stack of more operators than one chunk holds, in a (k, 5) leading
+    # shape that splits rows across chunks, with one seed per operator
+    k = cn._INF_CHUNK // 5 + 3
+    ms = smp.random_member(smp.SamplerConfig(seed=11), P12, index=np.arange(5 * k)).reshape(k, 5, 6, 6)
+    seeds = 300 + np.arange(5 * k).reshape(k, 5)
+    est = cn.sampled_inf(ms, P12, 20, seeds)
+    singles = [cn.sampled_inf(m, P12, 20, int(s)) for m, s in zip(ms.reshape(-1, 6, 6), seeds.ravel())]
+    for f, col in zip(est, zip(*singles)):
+        assert f.shape == (k, 5)
+        _same_bits(f.ravel(), col)
+    assert [f.shape for f in cn.sampled_inf(ms[:0], P12, 20, seeds[:0])] == [(0, 5)] * 3
 
 
 def test_stacked_octet_validation_rejects_one_bad_octet():
@@ -358,9 +394,11 @@ def _monitored_trajectories():
     members = smp.random_member(cfg, P12, index=np.arange(3))
     # B of rounding size: l = inf at eta = 0 (see the cone module)
     rotated = wg.rotate_operator(0.3 * np.eye(6), smp.random_rotation(smp.substream(12, "rot"), 4))
-    starts = np.concatenate([nonmembers, members, [rotated, -np.eye(6), np.zeros((6, 6))]])
+    starts = np.concatenate([nonmembers, members, [3.0 * nonmembers[0], rotated, -np.eye(6), np.zeros((6, 6))]])
     cfgs = [fl.TrajectoryConfig(dt=1e-3, t_max=min(0.02, 0.3 / max(1.0, wg.frobenius(m))), rtol=1e-8)
             for m in starts]
+    # a start past its blow-up norm: a trajectory of one sample and no step
+    cfgs[7] = fl.TrajectoryConfig(dt=1e-3, t_max=0.02, blowup_norm=1.0)
     return starts, fl._integrate_stack(starts, cfgs)
 
 
@@ -368,15 +406,24 @@ def _monitored_trajectories():
 @pytest.mark.parametrize("params", [P12, P05, cn.ConeParams(0.0, 1.5)], ids=str)
 def test_monitors_match_per_sample_loops(params):
     _, trajs = _monitored_trajectories()
+    assert len(trajs[7].samples) == 1
+    l_refs, inv_refs = [], []
     skipped = 0
     for traj in trajs:
+        l_refs.append(repr(_l_inequality_reference(traj, params)))
+        inv_refs.append(repr(max(cn.lower_bound_l(s.operator, params) for s in traj.samples)))
         rep = fl.l_inequality_monitor(traj, params)
-        assert repr(rep) == repr(_l_inequality_reference(traj, params))
+        assert repr(rep) == l_refs[-1]
         skipped += rep.steps < len(traj.samples) - 1
         assert repr(fl.strong_max_monitor(traj)) == repr(_strong_max_reference(traj))
-        assert fl.invariance_monitor(traj, params) == max(cn.lower_bound_l(s.operator, params) for s in traj.samples)
+        assert repr(fl.invariance_monitor(traj, params)) == inv_refs[-1]
     # at eta = 0 an infinite l skips steps
     assert (skipped > 0) == (params.eta == 0.0)
+    # the whole list in one call: no step pairs rows of two trajectories
+    assert [repr(r) for r in fl.l_inequality_monitor(trajs, params)] == l_refs
+    assert [repr(x) for x in fl.invariance_monitor(trajs, params).tolist()] == inv_refs
+    assert fl.l_inequality_monitor([], params) == []
+    assert fl.invariance_monitor([], params).shape == (0,)
 
 
 def _same_trajectory(a, b):
@@ -386,26 +433,40 @@ def _same_trajectory(a, b):
         assert repr((sa.t, sa.scalar, sa.bianchi, sa.l, sa.member)) == repr((sb.t, sb.scalar, sb.bianchi, sb.l, sb.member))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("adaptive", [True, False], ids=["adaptive", "fixed"])
-def test_mixed_config_stack_gives_each_trajectory_its_solo_bits(adaptive):
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", ["adaptive", "fixed", "mixed"])
+def test_mixed_config_stack_gives_each_trajectory_its_solo_bits(mode):
     # as in the flow suite: starts with their own rtol, t_max and blow-up
-    # norm, a blow-up start among them, integrated as one stack
+    # norm, a blow-up start among them, integrated as one stack; the mixed
+    # stack alternates adaptive and fixed-step rows, and its last row takes
+    # fixed steps from the blow-up start until they overflow.  No mode warns:
+    # an overflowing step shows only in the stored state and the status.
     cfg = smp.SamplerConfig(seed=13)
     members = smp.random_member(cfg, P12, index=np.arange(4))
     far = smp.random_nonmember(cfg, P12, index=0)
-    starts = np.concatenate([2.0 * members, members, [np.eye(6), 3e7 * far / wg.frobenius(far)]])
-    cfgs = ([fl.TrajectoryConfig(dt=1e-4, t_max=0.01, rtol=1e-11, adaptive=adaptive)] * 4
-            + [fl.TrajectoryConfig(dt=1e-3, t_max=min(0.05, 0.5 / wg.frobenius(m)), rtol=1e-8,
-                                   blowup_norm=1e6, adaptive=adaptive) for m in members]
-            + [fl.TrajectoryConfig(dt=1e-2, t_max=0.1, adaptive=adaptive),
-               fl.TrajectoryConfig(dt=1e-4, t_max=1.0, rtol=1e-9, adaptive=adaptive)])
-    with np.errstate(over="ignore", invalid="ignore"):
-        stacked = fl._integrate_stack(starts, cfgs, P12)
-        solo = [fl.integrate(r0, c, P12) for r0, c in zip(starts, cfgs)]
+    far = 3e7 * far / wg.frobenius(far)
+    starts = np.concatenate([2.0 * members, members, [np.eye(6), far]])
+    cfgs = ([fl.TrajectoryConfig(dt=1e-4, t_max=0.01, rtol=1e-11)] * 4
+            + [fl.TrajectoryConfig(dt=1e-3, t_max=min(0.05, 0.5 / wg.frobenius(m)), rtol=1e-8, blowup_norm=1e6)
+               for m in members]
+            + [fl.TrajectoryConfig(dt=1e-2, t_max=0.1), fl.TrajectoryConfig(dt=1e-4, t_max=1.0, rtol=1e-9)])
+    flags = [mode == "adaptive" or (mode == "mixed" and k % 2 == 1) for k in range(len(cfgs))]
+    cfgs = [dataclasses.replace(c, adaptive=a) for c, a in zip(cfgs, flags)]
+    params = P12
+    if mode == "mixed":
+        starts = np.concatenate([starts, [far]])
+        cfgs.append(fl.TrajectoryConfig(dt=1e-4, t_max=1.0, blowup_norm=1e300, adaptive=False))
+        params = None  # the spectra of the overflowed state do not converge
+    stacked = fl._integrate_stack(starts, cfgs, params)
+    solo = [fl.integrate(r0, c, params) for r0, c in zip(starts, cfgs)]
     assert {t.status for t in stacked} == {"completed", "blowup-stopped"}
     for a, b in zip(stacked, solo):
         _same_trajectory(a, b)
+    if mode != "fixed":
+        assert stacked[9].rejected > 0  # the adaptive blow-up row
+    if mode == "mixed":
+        assert not np.isfinite(stacked[-1].final.operator).all()
+        return
     # the stacked l of the stored samples equals one public call per sample
     for traj in stacked[:-1]:
         assert [s.l for s in traj.samples] == [cn.lower_bound_l(s.operator, P12) for s in traj.samples]

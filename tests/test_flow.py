@@ -236,12 +236,6 @@ class TestIntegrateStack:
 
 
 class TestIntegrateStackContract:
-    def test_mixed_adaptive_modes_raise(self):
-        cfgs = [fl.TrajectoryConfig(dt=1e-3, t_max=0.01),
-                fl.TrajectoryConfig(dt=1e-3, t_max=0.01, adaptive=False)]
-        with pytest.raises(ValueError):
-            fl._integrate_stack(np.stack([I6, I6]), cfgs)
-
     def test_shape_and_config_count_checked(self):
         cfg = fl.TrajectoryConfig(dt=1e-3, t_max=0.01)
         with pytest.raises(ValueError):
