@@ -28,13 +28,13 @@ import numpy as np
 from . import verify as vf
 from .cone import (
     ConeParams,
+    _flag2_certificate,
     hat_f,
     implies_wpic,
     is_member,
     l_face,
     lower_bound_l,
     ricci_pinch_check,
-    two_nonneg_flag,
     uniform_pic_check,
 )
 from .cutoff import CutoffFunction, CutoffSpec, theorem_variant_check, verify_cutoff
@@ -118,7 +118,6 @@ def _check_record(m, params):
     # NaN or infinity
     spectra = block_spectra(m)
     f1, f2, f3 = hat_f(m, params, blocks=spectra)
-    _, cert = two_nonneg_flag(m, 1, seed=0, blocks=spectra)
     return {
         "member": is_member(m, params, blocks=spectra),
         "F1": _finite_or_none(f1),
@@ -127,7 +126,7 @@ def _check_record(m, params):
         "l": _finite_or_none(lower_bound_l(m, params, blocks=spectra)),
         "l_face": l_face(m, params, blocks=spectra),
         "wpic": implies_wpic(m, params, blocks=spectra),
-        "flag2_certificate": _finite_or_none(cert),
+        "flag2_certificate": _finite_or_none(_flag2_certificate(m, spectra)),
         "ricci_pinch_slack": _finite_or_none(ricci_pinch_check(m, params, blocks=spectra)),
         "upic_slack": _finite_or_none(uniform_pic_check(m, params, blocks=spectra)),
     }
@@ -155,16 +154,6 @@ def cmd_l(args) -> int:
     return EXIT_OK
 
 
-def _csv_row(sample) -> str:
-    vals = [repr(float(sample.t))]
-    vals += [repr(float(x)) for x in upper_triangle(sample.operator)]
-    vals.append(repr(float(sample.l)))
-    vals.append(repr(float(sample.scalar)))
-    vals.append(repr(float(sample.bianchi)))
-    vals.append("1" if sample.member else "0")
-    return ",".join(vals)
-
-
 def cmd_evolve(args) -> int:
     params = _cone_params(args)
     ops = list(_read_operators(args.input))
@@ -175,14 +164,16 @@ def cmd_evolve(args) -> int:
         dt=args.dt, t_max=args.t_max, rtol=args.tol, blowup_norm=args.blowup_norm
     )
     traj = integrate(m, cfg, params=params)
+    s = traj.samples
     with _output(args.output) as out:
         out.write(",".join(_CSV_COLUMNS) + "\n")
-        for s in traj.samples:
-            out.write(_csv_row(s) + "\n")
-    max_l = max(s.l for s in traj.samples)
-    final_norm = frobenius(traj.final.operator)
+        for t, upper, l, sc, bianchi, member in zip(s.t.tolist(), upper_triangle(s.operator).tolist(), s.l.tolist(),
+                                                    s.scalar.tolist(), s.bianchi.tolist(), s.member.tolist()):
+            out.write(",".join(map(repr, [t, *upper, l, sc, bianchi])) + (",1\n" if member else ",0\n"))
+    max_l = max(s.l.tolist())
+    final_norm = frobenius(s.operator[-1])
     print(
-        f"status={traj.status} steps={len(traj.samples) - 1} "
+        f"status={traj.status} steps={len(s) - 1} "
         f"max_l={max_l!r} final_norm={final_norm!r} rejected={traj.rejected}",
         file=sys.stderr,
     )

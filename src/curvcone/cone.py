@@ -521,9 +521,13 @@ def two_nonneg_flag(m, n_frames: int, seed, blocks=None):
     vals = np.einsum("...na,...ab,...nb->...n", w13, m, w13) + np.einsum(
         "...na,...ab,...nb->...n", w23, m, w23
     )
+    return _scalar_or_array(vals.min(axis=-1)), _scalar_or_array(_flag2_certificate(m, blocks))
+
+
+def _flag2_certificate(m, blocks=None):
+    # two_nonneg_flag's closed-form lower bound (A_1+A_2+C_1+C_2-2B_2-2B_3)/2
     ea, ec, sb = _spectra(m, blocks)
-    cert = 0.5 * (ea[0] + ea[1] + ec[0] + ec[1] - 2.0 * (sb[1] + sb[2]))
-    return _scalar_or_array(vals.min(axis=-1)), _scalar_or_array(cert)
+    return 0.5 * (ea[0] + ea[1] + ec[0] + ec[1] - 2.0 * (sb[1] + sb[2]))
 
 
 def ricci_pinch_check(m, params: ConeParams, blocks=None):

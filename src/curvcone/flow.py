@@ -14,13 +14,13 @@ each iteration evaluates the first stage once over the trajectories still
 running, then runs one Runge-Kutta stage sequence over every row's full
 step and the adaptive rows' first half step (which share that stage), and
 then the adaptive rows' second half step, each stage one Q(R) evaluation
-over its rows.  The time, step size, accept/reject decision and blow-up
-stop of each trajectory are kept apart, as Python floats, so that each
-trajectory carries the bits it has when integrated alone.
-:func:`integrate` is the N = 1 case.  Every accepted step is stored.  The
-diagnostics of the stored samples (scalar curvature and Bianchi residual,
-and with cone parameters membership and l from one spectra call) are taken
-after stepping, in one stacked call over all trajectories.
+over its rows.  The step control (time, step size, accept/reject, blow-up
+and time-overflow stops) is elementwise array expressions over the running
+rows, so each trajectory carries the bits it has when integrated alone.
+:func:`integrate` is the N = 1 case.  Every accepted step is stored as a
+row of the trajectory's columns (:class:`Samples`), whose diagnostics
+(scalar curvature and Bianchi residual, and with cone parameters membership
+and l) are taken after stepping, in one stacked call over all trajectories.
 
 Monitors recompute their diagnostics from the stored operators -- the
 lower-bound functional l is re-derived from its closed form at every sample
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -80,26 +79,34 @@ class TrajectoryConfig:
             raise ValueError("blowup_norm must be positive")
 
 
+_STATUS = ("completed", "blowup-stopped", "time-overflow")  # by the stacked core's status code
+
+
 @dataclass(frozen=True, eq=False)
-class TrajectorySample:
-    t: float
+class Samples:
+    """A trajectory's samples as columns: (n,) arrays, ``operator`` (n, 6, 6).
+
+    ``l`` and ``member`` are None without cone parameters; l is NaN and
+    member False on an operator with a non-finite entry.
+    """
+
+    t: np.ndarray
     operator: np.ndarray
-    scalar: float
-    bianchi: float
-    l: float | None
-    member: bool | None
+    scalar: np.ndarray
+    bianchi: np.ndarray
+    l: np.ndarray | None
+    member: np.ndarray | None
+
+    def __len__(self) -> int:
+        return len(self.t)
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    samples: tuple[TrajectorySample, ...]
-    status: str  # "completed" | "blowup-stopped" | "time-overflow"
+    samples: Samples
+    status: str  # one of _STATUS
     accepted: int  # accepted steps
     rejected: int  # trial steps rejected by the error control
-
-    @property
-    def final(self) -> TrajectorySample:
-        return self.samples[-1]
 
 
 def reaction_rhs(m) -> np.ndarray:
@@ -147,94 +154,90 @@ def _integrate_stack(r0s, cfgs, params: ConeParams | None = None) -> list[Trajec
     if r0s.ndim != 3 or r0s.shape[1:] != (6, 6) or len(cfgs) != len(r0s):
         raise ValueError("need an (N, 6, 6) stack of starts and N configs")
     n = len(cfgs)
-    y = 0.5 * (r0s + r0s.swapaxes(-1, -2))  # every trajectory's state, updated in place
-    t = [0.0] * n
-    h = [c.dt for c in cfgs]
-    t_end = [c.t_max * (1.0 - 1e-12) for c in cfgs]
-    status = ["completed"] * n
-    accepted = [0] * n
-    rejected = [0] * n
-    stored = [[(0.0, yi)] for yi in y.copy()]  # (t, operator) of every accepted step
-    active = [i for i in range(n) if t[i] < t_end[i]]
+    # the state of the running rows, compacted as rows stop; idx maps each
+    # row to its trajectory
+    idx = np.arange(n)
+    h, t_max, rtol, blowup_norm = np.array([[c.dt, c.t_max, c.rtol, c.blowup_norm] for c in cfgs]).reshape(n, 4).T
+    ad = np.array([c.adaptive for c in cfgs], dtype=bool)
+    y = 0.5 * (r0s + r0s.swapaxes(-1, -2))
+    t = np.zeros(n)
+    t_end = t_max * (1.0 - 1e-12)
+    running = t < t_end
+    status = np.zeros(n, dtype=np.intp)  # an index into _STATUS
+    rejected = np.zeros(n, dtype=np.intp)
+    stored = [(idx, t, y)]  # (trajectory, t, operator) of the samples of each iteration
 
-    while active:
-        rows, tols = [], []
-        for i, nrm in zip(active, frobenius(y[active]).tolist()):
-            if nrm >= cfgs[i].blowup_norm:
-                status[i] = "blowup-stopped"
-                continue
-            h[i] = min(h[i], cfgs[i].t_max - t[i])
-            if not math.isfinite(t[i] + h[i]):
-                # an infinite horizon: the step has grown past the largest float
-                status[i] = "time-overflow"
-                continue
-            rows.append(i)
-            tols.append(cfgs[i].rtol * max(1.0, nrm))
-        if not rows:
-            break
-        ys = y[rows]
-        hs = np.array([h[i] for i in rows])[:, None, None]
-        ad = [k for k, i in enumerate(rows) if cfgs[i].adaptive]
-        # an adaptive trial step that overflows gives err = inf or NaN and
-        # shrinks; a fixed step that overflows is stored and stops its row
-        with np.errstate(over="ignore", invalid="ignore"):
-            k1 = reaction_rhs(ys)
+    # nothing here warns: a time past the largest float stops its row, an
+    # adaptive trial step that overflows (err inf or NaN) shrinks, and a fixed
+    # step that overflows is stored and stops its row
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while True:
+            nrm = frobenius(y)
+            h = np.minimum(h, t_max - t)
+            # a row stops at its blow-up norm, or once its step grew past the largest float
+            go = running & ~(nrm >= blowup_norm) & np.isfinite(t + h)
+            if not go.all():
+                blown = running & (nrm >= blowup_norm)
+                status[idx[blown]] = 1  # "blowup-stopped"
+                status[idx[running & ~blown & ~go]] = 2  # "time-overflow"
+                idx, y, t, h, t_max, t_end, rtol, blowup_norm, ad, nrm = (
+                    a[go] for a in (idx, y, t, h, t_max, t_end, rtol, blowup_norm, ad, nrm))
+            if not idx.size:
+                break
+            tol = rtol * np.fmax(1.0, nrm)
+            h3 = h[:, None, None]
+            k1 = reaction_rhs(y)
             # every row's full step and the adaptive rows' first half step,
-            # which shares k1, as one stage sequence; then the second half step
-            stepped = _rk4_step(np.concatenate([ys, ys[ad]]), np.concatenate([hs, 0.5 * hs[ad]]),
+            # which shares k1, as one stage sequence; then the second half
+            # step.  A fixed step has err 0, so it is always accepted.
+            stepped = _rk4_step(np.concatenate([y, y[ad]]), np.concatenate([h3, 0.5 * h3[ad]]),
                                 np.concatenate([k1, k1[ad]]))
-            y_new = stepped[:len(rows)]
-            if ad:
-                half = _rk4_step(stepped[len(rows):], 0.5 * hs[ad])
-                errs = iter((frobenius(half - y_new[ad]) / 15.0).tolist())
+            y_new = stepped[:len(y)]
+            err = np.zeros(len(y))
+            if ad.any():
+                half = _rk4_step(stepped[len(y):], 0.5 * h3[ad])
+                err[ad] = frobenius(half - y_new[ad]) / 15.0
                 y_new[ad] = half
             y_new = 0.5 * (y_new + y_new.swapaxes(-1, -2))
-        ok = []
-        for k, (i, tol) in enumerate(zip(rows, tols)):
-            if cfgs[i].adaptive:
-                err = next(errs)
-                if not err <= tol:
-                    # relative to t, not t_max: an early blow-up in a long horizon
-                    h_floor = 1e-14 * max(1.0, t[i])
-                    if h[i] <= h_floor * 1.01:
-                        raise StepUnderflowError(f"step underflow at t={t[i]:.6g}")
-                    shrink = max(0.2, 0.9 * (tol / err) ** 0.2)
-                    h[i] = max(h[i] * shrink, h_floor)
-                    rejected[i] += 1
-                    continue
-                grow = 2.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (tol / err) ** 0.2))
-                t[i] += h[i]
-                h[i] *= grow
-            else:
-                t[i] += h[i]
-            ok.append(k)
-        rows = [rows[k] for k in ok]
-        y_new = y_new[ok]
-        y[rows] = y_new
-        finite = np.isfinite(y_new).all(axis=(-2, -1)).tolist()
-        for i, yi, fin in zip(rows, y_new, finite):
-            accepted[i] += 1
-            stored[i].append((t[i], yi))  # a row of y_new, which nothing writes to
-            if not fin:
-                status[i] = "blowup-stopped"
-        active = [i for i in active if status[i] == "completed" and t[i] < t_end[i]]
+            ok = err <= tol
+            # relative to t, not t_max: an early blow-up in a long horizon
+            h_floor = 1e-14 * np.maximum(1.0, t)
+            stuck = ~ok & (h <= h_floor * 1.01)
+            if stuck.any():
+                raise StepUnderflowError(f"step underflow at t={t[stuck.argmax()]:.6g}")
+            # the bits of Python floats: np.float_power rounds as ** does, which
+            # np.power's SIMD loop does not always; max(0.2, nan) is 0.2, as in np.fmax
+            factor = 0.9 * np.float_power(tol / err, 0.2)
+            grow = np.where(err == 0.0, 2.0, np.minimum(5.0, np.maximum(0.2, factor)))
+            shrunk = np.maximum(h * np.fmax(0.2, factor), h_floor)
+            t = np.where(ok, t + h, t)
+            h = np.where(ad, np.where(ok, h * grow, shrunk), h)
+            y = np.where(ok[:, None, None], y_new, y)
+            rejected[idx] += ~ok
+            stored.append((idx[ok], t[ok], y_new[ok]))
+            blew_up = ok & ~np.isfinite(y_new).all(axis=(-2, -1))
+            status[idx[blew_up]] = 1  # "blowup-stopped"
+            running = ~blew_up & (t < t_end)
 
-    # the diagnostics of every stored operator, in one stacked call each
-    kept = [sample for steps in stored for sample in steps]
-    ops = np.stack([op for _, op in kept]) if kept else np.zeros((0, 6, 6))
-    scal = scalar(ops).tolist()
-    bianchi = bianchi_residual(ops).tolist()
-    if params is None:
-        members = ls = [None] * len(ops)
-    else:
-        spectra = block_spectra(ops)
-        members = is_member(ops, params, blocks=spectra).tolist()
+    # every trajectory's samples together, in time order, for one stacked
+    # call of each diagnostic
+    owner, ts, ops = (np.concatenate(col) for col in zip(*stored))
+    order = np.argsort(owner, kind="stable")
+    ts, ops = ts[order], ops[order]
+    counts = np.bincount(owner, minlength=n)  # every accepted step and the start
+    l = member = None
+    if params is not None:
+        finite = np.isfinite(ops).all(axis=(-2, -1))
+        spectra = block_spectra(ops[finite])
+        l, member = np.full(len(ops), np.nan), np.zeros(len(ops), dtype=bool)
+        member[finite] = is_member(ops[finite], params, blocks=spectra)
         with np.errstate(over="ignore", invalid="ignore"):
-            ls = _l(_spectra(ops, spectra), params).tolist()
-    # positional fields: keywords would double the cost of each sample
-    samples = map(TrajectorySample, [ti for ti, _ in kept], ops, scal, bianchi, ls, members)
-    return [Trajectory(tuple(islice(samples, len(steps))), status[i], accepted[i], rejected[i])
-            for i, steps in enumerate(stored)]
+            l[finite] = _l(_spectra(ops[finite], spectra), params)
+    cuts = np.cumsum(counts)[:-1]
+    parts = [[None] * n if col is None else np.split(col, cuts)
+             for col in (ts, ops, scalar(ops), bianchi_residual(ops), l, member)]
+    return [Trajectory(Samples(*cols), _STATUS[code], steps, rej)
+            for *cols, code, steps, rej in zip(*parts, status.tolist(), (counts - 1).tolist(), rejected.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +252,8 @@ def _trajectories(traj):
 def _columns(trajs):
     # the stored operators and times of a list of trajectories, concatenated,
     # and the row of each trajectory's first sample
-    samples = [s for tr in trajs for s in tr.samples]
-    ops = np.stack([s.operator for s in samples]) if samples else np.zeros((0, 6, 6))
-    t = np.array([s.t for s in samples], dtype=float)
+    ops = np.concatenate([np.zeros((0, 6, 6))] + [tr.samples.operator for tr in trajs])
+    t = np.concatenate([np.zeros(0)] + [tr.samples.t for tr in trajs])
     first = np.cumsum([0] + [len(tr.samples) for tr in trajs])[:-1]
     return ops, t, first
 

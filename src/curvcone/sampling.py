@@ -18,9 +18,8 @@ keyed by a SeedSequence over (seed, path...), stays for the tests and for
 the two frame oracles ``cone.two_nonneg_flag`` and ``cone.sampled_inf``,
 which take one seed per operator and draw many normals for few operators.
 There this numpy Philox kernel is the slower generator: 10 x 12 000
-normals took 17.8 ms against 3.5 ms from PCG64 substreams, and the one
-frame that ``check`` draws per record took 0.39 ms against 0.028 ms (one
-core of a 2-vCPU VM, BLAS on one thread).
+normals took 17.8 ms against 3.5 ms from PCG64 substreams (one core of a
+2-vCPU VM, BLAS on one thread); only the ``verify`` suites call them.
 
 Member sampling is rejection-free by construction: block eigenvalues are
 drawn directly inside the three cone inequalities with a configurable
@@ -69,8 +68,8 @@ from .wedge import frobenius, project_bianchi
 #: faster than the numpy Philox kernel (see the module docstring)
 GENERATOR_NAME = (
     "samplers: Philox4x64-10, key (seed, crc32(tag)), counter (index, attempt, block, 0); "
-    "cone.two_nonneg_flag and cone.sampled_inf: PCG64 seeded by SeedSequence((seed, crc32(tag))), "
-    "one substream per operator, kept over Philox for speed"
+    "verify's frame oracles cone.two_nonneg_flag and cone.sampled_inf: PCG64 seeded by "
+    "SeedSequence((seed, crc32(tag))), one substream per operator, kept over Philox for speed"
 )
 
 FACE_TAGS = ("F1", "F2", "F3")

@@ -410,13 +410,13 @@ def suite_flow(seed: int, n: int) -> list[dict]:
     checks.append(c_exact.done())
 
     c_ord = _Check("flow", "rk4-order", "halving the fixed step cuts the error ~16x", "residual", 4.0, seed)
-    errs = [wg.frobenius(t.final.operator - (1.0 / 0.4) * i6) for t in halved]
+    errs = [wg.frobenius(t.samples.operator[-1] - (1.0 / 0.4) * i6) for t in halved]
     for r in (errs[0] / errs[1], errs[1] / errs[2]):
         c_ord.add(abs(r - 16.0), contexts="error ratio")
     checks.append(c_ord.done())
 
     c_scaleq = _Check("flow", "scaling-equivariance", "integrating c R to t matches c times (R to c t)", "residual", 1e-8, seed)
-    ends = np.stack([t.final.operator for t in scaled])
+    ends = np.stack([t.samples.operator[-1] for t in scaled])
     c_scaleq.add(wg.frobenius(ends[:3] - 2.0 * ends[3:]) / np.maximum(1.0, wg.frobenius(ends[:3])), np.arange(3))
     checks.append(c_scaleq.done())
 
@@ -433,7 +433,7 @@ def suite_flow(seed: int, n: int) -> list[dict]:
         norms = wg.frobenius(ops)
         scale = np.maximum(1.0, np.maximum.reduceat(norms, first))
         c_inv.add(fl.invariance_monitor(trs, params) / scale, np.arange(small), r0s)
-        bianchi = np.array([s.bianchi for tr in trs for s in tr.samples])
+        bianchi = np.concatenate([tr.samples.bianchi for tr in trs])
         c_drift.add(np.maximum.reduceat(bianchi, first) / scale, np.arange(small), r0s)
         a, _, c3 = dc._blocks_of(ops)
         gaps = np.abs(np.trace(a, axis1=-2, axis2=-1) - np.trace(c3, axis1=-2, axis2=-1))

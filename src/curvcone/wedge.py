@@ -396,8 +396,8 @@ def rotate_operator(m, q) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def upper_triangle(m) -> np.ndarray:
-    """The 21 upper-triangle entries, row-major: (0,0),(0,1),...,(5,5)."""
-    return np.asarray(m, dtype=float)[_UPPER].copy()
+    """The 21 upper-triangle entries, row-major: (0,0),(0,1),...,(5,5); (..., 21) for a stack."""
+    return np.asarray(m, dtype=float)[(..., *_UPPER)]
 
 
 def operator_from_upper(vals) -> np.ndarray:

@@ -123,13 +123,13 @@ def test_ac06_barrier_expansion():
 def test_ac07_reaction_exactness_and_order():
     traj = fl.integrate(I6, fl.TrajectoryConfig(dt=1e-3, t_max=0.1, rtol=1e-10))
     worst = 0.0
-    for s in traj.samples:
-        c = 1.0 / (1.0 - 6.0 * s.t)
-        worst = max(worst, wg.frobenius(s.operator - c * I6) / (c * math.sqrt(6.0)))
+    for t, op in zip(traj.samples.t, traj.samples.operator):
+        c = 1.0 / (1.0 - 6.0 * t)
+        worst = max(worst, wg.frobenius(op - c * I6) / (c * math.sqrt(6.0)))
     errs = []
     for dt in (1e-2, 5e-3, 2.5e-3):
         t = fl.integrate(I6, fl.TrajectoryConfig(dt=dt, t_max=0.1, adaptive=False))
-        errs.append(wg.frobenius(t.final.operator - 2.5 * I6))
+        errs.append(wg.frobenius(t.samples.operator[-1] - 2.5 * I6))
     ratios = (errs[0] / errs[1], errs[1] / errs[2])
     ok = worst <= 1e-8 and all(12.0 <= r <= 20.0 for r in ratios)
     _report(
@@ -146,7 +146,7 @@ def test_ac08_empirical_cone_invariance():
         cfgs = [fl.TrajectoryConfig(dt=1e-3, t_max=min(0.05, 0.5 / nrm), rtol=1e-8, blowup_norm=1e6)
                 for nrm in wg.frobenius(r0s).tolist()]
         for traj in fl._integrate_stack(r0s, cfgs):
-            scale = max(1.0, max(wg.frobenius(s.operator) for s in traj.samples))
+            scale = max(1.0, max(wg.frobenius(op) for op in traj.samples.operator))
             worst = max(worst, fl.invariance_monitor(traj, params) / scale)
     elapsed = time.perf_counter() - t0
     _report(

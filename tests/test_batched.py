@@ -351,14 +351,14 @@ def test_stacked_octet_validation_rejects_one_bad_octet():
 
 def _l_inequality_reference(traj, params):
     # the monitor as a loop over steps, with l from one public call per sample
-    samples = traj.samples
-    ls = [cn.lower_bound_l(s.operator, params) for s in samples]
-    norms = [wg.frobenius(s.operator) for s in samples]
-    rhs = [s.scalar * li + 6.0 * li * li for s, li in zip(samples, ls)]
+    ts, ops, scal = (traj.samples.t.tolist(), traj.samples.operator, traj.samples.scalar.tolist())
+    ls = [cn.lower_bound_l(op, params) for op in ops]
+    norms = [wg.frobenius(op) for op in ops]
+    rhs = [sc * li + 6.0 * li * li for sc, li in zip(scal, ls)]
     worst = worst_left = np.inf
     steps = 0
-    for i in range(len(samples) - 1):
-        dt_i = samples[i + 1].t - samples[i].t
+    for i in range(len(ts) - 1):
+        dt_i = ts[i + 1] - ts[i]
         if dt_i <= 0.0 or not (np.isfinite(ls[i]) and np.isfinite(ls[i + 1])):
             continue
         quot = (ls[i + 1] - ls[i]) / dt_i
@@ -370,13 +370,13 @@ def _l_inequality_reference(traj, params):
 
 
 def _strong_max_reference(traj):
-    samples = traj.samples
-    spectra = [dc.block_spectra(s.operator)[0] for s in samples]
-    norms = [wg.frobenius(s.operator) for s in samples]
+    ts, ops = traj.samples.t.tolist(), traj.samples.operator
+    spectra = [dc.block_spectra(op)[0] for op in ops]
+    norms = [wg.frobenius(op) for op in ops]
     rhs = [2.0 * (ea[0] + ea[1]) * (2.0 * ea[2] + ea[0]) for ea in spectra]
     worst, ok, steps = np.inf, 0, 0
-    for i in range(len(samples) - 1):
-        dt_i = samples[i + 1].t - samples[i].t
+    for i in range(len(ts) - 1):
+        dt_i = ts[i + 1] - ts[i]
         if dt_i <= 0.0:
             continue
         quot = ((spectra[i + 1][0] + spectra[i + 1][1]) - (spectra[i][0] + spectra[i][1])) / dt_i
@@ -411,7 +411,7 @@ def test_monitors_match_per_sample_loops(params):
     skipped = 0
     for traj in trajs:
         l_refs.append(repr(_l_inequality_reference(traj, params)))
-        inv_refs.append(repr(max(cn.lower_bound_l(s.operator, params) for s in traj.samples)))
+        inv_refs.append(repr(max(cn.lower_bound_l(op, params) for op in traj.samples.operator)))
         rep = fl.l_inequality_monitor(traj, params)
         assert repr(rep) == l_refs[-1]
         skipped += rep.steps < len(traj.samples) - 1
@@ -428,9 +428,9 @@ def test_monitors_match_per_sample_loops(params):
 
 def _same_trajectory(a, b):
     assert (a.status, a.accepted, a.rejected, len(a.samples)) == (b.status, b.accepted, b.rejected, len(b.samples))
-    for sa, sb in zip(a.samples, b.samples):
-        assert sa.operator.tobytes() == sb.operator.tobytes()
-        assert repr((sa.t, sa.scalar, sa.bianchi, sa.l, sa.member)) == repr((sb.t, sb.scalar, sb.bianchi, sb.l, sb.member))
+    for name in ("t", "operator", "scalar", "bianchi", "l", "member"):
+        va, vb = getattr(a.samples, name), getattr(b.samples, name)
+        assert va.dtype == vb.dtype and va.tobytes() == vb.tobytes(), name
 
 
 @pytest.mark.filterwarnings("error")
@@ -440,7 +440,8 @@ def test_mixed_config_stack_gives_each_trajectory_its_solo_bits(mode):
     # norm, a blow-up start among them, integrated as one stack; the mixed
     # stack alternates adaptive and fixed-step rows, and its last row takes
     # fixed steps from the blow-up start until they overflow.  No mode warns:
-    # an overflowing step shows only in the stored state and the status.
+    # an overflowing step shows only in the stored state and the status, and
+    # the stored non-finite state has l NaN and no membership.
     cfg = smp.SamplerConfig(seed=13)
     members = smp.random_member(cfg, P12, index=np.arange(4))
     far = smp.random_nonmember(cfg, P12, index=0)
@@ -452,24 +453,26 @@ def test_mixed_config_stack_gives_each_trajectory_its_solo_bits(mode):
             + [fl.TrajectoryConfig(dt=1e-2, t_max=0.1), fl.TrajectoryConfig(dt=1e-4, t_max=1.0, rtol=1e-9)])
     flags = [mode == "adaptive" or (mode == "mixed" and k % 2 == 1) for k in range(len(cfgs))]
     cfgs = [dataclasses.replace(c, adaptive=a) for c, a in zip(cfgs, flags)]
-    params = P12
     if mode == "mixed":
         starts = np.concatenate([starts, [far]])
         cfgs.append(fl.TrajectoryConfig(dt=1e-4, t_max=1.0, blowup_norm=1e300, adaptive=False))
-        params = None  # the spectra of the overflowed state do not converge
-    stacked = fl._integrate_stack(starts, cfgs, params)
-    solo = [fl.integrate(r0, c, params) for r0, c in zip(starts, cfgs)]
+    stacked = fl._integrate_stack(starts, cfgs, P12)
+    solo = [fl.integrate(r0, c, P12) for r0, c in zip(starts, cfgs)]
     assert {t.status for t in stacked} == {"completed", "blowup-stopped"}
     for a, b in zip(stacked, solo):
         _same_trajectory(a, b)
     if mode != "fixed":
         assert stacked[9].rejected > 0  # the adaptive blow-up row
     if mode == "mixed":
-        assert not np.isfinite(stacked[-1].final.operator).all()
-        return
-    # the stacked l of the stored samples equals one public call per sample
-    for traj in stacked[:-1]:
-        assert [s.l for s in traj.samples] == [cn.lower_bound_l(s.operator, P12) for s in traj.samples]
+        overflowed = stacked[-1].samples
+        assert not np.isfinite(overflowed.operator[-1]).all()
+        finite = np.isfinite(overflowed.operator).all(axis=(-2, -1))
+        assert np.isnan(overflowed.l[~finite]).all() and not overflowed.member[~finite].any()
+    # the stacked l of the stored finite samples equals one public call per sample
+    for traj in stacked[:-1] if mode != "mixed" else stacked:
+        s = traj.samples
+        finite = np.isfinite(s.operator).all(axis=(-2, -1))
+        assert s.l[finite].tolist() == [cn.lower_bound_l(op, P12) for op in s.operator[finite]]
 
 
 def test_pinch_on_members_and_empty_stacks():

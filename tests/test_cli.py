@@ -159,6 +159,21 @@ class TestCheckAtExtremeScale:
         assert cli.main(["check", "--eta", "0.5", "--mu", "1.5", "--input", str(p), "--output", str(out)]) == 0
         assert len(calls) == 3
 
+    def test_no_record_draws_a_frame(self, tmp_path, monkeypatch):
+        # the flag certificate is a closed form of the spectra: check builds
+        # no substream for a sampled frame
+        from curvcone import sampling
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("check built a substream")
+
+        p = tmp_path / "ops.jsonl"
+        write_ops(p, I6, -I6, 1e300 * random_nonmember(SamplerConfig(seed=4), ConeParams(1.0, 2.0), index=1))
+        monkeypatch.setattr(sampling, "substream", refuse)
+        out = tmp_path / "out.jsonl"
+        assert cli.main(["check", "--input", str(p), "--output", str(out)]) == 0
+        assert [json.loads(line)["flag2_certificate"] for line in out.read_text().splitlines()][:2] == [2.0, -2.0]
+
 
 class TestRobustInput:
     @pytest.mark.parametrize("cmd", ["check", "l"])
@@ -241,6 +256,22 @@ class TestEvolve:
         rows = out.read_text().splitlines()[1:]
         assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
         assert float(rows[-1].split(",")[0]) > 1e307
+
+    @pytest.mark.parametrize("scale, argv, csv_sha256, stderr_sha256", [
+        (3e7, ["--t-max", "100"],
+         "e90c481c8dd67888b7cf9d61f580be29e82fad9718bc4c789e452fba37631721",
+         "a9035d69f6da8bfd96ac0bc080de67b8f20e57686420471d0e05fda43d15392b"),
+        (None, ["--t-max", "0.05", "--dt", "1e-4", "--eta", "1", "--mu", "2"],
+         "ac2571775b2ff5db820b9c6e12da08104d2d74dff87c13e57164186602cab4f4",
+         "202b73f00776b0f403d7f6c2130ef6c0eff8207d8eed264266919fa4a6afad50"),
+    ], ids=["blowup-3e7", "nonmember"])
+    def test_csv_and_status_line_bytes_are_pinned(self, tmp_path, capsys, scale, argv, csv_sha256, stderr_sha256):
+        m = random_nonmember(SamplerConfig(seed=1), ConeParams(1.0, 2.0), index=0)
+        p, out = tmp_path / "start.jsonl", tmp_path / "t.csv"
+        write_ops(p, m if scale is None else m * (scale / np.linalg.norm(m)))
+        assert cli.main(["evolve", "--input", str(p), *argv, "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha256
+        assert hashlib.sha256(capsys.readouterr().err.encode()).hexdigest() == stderr_sha256
 
     def test_overflowing_trial_step_shrinks(self, tmp_path, capsys):
         # a non-member at |R| = 3e7 overflows trial steps on its way to the

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from functools import lru_cache
 
@@ -54,43 +55,41 @@ class TestIntegrate:
     def test_identity_ray_closed_form(self):
         traj = fl.integrate(I6, fl.TrajectoryConfig(dt=1e-3, t_max=0.1, rtol=1e-10))
         assert traj.status == "completed"
-        for s in traj.samples:
-            c = closed_form(1.0, s.t)
-            assert np.linalg.norm(s.operator - c * I6) <= 1e-8 * np.linalg.norm(c * I6)
+        for t, op in zip(traj.samples.t, traj.samples.operator):
+            c = closed_form(1.0, t)
+            assert np.linalg.norm(op - c * I6) <= 1e-8 * np.linalg.norm(c * I6)
 
     def test_zero_stays_zero(self):
         traj = fl.integrate(np.zeros((6, 6)), fl.TrajectoryConfig(dt=1e-2, t_max=0.1))
-        for s in traj.samples:
-            assert np.all(s.operator == 0.0)
+        assert np.all(traj.samples.operator == 0.0)
 
     def test_negative_ray_decays(self):
         traj = fl.integrate(-I6, fl.TrajectoryConfig(dt=1e-3, t_max=0.5, rtol=1e-10))
-        norms = [np.linalg.norm(s.operator) for s in traj.samples]
+        norms = [np.linalg.norm(op) for op in traj.samples.operator]
         assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
-        for s in traj.samples:
-            c = closed_form(-1.0, s.t)
-            assert np.linalg.norm(s.operator - c * I6) <= 1e-8
+        for t, op in zip(traj.samples.t, traj.samples.operator):
+            c = closed_form(-1.0, t)
+            assert np.linalg.norm(op - c * I6) <= 1e-8
 
     def test_fourth_order_convergence(self):
         errs = []
         for dt in (1e-2, 5e-3, 2.5e-3):
             traj = fl.integrate(I6, fl.TrajectoryConfig(dt=dt, t_max=0.1, adaptive=False))
-            errs.append(np.linalg.norm(traj.final.operator - closed_form(1.0, 0.1) * I6))
+            errs.append(np.linalg.norm(traj.samples.operator[-1] - closed_form(1.0, 0.1) * I6))
         for ratio in (errs[0] / errs[1], errs[1] / errs[2]):
             assert 12.0 <= ratio <= 20.0
 
     def test_blowup_stop(self):
         traj = fl.integrate(5.0 * I6, fl.TrajectoryConfig(dt=1e-3, t_max=10.0, blowup_norm=1e3))
         assert traj.status == "blowup-stopped"
-        assert np.linalg.norm(traj.final.operator) >= 1e3
+        assert np.linalg.norm(traj.samples.operator[-1]) >= 1e3
 
     def test_scaling_equivariance(self):
         r0 = random_member(CFG, P12, index=2)
         t1 = fl.integrate(2.0 * r0, fl.TrajectoryConfig(dt=1e-4, t_max=0.01, rtol=1e-11))
         t2 = fl.integrate(r0, fl.TrajectoryConfig(dt=1e-4, t_max=0.02, rtol=1e-11))
-        rel = np.linalg.norm(t1.final.operator - 2.0 * t2.final.operator) / np.linalg.norm(
-            t1.final.operator
-        )
+        end1, end2 = t1.samples.operator[-1], t2.samples.operator[-1]
+        rel = np.linalg.norm(end1 - 2.0 * end2) / np.linalg.norm(end1)
         assert rel <= 1e-8
 
     def test_rotation_equivariance(self):
@@ -99,26 +98,25 @@ class TestIntegrate:
         cfg = fl.TrajectoryConfig(dt=1e-4, t_max=0.01, rtol=1e-11)
         t1 = fl.integrate(wg.rotate_operator(r0, q), cfg)
         t2 = fl.integrate(r0, cfg)
-        rel = np.linalg.norm(
-            t1.final.operator - wg.rotate_operator(t2.final.operator, q)
-        ) / max(1.0, np.linalg.norm(t1.final.operator))
+        end1, end2 = t1.samples.operator[-1], t2.samples.operator[-1]
+        rel = np.linalg.norm(end1 - wg.rotate_operator(end2, q)) / max(1.0, np.linalg.norm(end1))
         assert rel <= 1e-9
 
     def test_bianchi_and_trace_balance_along_trajectory(self):
         r0 = random_member(CFG, P12, index=4)
         traj = fl.integrate(r0, fl.TrajectoryConfig(dt=1e-3, t_max=0.02, rtol=1e-9))
-        peak = max(np.linalg.norm(s.operator) for s in traj.samples)
-        for s in traj.samples:
-            assert s.bianchi <= 1e-9 * max(1.0, peak)
-            a, _, c = dc._blocks_of(s.operator)
-            assert abs(np.trace(a) - np.trace(c)) <= 1e-10 * max(1.0, np.linalg.norm(s.operator))
+        peak = max(np.linalg.norm(op) for op in traj.samples.operator)
+        assert np.all(traj.samples.bianchi <= 1e-9 * max(1.0, peak))
+        for op in traj.samples.operator:
+            a, _, c = dc._blocks_of(op)
+            assert abs(np.trace(a) - np.trace(c)) <= 1e-10 * max(1.0, np.linalg.norm(op))
 
     def test_diagnostics_present_with_params(self):
         traj = fl.integrate(I6, fl.TrajectoryConfig(dt=1e-3, t_max=0.01), params=P12)
-        for s in traj.samples:
-            assert s.member is True and s.l == 0.0
+        assert traj.samples.member.dtype == bool and traj.samples.member.all()
+        assert np.all(traj.samples.l == 0.0)
         traj = fl.integrate(I6, fl.TrajectoryConfig(dt=1e-3, t_max=0.01))
-        assert traj.final.member is None and traj.final.l is None
+        assert traj.samples.member is None and traj.samples.l is None
 
     def test_step_floor_follows_the_time_not_the_horizon(self):
         # a non-member at |R| = 3e7 reaches the blow-up norm before t = 1e-7,
@@ -127,13 +125,13 @@ class TestIntegrate:
         m = random_nonmember(SamplerConfig(seed=1), P12, index=0)
         start = m * (3e7 / wg.frobenius(m))
         ref = fl.integrate(start, fl.TrajectoryConfig(dt=1e-3, t_max=100.0), params=P12)
-        assert ref.status == "blowup-stopped" and ref.final.t < 1e-7
+        assert ref.status == "blowup-stopped" and ref.samples.t[-1] < 1e-7
         for t_max in (1e6, math.inf):
             traj = fl.integrate(start, fl.TrajectoryConfig(dt=1e-3, t_max=t_max), params=P12)
             assert traj.status == "blowup-stopped"
             assert (traj.accepted, traj.rejected) == (ref.accepted, ref.rejected)
-            for s, r in zip(traj.samples, ref.samples, strict=True):
-                assert s.t == r.t and s.operator.tobytes() == r.operator.tobytes()
+            assert traj.samples.t.tobytes() == ref.samples.t.tobytes()
+            assert traj.samples.operator.tobytes() == ref.samples.operator.tobytes()
 
     def test_infinite_horizon_stops_before_the_time_overflows(self):
         # from 0 and from -I the error estimate is 0 or tiny, so the step
@@ -141,17 +139,17 @@ class TestIntegrate:
         cfg = fl.TrajectoryConfig(dt=1e-3, t_max=math.inf)
         for traj in fl._integrate_stack(np.stack([0.0 * I6, -I6]), [cfg, cfg]):
             assert traj.status == "time-overflow"
-            ts = [s.t for s in traj.samples]
-            assert all(b > a for a, b in zip(ts, ts[1:]))
+            ts = traj.samples.t
+            assert np.all(np.diff(ts) > 0.0)
             assert math.isfinite(ts[-1]) and ts[-1] > 1e307
             # c I follows c / (1 - 6 c t): zero stays zero, -I decays below
             # the local error tolerance
-            assert np.abs(traj.final.operator).max() <= 1e-9
+            assert np.abs(traj.samples.operator[-1]).max() <= 1e-9
 
     def test_times_strictly_increase(self):
         traj = fl.integrate(I6, fl.TrajectoryConfig(dt=1e-3, t_max=0.05))
-        ts = [s.t for s in traj.samples]
-        assert all(b > a for a, b in zip(ts, ts[1:]))
+        ts = traj.samples.t
+        assert np.all(np.diff(ts) > 0.0)
         assert ts[-1] == pytest.approx(0.05, rel=1e-12)
 
 
@@ -193,15 +191,27 @@ def _singles(adaptive: bool, with_params: bool):
         return starts, cfgs, [fl.integrate(r0, c, params) for r0, c in zip(starts, cfgs)]
 
 
+#: sha256 over the solo integrations of _singles, by (adaptive, with_params):
+#: each trajectory's status, step counts and length, then its columns' bytes
+SOLO_SHA256 = {
+    (True, False): "4a56683ebe0729a88d6bf4447a4341de7316907de8771acd0a3406ec544685fd",
+    (True, True): "94d351b9123ea9550136f5ee19af9bee946a178136a24f5fc9a88e0a1b17f51b",
+    (False, False): "bc5f40f73b05628680f44f457211da261fe4a9e51efec816ddd5b4b5770c90d8",
+    (False, True): "7bea5a1b24a4d02114cf382776a7e59ec1e582bd78bff39d76ac23c1ff38b47c",
+}
+
+
 def _assert_same_trajectory(a, b):
     assert (a.status, a.accepted, a.rejected) == (b.status, b.accepted, b.rejected)
-    assert len(a.samples) == len(b.samples)
-    for sa, sb in zip(a.samples, b.samples):
-        assert sa.operator.shape == (6, 6)
-        assert sa.operator.tobytes() == sb.operator.tobytes()
-        for name in ("t", "scalar", "bianchi", "l", "member"):
-            va, vb = getattr(sa, name), getattr(sb, name)
-            assert type(va) is type(vb) and repr(va) == repr(vb), name
+    n = len(a.samples)
+    assert n == len(b.samples) == a.accepted + 1
+    for name in ("t", "operator", "scalar", "bianchi", "l", "member"):
+        va, vb = getattr(a.samples, name), getattr(b.samples, name)
+        if va is None or vb is None:
+            assert va is vb, name
+            continue
+        assert va.shape == vb.shape == ((n, 6, 6) if name == "operator" else (n,)), name
+        assert va.dtype == vb.dtype and va.tobytes() == vb.tobytes(), name
 
 
 @pytest.mark.parametrize("with_params", [False, True], ids=["plain", "params"])
@@ -225,12 +235,22 @@ class TestIntegrateStack:
         for a, k in zip(stacked, order):
             _assert_same_trajectory(a, singles[k])
 
+    def test_solo_bits_are_pinned(self, adaptive, with_params):
+        # stack-vs-solo tests cannot see a change that both sides share
+        h = hashlib.sha256()
+        for traj in _singles(adaptive, with_params)[2]:
+            s = traj.samples
+            h.update(repr((traj.status, traj.accepted, traj.rejected, len(s))).encode())
+            for col in (s.t, s.operator, s.scalar, s.bianchi) + (() if s.l is None else (s.l, s.member)):
+                h.update(col.tobytes())
+        assert h.hexdigest() == SOLO_SHA256[adaptive, with_params]
+
     def test_covers_every_kind_of_start(self, adaptive, with_params):
         _, cfgs, singles = _singles(adaptive, with_params)
         assert {t.status for t in singles} == {"completed", "blowup-stopped"}
         assert {c.t_max for c in cfgs[3::4]} == {0.05 + 0.01 * i for i in range(3, 30, 4)}
         if with_params:
-            assert {s.member for t in singles for s in t.samples} == {True, False}
+            assert set(np.concatenate([t.samples.member for t in singles]).tolist()) == {True, False}
         if adaptive:
             assert singles[2].rejected > 0
 
@@ -252,15 +272,26 @@ class TestIntegrateStackContract:
         fixed = fl.integrate(I6, fl.TrajectoryConfig(dt=5e-3, t_max=0.05, adaptive=False))
         assert (fixed.accepted, fixed.rejected) == (10, 0)
         assert len(fixed.samples) == fixed.accepted + 1  # every accepted step is stored
-        assert [s.t for s in fixed.samples][1:3] == pytest.approx([0.005, 0.01])
+        assert fixed.samples.t[1:3] == pytest.approx([0.005, 0.01])
+
+    def test_step_underflow_stops_a_stuck_row(self):
+        # from a NaN start every trial step is rejected (err is NaN, and the
+        # step shrinks by 0.2, as Python's max(0.2, nan) gives) until the step
+        # reaches its floor; a row that steps on does not hide it
+        nan = np.full((6, 6), np.nan)
+        cfg = fl.TrajectoryConfig(dt=1e-3, t_max=0.1)
+        with pytest.raises(fl.StepUnderflowError, match=r"step underflow at t=0$"):
+            fl.integrate(nan, cfg)
+        with pytest.raises(fl.StepUnderflowError, match=r"step underflow at t=0$"):
+            fl._integrate_stack(np.stack([I6, nan]), [cfg, cfg])
 
     def test_samples_do_not_share_a_buffer_with_the_input(self):
         r0 = random_member(CFG, P12, index=9)
         starts = np.stack([r0, 2.0 * r0])
         trajs = fl._integrate_stack(starts, [fl.TrajectoryConfig(dt=1e-3, t_max=0.01)] * 2)
         starts[:] = 0.0
-        assert np.array_equal(trajs[0].samples[0].operator, r0)
-        assert np.array_equal(trajs[1].samples[0].operator, 2.0 * r0)
+        assert np.array_equal(trajs[0].samples.operator[0], r0)
+        assert np.array_equal(trajs[1].samples.operator[0], 2.0 * r0)
 
 
 class TestMonitors:
@@ -273,7 +304,7 @@ class TestMonitors:
             for r0 in random_member(CFG, p, index=50 + np.arange(10)):
                 t_max = min(0.05, 0.5 / np.linalg.norm(r0))
                 traj = fl.integrate(r0, fl.TrajectoryConfig(dt=1e-3, t_max=t_max, rtol=1e-8))
-                scale = max(1.0, max(np.linalg.norm(s.operator) for s in traj.samples))
+                scale = max(1.0, max(np.linalg.norm(op) for op in traj.samples.operator))
                 assert fl.invariance_monitor(traj, p) <= 1e-6 * scale
 
     def test_invariance_from_boundary(self):
@@ -283,7 +314,7 @@ class TestMonitors:
             r0, _ = boundary_member(CFG, P12, face, index=7)
             t_max = min(0.05, 0.5 / np.linalg.norm(r0))
             traj = fl.integrate(r0, fl.TrajectoryConfig(dt=1e-3, t_max=t_max, rtol=1e-9))
-            scale = max(1.0, max(np.linalg.norm(s.operator) for s in traj.samples))
+            scale = max(1.0, max(np.linalg.norm(op) for op in traj.samples.operator))
             assert fl.invariance_monitor(traj, P12) <= 1e-6 * scale
 
     def test_l_inequality_on_saturating_ray(self):
