@@ -172,7 +172,7 @@ def time_integrate(stacked: bool) -> dict:
     row = {"per_operator_us": 1e6 * best_of(
         lambda: [flow.integrate(r0, c) for r0, c in zip(starts, cfgs)], REPEATS) / N_TRAJ}
     if stacked:
-        row["stacked_us"] = 1e6 * best_of(lambda: flow._integrate_stack(starts, cfgs), REPEATS) / N_TRAJ
+        row["stacked_us"] = 1e6 * best_of(lambda: flow.integrate(starts, cfgs), REPEATS) / N_TRAJ
     return row
 
 

@@ -8,26 +8,26 @@ line R = c(t) I the ODE collapses to c' = 6 c^2 with closed form
 c(t) = c0 / (1 - 6 c0 t), which anchors the exactness and convergence-order
 tests.
 
-One stacked core, :func:`_integrate_stack`, advances N starting operators,
-fixed-step and adaptive together, as a single (N, 6, 6) state in lockstep:
-each iteration evaluates the first stage once over the trajectories still
-running, then runs one Runge-Kutta stage sequence over every row's full
-step and the adaptive rows' first half step (which share that stage), and
-then the adaptive rows' second half step, each stage one Q(R) evaluation
-over its rows.  The step control (time, step size, accept/reject, blow-up
-and time-overflow stops) is elementwise array expressions over the running
-rows, so each trajectory carries the bits it has when integrated alone.
-:func:`integrate` is the N = 1 case.  Every accepted step is stored as a
-row of the trajectory's columns (:class:`Samples`), whose diagnostics
-(scalar curvature and Bianchi residual, and with cone parameters membership
-and l) are taken after stepping, in one stacked call over all trajectories.
+:func:`integrate` advances a stack of N starts, fixed-step and adaptive
+together, as a single (N, 6, 6) state in lockstep: each iteration evaluates
+the first stage once over the trajectories still running, then runs one
+Runge-Kutta stage sequence over every row's full step and the adaptive
+rows' first half step (which share that stage), and then the adaptive rows'
+second half step, each stage one Q(R) evaluation over its rows.  The step
+control (time, step size, accept/reject, blow-up and time-overflow stops) is
+elementwise array expressions over the running rows, so each trajectory
+carries the bits it has when integrated alone; one (6, 6) start is the
+N = 1 case.  Every accepted step is a row of the columns (:class:`Samples`)
+of one :class:`Trajectory`, each trajectory's rows in turn, whose
+diagnostics (scalar curvature and Bianchi residual, and with cone parameters
+membership and l) are taken after stepping, in one stacked call.
 
 Monitors recompute their diagnostics from the stored operators -- the
 lower-bound functional l is re-derived from its closed form at every sample
-(from the spectra of all stored operators, taken in one call), never
+(from the spectra of all stored finite operators, taken in one call), never
 propagated -- so nothing in a report can drift away from the
 trajectory data; each monitor is one array expression over the samples of
-one trajectory, or of a sequence of them with a reduction per trajectory.
+one trajectory, or of a stack of them with a reduction per trajectory.
 The differential inequality for l pairs dR/dt = 2 Q(R) with the
 right-hand side (scal) l + 6 l^2; the multiple-of-identity trajectories
 saturate that inequality exactly, which pins the constant pairing.
@@ -103,10 +103,27 @@ class Samples:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
+    """One trajectory, or a stack of N: then status, accepted and rejected are
+    (N,) arrays, ``samples`` holds each one's rows in turn, in time order,
+    and ``traj[a:b]`` is the stack of trajectories a to b."""
+
     samples: Samples
-    status: str  # one of _STATUS
-    accepted: int  # accepted steps
-    rejected: int  # trial steps rejected by the error control
+    status: str | np.ndarray  # one of _STATUS each
+    accepted: int | np.ndarray  # accepted steps
+    rejected: int | np.ndarray  # trial steps rejected by the error control
+
+    def first(self) -> np.ndarray:
+        """The row at which each trajectory starts: (N,), or (1,) for one start."""
+        counts = np.atleast_1d(self.accepted) + 1
+        return np.cumsum(counts) - counts
+
+    def __getitem__(self, k: slice) -> Trajectory:
+        ks = range(len(self.accepted))[k]  # a TypeError for one start
+        if not isinstance(ks, range) or ks.step != 1:
+            raise TypeError("a stack of trajectories takes a contiguous slice")
+        lo, hi = np.append(self.first(), len(self.samples))[[ks.start, ks.stop]]
+        cols = {name: None if col is None else col[lo:hi] for name, col in vars(self.samples).items()}
+        return Trajectory(Samples(**cols), self.status[k], self.accepted[k], self.rejected[k])
 
 
 def reaction_rhs(m) -> np.ndarray:
@@ -125,34 +142,25 @@ def _rk4_step(y: np.ndarray, h, k1=None) -> np.ndarray:
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def integrate(r0, cfg: TrajectoryConfig, params: ConeParams | None = None) -> Trajectory:
-    """Integrate the reaction ODE from r0.
+def integrate(r0, cfg, params: ConeParams | None = None) -> Trajectory:
+    """Integrate the reaction ODE from a (6, 6) start, or from a stack.
 
+    An (N, 6, 6) stack takes N configs, fixed-step and adaptive mixed, and
+    gives a stack of N, each with the bits of its start integrated alone.
     Classical RK4; in adaptive mode each step is compared against two half
     steps, which share the full step's first stage: a trial step takes 11 Q
     evaluations in 8 sequential stacked calls, as the full step and the first
     half step run as one stage sequence.  The step size is adjusted to keep
     the estimated local error under ``rtol * max(1, |R|)``.  Passing
     ``params`` adds cone diagnostics (l and membership) to every stored
-    sample.  Raises :class:`StepUnderflowError` if the accepted step
-    collapses.
+    sample.  Raises :class:`StepUnderflowError` if the accepted step of any
+    trajectory collapses.
     """
-    return _integrate_stack(np.asarray(r0, dtype=float)[None], [cfg], params)[0]
-
-
-def _integrate_stack(r0s, cfgs, params: ConeParams | None = None) -> list[Trajectory]:
-    """Integrate N starts (an (N, 6, 6) stack) together, one config each.
-
-    Returns one :class:`Trajectory` per start, each equal field by field
-    and bit for bit to :func:`integrate` on that start alone.  Fixed-step
-    and adaptive configs may be mixed in one stack.  Raises
-    :class:`StepUnderflowError` if the accepted step of any trajectory
-    collapses.
-    """
-    r0s = np.asarray(r0s, dtype=float)
-    cfgs = list(cfgs)
+    r0 = np.asarray(r0, dtype=float)
+    single = isinstance(cfg, TrajectoryConfig)
+    r0s, cfgs = (r0[None], [cfg]) if single else (r0, list(cfg))
     if r0s.ndim != 3 or r0s.shape[1:] != (6, 6) or len(cfgs) != len(r0s):
-        raise ValueError("need an (N, 6, 6) stack of starts and N configs")
+        raise ValueError("need a (6, 6) start and one config, or an (N, 6, 6) stack and N configs")
     n = len(cfgs)
     # the state of the running rows, compacted as rows stop; idx maps each
     # row to its trajectory
@@ -224,54 +232,41 @@ def _integrate_stack(r0s, cfgs, params: ConeParams | None = None) -> list[Trajec
     owner, ts, ops = (np.concatenate(col) for col in zip(*stored))
     order = np.argsort(owner, kind="stable")
     ts, ops = ts[order], ops[order]
-    counts = np.bincount(owner, minlength=n)  # every accepted step and the start
-    l = member = None
-    if params is not None:
-        finite = np.isfinite(ops).all(axis=(-2, -1))
-        spectra = block_spectra(ops[finite])
-        l, member = np.full(len(ops), np.nan), np.zeros(len(ops), dtype=bool)
-        member[finite] = is_member(ops[finite], params, blocks=spectra)
-        with np.errstate(over="ignore", invalid="ignore"):
-            l[finite] = _l(_spectra(ops[finite], spectra), params)
-    cuts = np.cumsum(counts)[:-1]
-    parts = [[None] * n if col is None else np.split(col, cuts)
-             for col in (ts, ops, scalar(ops), bianchi_residual(ops), l, member)]
-    return [Trajectory(Samples(*cols), _STATUS[code], steps, rej)
-            for *cols, code, steps, rej in zip(*parts, status.tolist(), (counts - 1).tolist(), rejected.tolist())]
+    accepted = np.bincount(owner, minlength=n) - 1  # every stored row but the start
+    l, member = (None, None) if params is None else _cone_diagnostics(ops, params)
+    samples = Samples(ts, ops, scalar(ops), bianchi_residual(ops), l, member)
+    if single:
+        return Trajectory(samples, _STATUS[status[0]], int(accepted[0]), int(rejected[0]))
+    return Trajectory(samples, np.array(_STATUS)[status], accepted, rejected)
+
+
+def _cone_diagnostics(ops, params: ConeParams):
+    # l and membership of stored operators, NaN and False where an entry is not finite
+    finite = np.isfinite(ops).all(axis=(-2, -1))
+    spectra = block_spectra(ops[finite])
+    l, member = np.full(len(ops), np.nan), np.zeros(len(ops), dtype=bool)
+    member[finite] = is_member(ops[finite], params, blocks=spectra)
+    with np.errstate(over="ignore", invalid="ignore"):
+        l[finite] = _l(_spectra(ops[finite], spectra), params)
+    return l, member
 
 
 # ---------------------------------------------------------------------------
 # monitors
 # ---------------------------------------------------------------------------
 
-def _trajectories(traj):
-    # (whether one trajectory was given, the trajectories as a list)
-    return (True, [traj]) if isinstance(traj, Trajectory) else (False, list(traj))
-
-
-def _columns(trajs):
-    # the stored operators and times of a list of trajectories, concatenated,
-    # and the row of each trajectory's first sample
-    ops = np.concatenate([np.zeros((0, 6, 6))] + [tr.samples.operator for tr in trajs])
-    t = np.concatenate([np.zeros(0)] + [tr.samples.t for tr in trajs])
-    first = np.cumsum([0] + [len(tr.samples) for tr in trajs])[:-1]
-    return ops, t, first
-
-
-def invariance_monitor(traj, params: ConeParams):
+def invariance_monitor(traj: Trajectory, params: ConeParams):
     """max_t l(R(t)) over the stored samples, recomputed from the operators.
 
     For a trajectory started at a member this stays at the rounding level
     of the integrator and the spectra: the cone is invariant under the
-    reaction flow.  Given a sequence of trajectories, returns an array of
-    their maxima, from one spectra call over all their operators.
+    reaction flow.  It is NaN if a stored operator is not finite.  Given a
+    stack of trajectories, returns an array of their maxima, from one
+    spectra call over all their operators.
     """
-    single, trajs = _trajectories(traj)
-    ops, _, first = _columns(trajs)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ls = _l(_spectra(ops), params)
+    ls, first = _cone_diagnostics(traj.samples.operator, params)[0], traj.first()
     worst = np.maximum.reduceat(ls, first) if len(first) else ls
-    return float(worst[0]) if single else worst
+    return float(worst[0]) if isinstance(traj.status, str) else worst
 
 
 # The two step monitors below are array expressions over the steps that
@@ -279,16 +274,16 @@ def invariance_monitor(traj, params: ConeParams):
 # first operand unless the second beats it (so NaN never wins), and |R|^3 is
 # taken by pow, as Python's x**3 takes it.  Python floats warn of no inf or
 # NaN (and where x**3 would raise OverflowError the arrays give inf), so the
-# monitors silence numpy's warnings.  Over a sequence of trajectories, row j
-# of the concatenated operators is the left end of step j, which is kept only
-# if row j + 1 belongs to the same trajectory; each trajectory's rows then
-# hold its steps and one row that is no step, which takes the identity of a
+# monitors silence numpy's warnings.  Over a stack of trajectories, row j
+# of the operators is the left end of step j, which is kept only if row
+# j + 1 belongs to the same trajectory; each trajectory's rows then hold its
+# steps and one row that is no step, which takes the identity of a
 # per-trajectory reduction, so that no reduction is over an empty segment.
 
-def _steps(trajs):
+def _steps(traj: Trajectory):
     # operators, the length of the step from each row, a mask of the kept
     # steps (positive length, within one trajectory) and each first row
-    ops, t, first = _columns(trajs)
+    ops, t, first = traj.samples.operator, traj.samples.t, traj.first()
     dt = _next(t) - t
     kept = ~(dt <= 0.0)
     kept[first[1:] - 1] = False
@@ -331,17 +326,16 @@ class LInequalityReport:
     steps: int
 
 
-def l_inequality_monitor(traj, params: ConeParams):
+def l_inequality_monitor(traj: Trajectory, params: ConeParams):
     """Check D+ l <= (scal) l + 6 l^2 + 1e-3 (1 + |R|^3) dt along a trajectory.
 
     Steps of nonpositive length, or with a non-finite l at either end, are
-    skipped.  Given a sequence of trajectories, returns a list of reports,
+    skipped.  Given a stack of trajectories, returns a list of reports,
     from one spectra call over all their operators.
     """
-    single, trajs = _trajectories(traj)
-    ops, dt, kept, first = _steps(trajs)
+    ops, dt, kept, first = _steps(traj)
+    ls, _ = _cone_diagnostics(ops, params)
     with np.errstate(over="ignore", invalid="ignore"):
-        ls = _l(_spectra(ops), params)
         rhs = scalar(ops) * ls + 6.0 * ls * ls
         finite = np.isfinite(ls)
         kept &= finite & _next(finite)
@@ -352,7 +346,7 @@ def l_inequality_monitor(traj, params: ConeParams):
         worst_left = _least(r0 + tol_slack - quot, kept, first)
     steps = (np.add.reduceat(kept.astype(np.intp), first) if len(first) else kept).tolist()
     reports = [LInequalityReport(*rep) for rep in zip(worst, worst_left, steps)]
-    return reports[0] if single else reports
+    return reports[0] if isinstance(traj.status, str) else reports
 
 
 @dataclass(frozen=True)
@@ -362,21 +356,28 @@ class StrongMaxReport:
     steps: int
 
 
-def strong_max_monitor(traj: Trajectory) -> StrongMaxReport:
+def strong_max_monitor(traj: Trajectory):
     """Advisory check of D+ (A_1+A_2) >= 2 (A_1+A_2)(2 A_3 + A_1) - tol.
 
     The factor 2 matches dR/dt = 2 Q(R).  Eigenvalue sums are only
     Lipschitz, so this is a diagnostic (fraction of steps passing), not a
-    gate.
+    gate.  Steps with a non-finite operator at either end are skipped.
+    Given a stack of trajectories, returns a list of reports.
     """
-    ops, dt, kept, first = _steps([traj])
-    ea = block_spectra(ops)[0]
+    ops, dt, kept, first = _steps(traj)
+    finite = np.isfinite(ops).all(axis=(-2, -1))
+    kept &= finite & _next(finite)
+    ea = np.full((len(ops), 3), np.nan)
+    ea[finite] = block_spectra(ops[finite])[0]
     with np.errstate(over="ignore", invalid="ignore"):
         x = ea[:, 0] + ea[:, 1]
         rhs = 2.0 * x * (2.0 * ea[:, 2] + ea[:, 0])
         dt, r0, r1 = dt[kept], rhs[kept], _next(rhs)[kept]
         quot = (_next(x)[kept] - x[kept]) / dt
         slack = quot - (np.where(r1 < r0, r1, r0) - _tol_slack(ops, kept, dt))
-    steps = int(kept.sum())
-    frac = int((slack >= 0.0).sum()) / steps if steps else 1.0
-    return StrongMaxReport(_least(slack, kept, first)[0], float(frac), steps)
+    passed = kept.astype(np.intp)
+    passed[kept] = slack >= 0.0
+    counts = ((np.add.reduceat(c, first) if len(first) else c).tolist() for c in (passed, kept.astype(np.intp)))
+    reports = [StrongMaxReport(worst, ok / steps if steps else 1.0, steps)
+               for worst, ok, steps in zip(_least(slack, kept, first), *counts)]
+    return reports[0] if isinstance(traj.status, str) else reports

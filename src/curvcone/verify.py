@@ -389,7 +389,7 @@ def suite_flow(seed: int, n: int) -> list[dict]:
     lineq_params = cn.ConeParams(1.0, 2.0)
     lineq_r0s = smp.random_nonmember(cfg, lineq_params, index=np.arange(small))
     dts = (1e-2, 5e-3, 2.5e-3)
-    trajs = fl._integrate_stack(
+    trajs = fl.integrate(
         np.concatenate([i6[None], 2.0 * eq_r0s, eq_r0s, member_r0s, np.stack([i6] * len(dts)), lineq_r0s]),
         [fl.TrajectoryConfig(dt=1e-3, t_max=0.1, rtol=1e-10)]
         + [fl.TrajectoryConfig(dt=1e-4, t_max=0.01, rtol=1e-11)] * 3
@@ -404,19 +404,19 @@ def suite_flow(seed: int, n: int) -> list[dict]:
     exact, scaled, members, halved, lineq = (trajs[a:b] for a, b in zip(bounds, bounds[1:]))
 
     c_exact = _Check("flow", "reaction-closed-form", "from I the flow matches 1/(1-6t) times I", "residual", 1e-8, seed)
-    ops, t, _ = fl._columns(exact)
+    ops, t = exact.samples.operator, exact.samples.t
     c_fac = 1.0 / (1.0 - 6.0 * t)
     c_exact.add(wg.frobenius(ops - c_fac[:, None, None] * i6) / (c_fac * math.sqrt(6.0)))
     checks.append(c_exact.done())
 
     c_ord = _Check("flow", "rk4-order", "halving the fixed step cuts the error ~16x", "residual", 4.0, seed)
-    errs = [wg.frobenius(t.samples.operator[-1] - (1.0 / 0.4) * i6) for t in halved]
-    for r in (errs[0] / errs[1], errs[1] / errs[2]):
-        c_ord.add(abs(r - 16.0), contexts="error ratio")
+    # each trajectory's end operator is its last row, first + accepted
+    errs = wg.frobenius(halved.samples.operator[halved.first() + halved.accepted] - (1.0 / 0.4) * i6)
+    c_ord.add(np.abs(errs[:-1] / errs[1:] - 16.0), contexts="error ratio")
     checks.append(c_ord.done())
 
     c_scaleq = _Check("flow", "scaling-equivariance", "integrating c R to t matches c times (R to c t)", "residual", 1e-8, seed)
-    ends = np.stack([t.samples.operator[-1] for t in scaled])
+    ends = scaled.samples.operator[scaled.first() + scaled.accepted]
     c_scaleq.add(wg.frobenius(ends[:3] - 2.0 * ends[3:]) / np.maximum(1.0, wg.frobenius(ends[:3])), np.arange(3))
     checks.append(c_scaleq.done())
 
@@ -428,13 +428,11 @@ def suite_flow(seed: int, n: int) -> list[dict]:
         c_tr = _Check("flow", f"trace-balance-{tag}", "tr A = tr C is maintained along trajectories", "residual", 1e-10, seed)
         trs = members[p * small:(p + 1) * small]
         r0s = member_r0s[p * small:(p + 1) * small]
-        # the stored operators of these trajectories as one stack, reduced per trajectory
-        ops, _, first = fl._columns(trs)
+        ops, first = trs.samples.operator, trs.first()
         norms = wg.frobenius(ops)
         scale = np.maximum(1.0, np.maximum.reduceat(norms, first))
         c_inv.add(fl.invariance_monitor(trs, params) / scale, np.arange(small), r0s)
-        bianchi = np.concatenate([tr.samples.bianchi for tr in trs])
-        c_drift.add(np.maximum.reduceat(bianchi, first) / scale, np.arange(small), r0s)
+        c_drift.add(np.maximum.reduceat(trs.samples.bianchi, first) / scale, np.arange(small), r0s)
         a, _, c3 = dc._blocks_of(ops)
         gaps = np.abs(np.trace(a, axis1=-2, axis2=-1) - np.trace(c3, axis1=-2, axis2=-1))
         c_tr.add(np.maximum(0.0, np.maximum.reduceat(gaps / np.maximum(1.0, norms), first)), np.arange(small), r0s)

@@ -145,9 +145,9 @@ def test_ac08_empirical_cone_invariance():
         r0s = smp.random_member(CFG, params, index=8000 + np.arange(100))
         cfgs = [fl.TrajectoryConfig(dt=1e-3, t_max=min(0.05, 0.5 / nrm), rtol=1e-8, blowup_norm=1e6)
                 for nrm in wg.frobenius(r0s).tolist()]
-        for traj in fl._integrate_stack(r0s, cfgs):
-            scale = max(1.0, max(wg.frobenius(op) for op in traj.samples.operator))
-            worst = max(worst, fl.invariance_monitor(traj, params) / scale)
+        trajs = fl.integrate(r0s, cfgs)
+        scale = np.maximum(1.0, np.maximum.reduceat(wg.frobenius(trajs.samples.operator), trajs.first()))
+        worst = max([worst] + (fl.invariance_monitor(trajs, params) / scale).tolist())
     elapsed = time.perf_counter() - t0
     _report(
         "AC-08", worst <= 1e-6 and elapsed < 120.0,
@@ -219,14 +219,11 @@ def test_ac11_cutoff_certification():
 
 def test_ac12_l_differential_inequality():
     p = cn.ConeParams(1.0, 2.0)
-    worst = math.inf
     r0s = smp.random_nonmember(CFG, p, index=14_000 + np.arange(100))
     assert not np.any(cn.is_member(r0s, p))
     cfgs = [fl.TrajectoryConfig(dt=2e-4, t_max=min(0.02, 0.3 / nrm), adaptive=False)
             for nrm in wg.frobenius(r0s).tolist()]
-    for traj in fl._integrate_stack(r0s, cfgs):
-        rep = fl.l_inequality_monitor(traj, p)
-        worst = min(worst, rep.worst_slack)
+    worst = min(rep.worst_slack for rep in fl.l_inequality_monitor(fl.integrate(r0s, cfgs), p))
     _report(
         "AC-12", worst >= 0.0,
         f"reaction inequality for l: worst slack {worst:.2e} >= 0 over 100 non-member starts",

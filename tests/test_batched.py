@@ -399,35 +399,41 @@ def _monitored_trajectories():
             for m in starts]
     # a start past its blow-up norm: a trajectory of one sample and no step
     cfgs[7] = fl.TrajectoryConfig(dt=1e-3, t_max=0.02, blowup_norm=1.0)
-    return starts, fl._integrate_stack(starts, cfgs)
+    return starts, cfgs, fl.integrate(starts, cfgs)
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("params", [P12, P05, cn.ConeParams(0.0, 1.5)], ids=str)
 def test_monitors_match_per_sample_loops(params):
-    _, trajs = _monitored_trajectories()
-    assert len(trajs[7].samples) == 1
-    l_refs, inv_refs = [], []
+    starts, cfgs, trajs = _monitored_trajectories()
+    assert trajs.accepted[7] == 0
+    l_refs, inv_refs, strong_refs = [], [], []
     skipped = 0
-    for traj in trajs:
+    for r0, c in zip(starts, cfgs):
+        traj = fl.integrate(r0, c)
         l_refs.append(repr(_l_inequality_reference(traj, params)))
         inv_refs.append(repr(max(cn.lower_bound_l(op, params) for op in traj.samples.operator)))
+        strong_refs.append(repr(_strong_max_reference(traj)))
         rep = fl.l_inequality_monitor(traj, params)
         assert repr(rep) == l_refs[-1]
         skipped += rep.steps < len(traj.samples) - 1
-        assert repr(fl.strong_max_monitor(traj)) == repr(_strong_max_reference(traj))
+        assert repr(fl.strong_max_monitor(traj)) == strong_refs[-1]
         assert repr(fl.invariance_monitor(traj, params)) == inv_refs[-1]
     # at eta = 0 an infinite l skips steps
     assert (skipped > 0) == (params.eta == 0.0)
-    # the whole list in one call: no step pairs rows of two trajectories
+    # the whole stack in one call: no step pairs rows of two trajectories
     assert [repr(r) for r in fl.l_inequality_monitor(trajs, params)] == l_refs
     assert [repr(x) for x in fl.invariance_monitor(trajs, params).tolist()] == inv_refs
-    assert fl.l_inequality_monitor([], params) == []
-    assert fl.invariance_monitor([], params).shape == (0,)
+    assert [repr(r) for r in fl.strong_max_monitor(trajs)] == strong_refs
+    assert fl.l_inequality_monitor(trajs[:0], params) == []
+    assert fl.invariance_monitor(trajs[:0], params).shape == (0,)
+    assert fl.strong_max_monitor(trajs[:0]) == []
 
 
 def _same_trajectory(a, b):
-    assert (a.status, a.accepted, a.rejected, len(a.samples)) == (b.status, b.accepted, b.rejected, len(b.samples))
+    # a is a stack of one trajectory, b its start integrated alone
+    assert (a.status.tolist(), a.accepted.tolist(), a.rejected.tolist(), len(a.samples)) == (
+        [b.status], [b.accepted], [b.rejected], len(b.samples))
     for name in ("t", "operator", "scalar", "bianchi", "l", "member"):
         va, vb = getattr(a.samples, name), getattr(b.samples, name)
         assert va.dtype == vb.dtype and va.tobytes() == vb.tobytes(), name
@@ -456,23 +462,22 @@ def test_mixed_config_stack_gives_each_trajectory_its_solo_bits(mode):
     if mode == "mixed":
         starts = np.concatenate([starts, [far]])
         cfgs.append(fl.TrajectoryConfig(dt=1e-4, t_max=1.0, blowup_norm=1e300, adaptive=False))
-    stacked = fl._integrate_stack(starts, cfgs, P12)
+    stacked = fl.integrate(starts, cfgs, P12)
     solo = [fl.integrate(r0, c, P12) for r0, c in zip(starts, cfgs)]
-    assert {t.status for t in stacked} == {"completed", "blowup-stopped"}
-    for a, b in zip(stacked, solo):
-        _same_trajectory(a, b)
+    assert set(stacked.status.tolist()) == {"completed", "blowup-stopped"}
+    for k, b in enumerate(solo):
+        _same_trajectory(stacked[k:k + 1], b)
     if mode != "fixed":
-        assert stacked[9].rejected > 0  # the adaptive blow-up row
+        assert stacked.rejected[9] > 0  # the adaptive blow-up row
     if mode == "mixed":
-        overflowed = stacked[-1].samples
+        overflowed = stacked[-1:].samples
         assert not np.isfinite(overflowed.operator[-1]).all()
         finite = np.isfinite(overflowed.operator).all(axis=(-2, -1))
         assert np.isnan(overflowed.l[~finite]).all() and not overflowed.member[~finite].any()
     # the stacked l of the stored finite samples equals one public call per sample
-    for traj in stacked[:-1] if mode != "mixed" else stacked:
-        s = traj.samples
-        finite = np.isfinite(s.operator).all(axis=(-2, -1))
-        assert s.l[finite].tolist() == [cn.lower_bound_l(op, P12) for op in s.operator[finite]]
+    s = (stacked[:-1] if mode != "mixed" else stacked).samples
+    finite = np.isfinite(s.operator).all(axis=(-2, -1))
+    assert s.l[finite].tolist() == [cn.lower_bound_l(op, P12) for op in s.operator[finite]]
 
 
 def test_pinch_on_members_and_empty_stacks():

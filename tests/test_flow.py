@@ -1,6 +1,9 @@
+import dataclasses
 import hashlib
+import importlib.util
 import math
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from curvcone import cone as cn
 from curvcone import decomposition as dc
 from curvcone import flow as fl
+from curvcone import verify
 from curvcone import wedge as wg
 from curvcone.sampling import SamplerConfig, random_member, random_nonmember, random_rotation, substream
 
@@ -137,8 +141,9 @@ class TestIntegrate:
         # from 0 and from -I the error estimate is 0 or tiny, so the step
         # grows until the next time would pass the largest float
         cfg = fl.TrajectoryConfig(dt=1e-3, t_max=math.inf)
-        for traj in fl._integrate_stack(np.stack([0.0 * I6, -I6]), [cfg, cfg]):
-            assert traj.status == "time-overflow"
+        stack = fl.integrate(np.stack([0.0 * I6, -I6]), [cfg, cfg])
+        assert stack.status.tolist() == ["time-overflow"] * 2
+        for traj in (stack[:1], stack[1:]):
             ts = traj.samples.t
             assert np.all(np.diff(ts) > 0.0)
             assert math.isfinite(ts[-1]) and ts[-1] > 1e307
@@ -201,10 +206,12 @@ SOLO_SHA256 = {
 }
 
 
-def _assert_same_trajectory(a, b):
-    assert (a.status, a.accepted, a.rejected) == (b.status, b.accepted, b.rejected)
+def _assert_same_trajectories(a, b):
+    # field by field and bit for bit; one start compares as a stack of one
+    assert [np.atleast_1d(getattr(a, f)).tolist() for f in ("status", "accepted", "rejected")] == [
+        np.atleast_1d(getattr(b, f)).tolist() for f in ("status", "accepted", "rejected")]
     n = len(a.samples)
-    assert n == len(b.samples) == a.accepted + 1
+    assert n == len(b.samples) == int(np.sum(a.accepted + 1))
     for name in ("t", "operator", "scalar", "bianchi", "l", "member"):
         va, vb = getattr(a.samples, name), getattr(b.samples, name)
         if va is None or vb is None:
@@ -221,19 +228,28 @@ class TestIntegrateStack:
     def test_stack_matches_single_integrations(self, n, adaptive, with_params):
         starts, cfgs, singles = _singles(adaptive, with_params)
         with np.errstate(over="ignore", invalid="ignore"):
-            stacked = fl._integrate_stack(starts[:n], cfgs[:n], P12 if with_params else None)
-        assert len(stacked) == n
-        for a, b in zip(stacked, singles):
-            _assert_same_trajectory(a, b)
+            stacked = fl.integrate(starts[:n], cfgs[:n], P12 if with_params else None)
+        assert stacked.status.shape == stacked.accepted.shape == stacked.rejected.shape == (n,)
+        for k, b in enumerate(singles[:n]):
+            _assert_same_trajectories(stacked[k:k + 1], b)
 
     def test_permuted_stack(self, adaptive, with_params):
         starts, cfgs, singles = _singles(adaptive, with_params)
         order = np.random.default_rng(5).permutation(len(starts))
         with np.errstate(over="ignore", invalid="ignore"):
-            stacked = fl._integrate_stack(starts[order], [cfgs[k] for k in order],
-                                          P12 if with_params else None)
-        for a, k in zip(stacked, order):
-            _assert_same_trajectory(a, singles[k])
+            stacked = fl.integrate(starts[order], [cfgs[k] for k in order], P12 if with_params else None)
+        for j, k in enumerate(order.tolist()):
+            _assert_same_trajectories(stacked[j:j + 1], singles[k])
+
+    def test_slice_is_the_stack_of_its_starts(self, adaptive, with_params):
+        starts, cfgs, _ = _singles(adaptive, with_params)
+        params = P12 if with_params else None
+        with np.errstate(over="ignore", invalid="ignore"):
+            whole = fl.integrate(starts, cfgs, params)
+            part = fl.integrate(starts[5:12], cfgs[5:12], params)
+        _assert_same_trajectories(whole[5:12], part)
+        _assert_same_trajectories(whole[-30:-23], whole[:7])
+        assert whole[:].samples.t.tobytes() == whole.samples.t.tobytes()
 
     def test_solo_bits_are_pinned(self, adaptive, with_params):
         # stack-vs-solo tests cannot see a change that both sides share
@@ -258,13 +274,43 @@ class TestIntegrateStack:
 class TestIntegrateStackContract:
     def test_shape_and_config_count_checked(self):
         cfg = fl.TrajectoryConfig(dt=1e-3, t_max=0.01)
-        with pytest.raises(ValueError):
-            fl._integrate_stack(np.stack([I6, I6]), [cfg])
-        with pytest.raises(ValueError):
-            fl._integrate_stack(I6, [cfg] * 6)
+        with pytest.raises(ValueError):  # a (6, 6) start with a sequence of configs
+            fl.integrate(I6, [cfg] * 6)
+        with pytest.raises(ValueError):  # a stack with a bare config
+            fl.integrate(np.stack([I6, I6]), cfg)
+        with pytest.raises(ValueError):  # the wrong number of configs
+            fl.integrate(np.stack([I6, I6]), [cfg])
+
+    def test_one_start_and_a_stack_of_one(self):
+        cfg = fl.TrajectoryConfig(dt=1e-3, t_max=0.01)
+        one = fl.integrate(I6, cfg)
+        assert isinstance(one.status, str) and type(one.accepted) is int and type(one.rejected) is int
+        stack = fl.integrate(I6[None], [cfg])
+        assert stack.status.shape == stack.accepted.shape == stack.rejected.shape == (1,)
+        assert stack.accepted.dtype.kind == stack.rejected.dtype.kind == "i"
+        _assert_same_trajectories(stack, one)
+        assert one.first().tolist() == stack.first().tolist() == [0]
+
+    def test_only_a_stack_takes_a_contiguous_slice(self):
+        cfg = fl.TrajectoryConfig(dt=1e-3, t_max=0.01)
+        stack = fl.integrate(np.stack([I6, -I6, I6]), [cfg] * 3)
+        for bad in (0, slice(None, None, 2), slice(None, None, -1)):
+            with pytest.raises(TypeError):
+                stack[bad]
+        with pytest.raises(TypeError):
+            fl.integrate(I6, cfg)[0:1]
+        assert stack.first().tolist() == [0, stack.accepted[0] + 1, stack.accepted[:2].sum() + 2]
 
     def test_empty_stack(self):
-        assert fl._integrate_stack(np.zeros((0, 6, 6)), []) == []
+        assert fl.integrate(np.zeros((0, 6, 6)), []).samples.l is None
+        traj = fl.integrate(np.zeros((0, 6, 6)), [], P12)
+        assert traj.status.shape == traj.accepted.shape == traj.rejected.shape == traj.first().shape == (0,)
+        s = traj.samples
+        assert len(s) == 0 and s.operator.shape == (0, 6, 6)
+        assert s.t.shape == s.scalar.shape == s.bianchi.shape == s.l.shape == s.member.shape == (0,)
+        assert fl.invariance_monitor(traj, P12).shape == (0,)
+        assert fl.l_inequality_monitor(traj, P12) == []
+        assert fl.strong_max_monitor(traj) == []
 
     def test_step_counts(self):
         traj = fl.integrate(I6, fl.TrajectoryConfig(dt=1e-3, t_max=0.05))
@@ -283,15 +329,14 @@ class TestIntegrateStackContract:
         with pytest.raises(fl.StepUnderflowError, match=r"step underflow at t=0$"):
             fl.integrate(nan, cfg)
         with pytest.raises(fl.StepUnderflowError, match=r"step underflow at t=0$"):
-            fl._integrate_stack(np.stack([I6, nan]), [cfg, cfg])
+            fl.integrate(np.stack([I6, nan]), [cfg, cfg])
 
     def test_samples_do_not_share_a_buffer_with_the_input(self):
         r0 = random_member(CFG, P12, index=9)
         starts = np.stack([r0, 2.0 * r0])
-        trajs = fl._integrate_stack(starts, [fl.TrajectoryConfig(dt=1e-3, t_max=0.01)] * 2)
+        trajs = fl.integrate(starts, [fl.TrajectoryConfig(dt=1e-3, t_max=0.01)] * 2)
         starts[:] = 0.0
-        assert np.array_equal(trajs[0].samples.operator[0], r0)
-        assert np.array_equal(trajs[1].samples.operator[0], 2.0 * r0)
+        assert np.array_equal(trajs.samples.operator[trajs.first()], np.stack([r0, 2.0 * r0]))
 
 
 class TestMonitors:
@@ -354,3 +399,50 @@ class TestMonitors:
             traj = fl.integrate(r0, fl.TrajectoryConfig(dt=1e-3, t_max=t_max, rtol=1e-9))
             ok_fraction.append(fl.strong_max_monitor(traj).fraction_ok)
         assert np.mean(ok_fraction) >= 0.99
+
+    def test_monitors_skip_a_non_finite_sample(self):
+        # fixed steps from a non-member at |R| = 3e7 overflow: the third and
+        # last stored operator is not finite.  The monitors take spectra of
+        # the finite samples only, so the steps before keep their bits.
+        m = random_nonmember(SamplerConfig(seed=13), P12, index=0)
+        cfg = fl.TrajectoryConfig(dt=1e-4, t_max=1.0, blowup_norm=1e300, adaptive=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = fl.integrate(m * (3e7 / wg.frobenius(m)), cfg, P12)
+        s = traj.samples
+        assert traj.status == "blowup-stopped" and len(s) == 3
+        assert np.isfinite(s.operator[:-1]).all() and not np.isfinite(s.operator[-1]).all()
+        head = dataclasses.replace(traj, accepted=traj.accepted - 1, samples=fl.Samples(
+            **{f.name: getattr(s, f.name)[:-1] for f in dataclasses.fields(s)}))
+        assert math.isnan(fl.invariance_monitor(traj, P12))
+        assert fl.invariance_monitor(head, P12) == max(cn.lower_bound_l(op, P12) for op in s.operator[:-1])
+        for monitor in (lambda tr: fl.l_inequality_monitor(tr, P12), fl.strong_max_monitor):
+            rep = monitor(traj)
+            assert rep.steps == 1
+            assert repr(rep) == repr(monitor(head))
+
+
+def _perfbench_tracer():
+    # the benchmark's tracer, loaded from its file without importing its package
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer
+
+
+def test_benchmark_tracer_sees_the_flow_suite():
+    # the hook perfbench/run.py's run_traced tags flow.integrate with; on a
+    # stack it counts every trajectory's accepted steps and all starts but one
+    seen = []
+
+    def steps(traj):
+        seen.append(traj)
+        return len(traj.samples) - 1
+
+    with _perfbench_tracer()("curvcone", hooks={"flow.integrate": steps}) as tracer:
+        verify.run("flow", 1, 20)
+        stats = tracer.take()
+    _, tags = stats.spans["flow.integrate"]
+    (traj,) = seen
+    assert stats.get("flow.integrate") == 1
+    assert tags.tolist() == [traj.accepted.sum() + len(traj.accepted) - 1]
