@@ -7,8 +7,10 @@ Run from the root of a source checkout.  Each kernel is timed with
 N_SINGLE single-operator calls, and once as one call on a stack of N_STACKED
 operators (indices for the samplers).  The CLI rows have only the single
 form: one in-process ``cli.main`` call of ``check`` and of ``l`` on one
-member record, and ``cli.build_parser()`` alone, which shows how much of
-such a call building the parser takes.  ``philox`` gives the µs of one
+member record, one of ``evolve --t-max 100`` on the blow-up start of the
+wall-time row below (N_EVOLVE calls per run), and ``cli.build_parser()``
+alone, a fresh build each time, which shows what building the parser
+costs (``cli.main`` builds it once per process).  ``philox`` gives the µs of one
 evaluation of the samplers' Philox kernel on 1 block and on N_STACKED
 blocks (packages without the kernel have no such row).  The ``integrate`` row counts a
 whole trajectory as one operator: N_TRAJ member starts integrated one by
@@ -50,6 +52,7 @@ CERTIFY_SAMPLES = 100  # the sample count of perfbench's certify workload
 N_SINGLE = 1000
 N_STACKED = 10_000
 N_TRAJ = 30  # as many member starts as certify's member-invariance checks
+N_EVOLVE = 20
 REPEATS = 5
 SUITE_REPEATS = 3
 
@@ -83,7 +86,7 @@ def cli_call(argv, line: str) -> None:
     saved = sys.stdin
     sys.stdin = io.StringIO(line)
     try:
-        with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(argv)
     finally:
         sys.stdin = saved
@@ -176,6 +179,24 @@ def time_integrate(stacked: bool) -> dict:
     return row
 
 
+def blowup_start():
+    """The cone parameters and a seed-0 non-member scaled to |R| = 3e7, like extreme-scale's evolve start."""
+    from curvcone import cone, sampling, wedge
+
+    params = cone.ConeParams(1.0, 2.0)
+    m = sampling.random_nonmember(sampling.SamplerConfig(seed=0), params, index=0)
+    return params, m * (3e7 / wedge.frobenius(m))
+
+
+def time_cli_evolve() -> dict:
+    """µs per in-process ``evolve --t-max 100`` call from the blow-up start."""
+    from curvcone import wedge
+
+    line = json.dumps(wedge.operator_to_json_dict(blowup_start()[1])) + "\n"
+    secs = best_of(lambda: [cli_call(["evolve", "--t-max", "100"], line) for _ in range(N_EVOLVE)], REPEATS)
+    return {"per_operator_us": 1e6 * secs / N_EVOLVE}
+
+
 def time_philox() -> dict:
     """µs per evaluation of the Philox kernel, on 1 block and on N_STACKED blocks."""
     from curvcone import sampling
@@ -205,7 +226,7 @@ def time_tier1(src: str) -> float:
 
 
 def time_wall() -> dict:
-    from curvcone import cone, flow, sampling, verify, wedge
+    from curvcone import flow, verify
 
     out = {}
     for name in SUITES:
@@ -213,9 +234,7 @@ def time_wall() -> dict:
             lambda: verify.run(name, 1, SUITE_SAMPLES), SUITE_REPEATS)
     out[f"verify all (samples={CERTIFY_SAMPLES})"] = best_of(
         lambda: verify.run("all", 1, CERTIFY_SAMPLES), SUITE_REPEATS)
-    params = cone.ConeParams(1.0, 2.0)
-    m = sampling.random_nonmember(sampling.SamplerConfig(seed=0), params, index=0)
-    start = m * (3e7 / wedge.frobenius(m))
+    params, start = blowup_start()
     cfg = flow.TrajectoryConfig(dt=1e-3, t_max=100.0)
     out["evolve blow-up from |R| = 3e7"] = best_of(lambda: flow.integrate(start, cfg, params=params), SUITE_REPEATS)
     return out
@@ -237,6 +256,7 @@ def measure(src: str, stacked: bool) -> dict:
     sys.path.insert(0, str(Path(src).resolve()))
     kernels = time_kernels(stacked)
     kernels[f"integrate ({N_TRAJ} member starts, per trajectory)"] = time_integrate(stacked)
+    kernels["cli.main evolve (blow-up from |R| = 3e7)"] = time_cli_evolve()
     wall = time_wall()
     wall["tier-1 pytest (one run)"] = time_tier1(src)
     return {"kernels": kernels, "philox_us_per_evaluation": time_philox(), "wall_s": wall}
@@ -258,6 +278,7 @@ def main(argv=None) -> int:
         "method": (f"best of {REPEATS} perf_counter runs; per-operator: a loop of "
                    f"{N_SINGLE} single calls; stacked: one call on {N_STACKED} operators "
                    f"(indices for the samplers); integrate: per trajectory, {N_TRAJ} starts; "
+                   f"cli.main evolve: a loop of {N_EVOLVE} calls; "
                    f"wall_s: best of {SUITE_REPEATS}, Tier-1 one run"),
         "environment": environment(),
         **measure(args.src, not args.single_only),

@@ -48,7 +48,6 @@ from .flow import (
     invariance_monitor,
     l_inequality_monitor,
     reaction_rhs,
-    strong_max_monitor,
 )
 from .sampling import (
     SamplerConfig,

@@ -13,12 +13,18 @@ An optional config file (plain ``key = value`` lines, # comments) sets the
 chosen subcommand's flag defaults, parsed as the flags are (a bad value
 exits 2; ``true``/``false`` for --require-member); keys naming no flag of
 it are ignored.  Precedence: flag (even abbreviated) > config > env > 0.
+
+The parser is built once per process, on the first ``main`` call.  The
+config file and CURVCONE_SEED are read on every call: ``main`` makes them
+that call's flag defaults and puts the built defaults back when the parse
+ends, with an error or not, so calls from two threads must not overlap.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -263,18 +269,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("decompose", help="block data (A, B, C and spectra) per operator")
     _add_io_flags(d)
-    d.set_defaults(func=cmd_decompose)
 
     c = sub.add_parser("check", help="cone membership report per operator")
     _add_io_flags(c)
     _add_cone_flags(c)
     c.add_argument("--require-member", action="store_true", help="exit 1 unless every operator is a member")
-    c.set_defaults(func=cmd_check)
 
     lp = sub.add_parser("l", help="lower-bound functional l per operator")
     _add_io_flags(lp)
     _add_cone_flags(lp)
-    lp.set_defaults(func=cmd_l)
 
     e = sub.add_parser("evolve", help="integrate the reaction ODE from the first input operator")
     _add_io_flags(e)
@@ -283,17 +286,15 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--t-max", type=float, default=0.1, dest="t_max")
     e.add_argument("--tol", type=float, default=1e-9, help="relative local-error tolerance")
     e.add_argument("--blowup-norm", type=float, default=1e8, dest="blowup_norm")
-    e.set_defaults(func=cmd_evolve)
 
     s = sub.add_parser("sample", help="emit seeded random operators as JSON lines")
     _add_io_flags(s, with_input=False)
     _add_cone_flags(s)
     s.add_argument("--kind", default="raw",
                    choices=["member", "boundary-f1", "boundary-f2", "boundary-f3", "raw"])
-    s.add_argument("--seed", type=int, default=os.environ.get("CURVCONE_SEED", "0"))
+    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--samples", type=int, default=10)
     s.add_argument("--margin", type=float, default=0.1)
-    s.set_defaults(func=cmd_sample)
 
     cu = sub.add_parser("cutoff", help="grid-certify a cutoff function")
     cu.add_argument("--eps", type=float, required=True)
@@ -302,15 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
     cu.add_argument("--grid", type=int, default=10_000)
     cu.add_argument("--output", default=None,
                     help="optional CSV of (x, phi, phi', phi''); '-' writes it to stdout after the report")
-    cu.set_defaults(func=cmd_cutoff)
 
     v = sub.add_parser("verify", help="run the certification suites")
     v.add_argument("--suite", default="all",
                    choices=["all", "algebra", "cone", "nullvector", "flow", "cutoff"])
-    v.add_argument("--seed", type=int, default=os.environ.get("CURVCONE_SEED", "0"))
+    v.add_argument("--seed", type=int, default=0)
     v.add_argument("--samples", type=int, default=1000)
     v.add_argument("--output", default=None, help="write the JSON report here instead of stdout")
-    v.set_defaults(func=cmd_verify)
 
     return p
 
@@ -329,13 +328,12 @@ def _load_config(path) -> dict:
     return values
 
 
-def _set_config_defaults(parser, command, config) -> None:
-    """Make the config values for ``command``'s flags that subparser's defaults.
+def _set_config_defaults(sub, config) -> None:
+    """Make the config values for the flags of subparser ``sub`` their defaults.
 
     argparse checks neither ``choices`` nor a flag that takes no value
     against a default, so those two are checked here.
     """
-    (sub,) = (a.choices[command] for a in parser._actions if a.dest == "command")
     for action in sub._actions:
         raw = config.get(action.dest)
         if raw is None or action.default is argparse.SUPPRESS:
@@ -347,18 +345,50 @@ def _set_config_defaults(parser, command, config) -> None:
         elif action.choices is not None and raw not in action.choices:
             sub.error(f"config {action.dest}: invalid choice {raw!r} "
                       f"(choose from {', '.join(action.choices)})")
-        sub.set_defaults(**{action.dest: raw})
+        action.default = raw
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # the process's one parser; main restores its defaults after every parse
+    return build_parser()
+
+
+# dispatched by name rather than stored in the shared parser, so that
+# whoever wraps this module's functions (a span tracer) also wraps the table
+_COMMANDS = {
+    "decompose": cmd_decompose, "check": cmd_check, "l": cmd_l, "evolve": cmd_evolve,
+    "sample": cmd_sample, "cutoff": cmd_cutoff, "verify": cmd_verify,
+}
+
+
+def _parse(argv):
+    """Parse ``argv`` with this call's defaults: CURVCONE_SEED for --seed,
+    then the config file's values for the chosen subcommand's flags."""
+    parser = _parser()
+    (subs,) = (a.choices for a in parser._actions if a.dest == "command")
+    actions = [a for sub in subs.values() for a in sub._actions]
+    built = [a.default for a in actions]
+    env_seed = os.environ.get("CURVCONE_SEED", "0")
+    try:
+        for action in actions:
+            if action.dest == "seed":
+                action.default = env_seed
+        args = parser.parse_args(argv)
+        if args.config is not None:
+            _set_config_defaults(subs[args.command], _load_config(args.config))
+            args = parser.parse_args(argv)
+        return args
+    finally:
+        for action, default in zip(actions, built):
+            action.default = default
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        if args.config is not None:
-            _set_config_defaults(parser, args.command, _load_config(args.config))
-            args = parser.parse_args(argv)
-        return args.func(args)
+        args = _parse(argv)
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:
         # argparse exits 2 on a bad flag or config value: the format-error code
         return EXIT_FORMAT if exc.code else EXIT_OK

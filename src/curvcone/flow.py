@@ -269,12 +269,12 @@ def invariance_monitor(traj: Trajectory, params: ConeParams):
     return float(worst[0]) if isinstance(traj.status, str) else worst
 
 
-# The two step monitors below are array expressions over the steps that
-# reproduce a loop over them in Python floats: maxima and minima keep the
+# The step monitor below is an array expression over the steps that
+# reproduces a loop over them in Python floats: maxima and minima keep the
 # first operand unless the second beats it (so NaN never wins), and |R|^3 is
 # taken by pow, as Python's x**3 takes it.  Python floats warn of no inf or
 # NaN (and where x**3 would raise OverflowError the arrays give inf), so the
-# monitors silence numpy's warnings.  Over a stack of trajectories, row j
+# monitor silences numpy's warnings.  Over a stack of trajectories, row j
 # of the operators is the left end of step j, which is kept only if row
 # j + 1 belongs to the same trajectory; each trajectory's rows then hold its
 # steps and one row that is no step, which takes the identity of a
@@ -294,11 +294,6 @@ def _steps(traj: Trajectory):
 def _next(x):
     # each row's successor, the last row repeated in its place
     return np.concatenate([x[1:], x[-1:]])
-
-
-def _tol_slack(ops, kept, dt):
-    # 1e-3 (1 + |R|^3) dt on the kept steps, |R| at their left ends
-    return 1e-3 * (1.0 + np.float_power(frobenius(ops)[kept], 3)) * dt
 
 
 def _least(v, kept, first) -> list[float]:
@@ -341,43 +336,11 @@ def l_inequality_monitor(traj: Trajectory, params: ConeParams):
         kept &= finite & _next(finite)
         dt, r0, r1 = dt[kept], rhs[kept], _next(rhs)[kept]
         quot = (_next(ls)[kept] - ls[kept]) / dt
-        tol_slack = _tol_slack(ops, kept, dt)
+        # 1e-3 (1 + |R|^3) dt, |R| at the left end of each step
+        tol_slack = 1e-3 * (1.0 + np.float_power(frobenius(ops)[kept], 3)) * dt
         worst = _least(np.where(r1 > r0, r1, r0) + tol_slack - quot, kept, first)
         worst_left = _least(r0 + tol_slack - quot, kept, first)
     steps = (np.add.reduceat(kept.astype(np.intp), first) if len(first) else kept).tolist()
     reports = [LInequalityReport(*rep) for rep in zip(worst, worst_left, steps)]
     return reports[0] if isinstance(traj.status, str) else reports
 
-
-@dataclass(frozen=True)
-class StrongMaxReport:
-    worst_slack: float
-    fraction_ok: float
-    steps: int
-
-
-def strong_max_monitor(traj: Trajectory):
-    """Advisory check of D+ (A_1+A_2) >= 2 (A_1+A_2)(2 A_3 + A_1) - tol.
-
-    The factor 2 matches dR/dt = 2 Q(R).  Eigenvalue sums are only
-    Lipschitz, so this is a diagnostic (fraction of steps passing), not a
-    gate.  Steps with a non-finite operator at either end are skipped.
-    Given a stack of trajectories, returns a list of reports.
-    """
-    ops, dt, kept, first = _steps(traj)
-    finite = np.isfinite(ops).all(axis=(-2, -1))
-    kept &= finite & _next(finite)
-    ea = np.full((len(ops), 3), np.nan)
-    ea[finite] = block_spectra(ops[finite])[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = ea[:, 0] + ea[:, 1]
-        rhs = 2.0 * x * (2.0 * ea[:, 2] + ea[:, 0])
-        dt, r0, r1 = dt[kept], rhs[kept], _next(rhs)[kept]
-        quot = (_next(x)[kept] - x[kept]) / dt
-        slack = quot - (np.where(r1 < r0, r1, r0) - _tol_slack(ops, kept, dt))
-    passed = kept.astype(np.intp)
-    passed[kept] = slack >= 0.0
-    counts = ((np.add.reduceat(c, first) if len(first) else c).tolist() for c in (passed, kept.astype(np.intp)))
-    reports = [StrongMaxReport(worst, ok / steps if steps else 1.0, steps)
-               for worst, ok, steps in zip(_least(slack, kept, first), *counts)]
-    return reports[0] if isinstance(traj.status, str) else reports

@@ -369,25 +369,6 @@ def _l_inequality_reference(traj, params):
     return fl.LInequalityReport(float(worst), float(worst_left), steps)
 
 
-def _strong_max_reference(traj):
-    ts, ops = traj.samples.t.tolist(), traj.samples.operator
-    spectra = [dc.block_spectra(op)[0] for op in ops]
-    norms = [wg.frobenius(op) for op in ops]
-    rhs = [2.0 * (ea[0] + ea[1]) * (2.0 * ea[2] + ea[0]) for ea in spectra]
-    worst, ok, steps = np.inf, 0, 0
-    for i in range(len(ts) - 1):
-        dt_i = ts[i + 1] - ts[i]
-        if dt_i <= 0.0:
-            continue
-        quot = ((spectra[i + 1][0] + spectra[i + 1][1]) - (spectra[i][0] + spectra[i][1])) / dt_i
-        tol_slack = 1e-3 * (1.0 + norms[i] ** 3) * dt_i
-        slack = quot - (min(rhs[i], rhs[i + 1]) - tol_slack)
-        worst = min(worst, slack)
-        ok += slack >= 0.0
-        steps += 1
-    return fl.StrongMaxReport(float(worst), float(ok / steps if steps else 1.0), steps)
-
-
 def _monitored_trajectories():
     cfg = smp.SamplerConfig(seed=12)
     nonmembers = smp.random_nonmember(cfg, P12, index=np.arange(4))
@@ -407,27 +388,23 @@ def _monitored_trajectories():
 def test_monitors_match_per_sample_loops(params):
     starts, cfgs, trajs = _monitored_trajectories()
     assert trajs.accepted[7] == 0
-    l_refs, inv_refs, strong_refs = [], [], []
+    l_refs, inv_refs = [], []
     skipped = 0
     for r0, c in zip(starts, cfgs):
         traj = fl.integrate(r0, c)
         l_refs.append(repr(_l_inequality_reference(traj, params)))
         inv_refs.append(repr(max(cn.lower_bound_l(op, params) for op in traj.samples.operator)))
-        strong_refs.append(repr(_strong_max_reference(traj)))
         rep = fl.l_inequality_monitor(traj, params)
         assert repr(rep) == l_refs[-1]
         skipped += rep.steps < len(traj.samples) - 1
-        assert repr(fl.strong_max_monitor(traj)) == strong_refs[-1]
         assert repr(fl.invariance_monitor(traj, params)) == inv_refs[-1]
     # at eta = 0 an infinite l skips steps
     assert (skipped > 0) == (params.eta == 0.0)
     # the whole stack in one call: no step pairs rows of two trajectories
     assert [repr(r) for r in fl.l_inequality_monitor(trajs, params)] == l_refs
     assert [repr(x) for x in fl.invariance_monitor(trajs, params).tolist()] == inv_refs
-    assert [repr(r) for r in fl.strong_max_monitor(trajs)] == strong_refs
     assert fl.l_inequality_monitor(trajs[:0], params) == []
     assert fl.invariance_monitor(trajs[:0], params).shape == (0,)
-    assert fl.strong_max_monitor(trajs[:0]) == []
 
 
 def _same_trajectory(a, b):

@@ -526,6 +526,59 @@ class TestConfigAndEnv:
         assert rc == 0
         assert json.loads(out.read_text().splitlines()[0])["F1"] == pytest.approx(2.0, abs=1e-9)
 
+    def test_config_defaults_last_one_call(self, tmp_path, ops_file):
+        # the parser is shared by every call of the process; a config's
+        # defaults must not reach the next call
+        cfgf = tmp_path / "conf"
+        cfgf.write_text("eta = 0.5\n")
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        assert cli.main(["--config", str(cfgf), "check", "--input", str(ops_file), "--output", str(a)]) == 0
+        assert json.loads(a.read_text().splitlines()[0])["F1"] == pytest.approx(2.0, abs=1e-9)
+        assert cli.main(["check", "--input", str(ops_file), "--output", str(b)]) == 0
+        assert json.loads(b.read_text().splitlines()[0])["F1"] == pytest.approx(4.0, abs=1e-9)
+
+    def test_env_seed_read_on_every_call(self, tmp_path, monkeypatch):
+        for seed in ("9", "4"):
+            monkeypatch.setenv("CURVCONE_SEED", seed)
+            env, flag = tmp_path / f"env{seed}.jsonl", tmp_path / f"flag{seed}.jsonl"
+            assert cli.main(["sample", "--samples", "2", "--output", str(env)]) == 0
+            assert cli.main(["sample", "--samples", "2", "--seed", seed, "--output", str(flag)]) == 0
+            assert env.read_bytes() == flag.read_bytes()
+        assert (tmp_path / "env9.jsonl").read_bytes() != (tmp_path / "env4.jsonl").read_bytes()
+
+    def test_bad_config_value_leaves_next_call_defaults(self, tmp_path, ops_file):
+        # eta is set before require_member is rejected; the exit must undo it
+        cfgf = tmp_path / "conf"
+        cfgf.write_text("eta = 0.5\nrequire_member = maybe\n")
+        assert cli.main(["--config", str(cfgf), "check", "--input", str(ops_file)]) == 2
+        out = tmp_path / "chk.jsonl"
+        # ops_file holds -I, a non-member: exit 0 only while --require-member is off
+        assert cli.main(["check", "--input", str(ops_file), "--output", str(out)]) == 0
+        assert json.loads(out.read_text().splitlines()[0])["F1"] == pytest.approx(4.0, abs=1e-9)
+
+    def test_parser_built_once_per_process(self, tmp_path, ops_file, monkeypatch):
+        import argparse
+        import types
+
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(kwargs.get("prog"))
+            return argparse.ArgumentParser(*args, **kwargs)
+
+        # cli sees an argparse whose ArgumentParser counts its calls
+        monkeypatch.setattr(cli, "argparse",
+                            types.SimpleNamespace(**{**vars(argparse), "ArgumentParser": counting}))
+        cli._parser.cache_clear()
+        out = str(tmp_path / "out")
+        for argv in (["check", "--input", str(ops_file)], ["l", "--input", str(ops_file)],
+                     ["sample", "--samples", "1"], ["check", "--frobnicate"]):
+            cli.main(argv + ["--output", out])
+        assert built == ["curvcone"]
+        # build_parser itself still builds a new parser on every call
+        assert cli.build_parser() is not cli.build_parser()
+        assert len(built) == 3
+
     def test_missing_or_malformed_config_exits_2(self, tmp_path, ops_file, capsys):
         assert cli.main(["--config", str(tmp_path / "absent"), "check", "--input", str(ops_file)]) == 2
         cfgf = tmp_path / "conf"

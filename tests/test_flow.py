@@ -310,7 +310,6 @@ class TestIntegrateStackContract:
         assert s.t.shape == s.scalar.shape == s.bianchi.shape == s.l.shape == s.member.shape == (0,)
         assert fl.invariance_monitor(traj, P12).shape == (0,)
         assert fl.l_inequality_monitor(traj, P12) == []
-        assert fl.strong_max_monitor(traj) == []
 
     def test_step_counts(self):
         traj = fl.integrate(I6, fl.TrajectoryConfig(dt=1e-3, t_max=0.05))
@@ -385,21 +384,6 @@ class TestMonitors:
         rep = fl.l_inequality_monitor(traj, P12)
         assert rep.worst_slack >= 0.0  # l = 0 throughout, 0 <= 0 + tol
 
-    def test_strong_max_monitor(self):
-        traj = fl.integrate(I6, fl.TrajectoryConfig(dt=1e-3, t_max=0.05, rtol=1e-9))
-        rep = fl.strong_max_monitor(traj)
-        assert rep.worst_slack >= 0.0
-        zero = fl.integrate(np.zeros((6, 6)), fl.TrajectoryConfig(dt=1e-2, t_max=0.05))
-        assert fl.strong_max_monitor(zero).worst_slack >= 0.0
-
-    def test_strong_max_advisory_on_members(self):
-        ok_fraction = []
-        for r0 in random_member(CFG, P12, index=200 + np.arange(10)):
-            t_max = min(0.05, 0.5 / np.linalg.norm(r0))
-            traj = fl.integrate(r0, fl.TrajectoryConfig(dt=1e-3, t_max=t_max, rtol=1e-9))
-            ok_fraction.append(fl.strong_max_monitor(traj).fraction_ok)
-        assert np.mean(ok_fraction) >= 0.99
-
     def test_monitors_skip_a_non_finite_sample(self):
         # fixed steps from a non-member at |R| = 3e7 overflow: the third and
         # last stored operator is not finite.  The monitors take spectra of
@@ -415,10 +399,9 @@ class TestMonitors:
             **{f.name: getattr(s, f.name)[:-1] for f in dataclasses.fields(s)}))
         assert math.isnan(fl.invariance_monitor(traj, P12))
         assert fl.invariance_monitor(head, P12) == max(cn.lower_bound_l(op, P12) for op in s.operator[:-1])
-        for monitor in (lambda tr: fl.l_inequality_monitor(tr, P12), fl.strong_max_monitor):
-            rep = monitor(traj)
-            assert rep.steps == 1
-            assert repr(rep) == repr(monitor(head))
+        rep = fl.l_inequality_monitor(traj, P12)
+        assert rep.steps == 1
+        assert repr(rep) == repr(fl.l_inequality_monitor(head, P12))
 
 
 def _perfbench_tracer():
