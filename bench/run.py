@@ -18,10 +18,17 @@ one, and as one stack.  Wall times are taken for each ``verify`` suite at the CL
 default ``--samples 1000``, for ``verify --suite all`` at ``--samples 100`` (the
 size the certify benchmark runs), for ``evolve``'s integration of a blow-up from
 |R| = 3e7, and for one Tier-1 run (``pytest`` in the checkout that holds the
-package).  With ``--baseline-src`` the single-operator kernels and the wall
-times are also taken for another checkout's package, in a subprocess, and
-stored next to this one's.  Writes ``BENCH_<label>.json``; a full run takes
-two or three minutes.
+package).  With ``--baseline-src`` the single-operator kernels are also
+taken for another checkout's package, in a subprocess, and stored next to
+this one's.  Wall times are taken in worker subprocesses, one per package,
+which time the rows they are sent: each row gets one untimed warm-up run per
+package and then PAIRS timed runs per package, the two packages taking
+turns and the first side alternating from pair to pair (AB, BA, AB, ...), so
+that load drift falls on both sides alike.  Each side's min and quartiles and
+the per-pair ratio (this / baseline) are recorded, with the count of pairs
+this package won; a row whose ratios fall on both sides of 1 is marked
+``noisy``.  Tier-1 runs one pair.  Writes ``BENCH_<label>.json``; a full run
+with a baseline takes three or four minutes.
 
 Not a test and not a gate: the numbers depend on the machine and its load.
 BLAS is pinned to one thread, as in ``perfbench/run.py``.
@@ -54,7 +61,10 @@ N_STACKED = 10_000
 N_TRAJ = 30  # as many member starts as certify's member-invariance checks
 N_EVOLVE = 20
 REPEATS = 5
-SUITE_REPEATS = 3
+PAIRS = 10
+TIER1_ROW = "tier-1 pytest (one run)"
+WALL_ROWS = (*(f"verify {name} (samples={SUITE_SAMPLES})" for name in SUITES),
+             f"verify all (samples={CERTIFY_SAMPLES})", "evolve blow-up from |R| = 3e7", TIER1_ROW)
 
 
 def best_of(fn, repeats: int) -> float:
@@ -225,18 +235,102 @@ def time_tier1(src: str) -> float:
     return secs
 
 
-def time_wall() -> dict:
+def wall_rows(src: str) -> dict:
+    """WALL_ROWS name -> a call that runs that row once, for the package ``src``."""
     from curvcone import flow, verify
 
-    out = {}
-    for name in SUITES:
-        out[f"verify {name} (samples={SUITE_SAMPLES})"] = best_of(
-            lambda: verify.run(name, 1, SUITE_SAMPLES), SUITE_REPEATS)
-    out[f"verify all (samples={CERTIFY_SAMPLES})"] = best_of(
-        lambda: verify.run("all", 1, CERTIFY_SAMPLES), SUITE_REPEATS)
     params, start = blowup_start()
     cfg = flow.TrajectoryConfig(dt=1e-3, t_max=100.0)
-    out["evolve blow-up from |R| = 3e7"] = best_of(lambda: flow.integrate(start, cfg, params=params), SUITE_REPEATS)
+    calls = [lambda name=name: verify.run(name, 1, SUITE_SAMPLES) for name in SUITES] + [
+        lambda: verify.run("all", 1, CERTIFY_SAMPLES),
+        lambda: flow.integrate(start, cfg, params=params),
+        lambda: time_tier1(src),
+    ]
+    return dict(zip(WALL_ROWS, calls))
+
+
+def serve(src: str) -> None:
+    """Worker loop: for each request on stdin, one JSON line back.
+
+    A wall-time row name gets ``{"s": seconds}`` of one run of that row;
+    ``kernels`` gets the single-operator kernel timings.  Anything the rows
+    print goes to stderr, so stdout carries only replies.
+    """
+    reply = sys.stdout
+    sys.stdout = sys.stderr
+    rows = wall_rows(src)
+    for line in sys.stdin:
+        name = line.strip()
+        if name == "kernels":
+            out = measure(stacked=False)
+        else:
+            t0 = time.perf_counter()
+            rows[name]()
+            out = {"s": time.perf_counter() - t0}
+        reply.write(json.dumps(out) + "\n")
+        reply.flush()
+
+
+class Worker:
+    """A subprocess that imports the package ``src`` and times rows on request."""
+
+    def __init__(self, src: str):
+        self.proc = subprocess.Popen([sys.executable, __file__, "--src", src, "--worker"],
+                                     stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+
+    def request(self, name: str) -> dict:
+        self.proc.stdin.write(name + "\n")
+        self.proc.stdin.flush()
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"worker for {name!r} exited with code {self.proc.wait()}")
+        return json.loads(line)
+
+    def time(self, row: str) -> float:
+        return self.request(row)["s"]
+
+    def close(self) -> None:
+        self.proc.stdin.close()
+        try:
+            self.proc.wait(timeout=60)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+
+
+def spread(runs) -> dict:
+    """min and quartiles of a list of seconds, with the runs themselves."""
+    q1, med, q3 = np.percentile(runs, [25, 50, 75]).tolist()
+    return {"min": min(runs), "q1": q1, "median": med, "q3": q3, "runs": list(runs)}
+
+
+def time_wall(workers) -> dict:
+    """Each wall-time row, PAIRS times per worker: this package's, then
+    optionally the baseline's.
+
+    With a baseline the two take turns on each row: one untimed warm-up run
+    each, then PAIRS pairs whose first side alternates (AB, BA, AB, ...).
+    The Tier-1 row runs one pair, with no warm-up.  A row whose pair ratios
+    (this / baseline) fall on both sides of 1 is marked noisy.
+    """
+    out = {}
+    for row in WALL_ROWS:
+        tier1 = row == TIER1_ROW
+        if not tier1:
+            for w in workers:
+                w.time(row)
+        runs = [[] for _ in workers]
+        for i in range(1 if tier1 else PAIRS):
+            for j in (range(len(workers)) if i % 2 == 0 else reversed(range(len(workers)))):
+                runs[j].append(workers[j].time(row))
+        entry = {"this": spread(runs[0])}
+        if len(workers) > 1:
+            ratios = [a / b for a, b in zip(*runs)]
+            entry["baseline"] = spread(runs[1])
+            entry["pair_ratio"] = spread(ratios)
+            entry["wins"] = sum(r < 1.0 for r in ratios)
+            entry["noisy"] = min(ratios) < 1.0 < max(ratios)
+        out[row] = entry
     return out
 
 
@@ -252,14 +346,11 @@ def environment() -> dict:
     }
 
 
-def measure(src: str, stacked: bool) -> dict:
-    sys.path.insert(0, str(Path(src).resolve()))
+def measure(stacked: bool) -> dict:
     kernels = time_kernels(stacked)
     kernels[f"integrate ({N_TRAJ} member starts, per trajectory)"] = time_integrate(stacked)
     kernels["cli.main evolve (blow-up from |R| = 3e7)"] = time_cli_evolve()
-    wall = time_wall()
-    wall["tier-1 pytest (one run)"] = time_tier1(src)
-    return {"kernels": kernels, "philox_us_per_evaluation": time_philox(), "wall_s": wall}
+    return {"kernels": kernels, "philox_us_per_evaluation": time_philox()}
 
 
 def main(argv=None) -> int:
@@ -270,23 +361,34 @@ def main(argv=None) -> int:
                     help="skip the stacked calls (for packages without them)")
     ap.add_argument("--baseline-src", default=None, dest="baseline_src")
     ap.add_argument("--baseline-label", default="baseline", dest="baseline_label")
+    ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("--output", default=None, help="default BENCH_<label>.json; '-' prints")
     args = ap.parse_args(argv)
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    if args.worker:
+        serve(args.src)
+        return 0
 
     result = {
         "label": args.label,
-        "method": (f"best of {REPEATS} perf_counter runs; per-operator: a loop of "
+        "method": (f"kernels: best of {REPEATS} perf_counter runs; per-operator: a loop of "
                    f"{N_SINGLE} single calls; stacked: one call on {N_STACKED} operators "
                    f"(indices for the samplers); integrate: per trajectory, {N_TRAJ} starts; "
                    f"cli.main evolve: a loop of {N_EVOLVE} calls; "
-                   f"wall_s: best of {SUITE_REPEATS}, Tier-1 one run"),
+                   f"wall_s: one worker subprocess per package, a warm-up run then {PAIRS} "
+                   "timed runs per row, the packages alternating and the first side alternating "
+                   "per pair; Tier-1 one run each; pair_ratio is this / baseline"),
         "environment": environment(),
-        **measure(args.src, not args.single_only),
+        **measure(not args.single_only),
     }
-    if args.baseline_src:
-        cmd = [sys.executable, __file__, "--src", args.baseline_src, "--single-only", "--output", "-"]
-        base = json.loads(subprocess.run(cmd, capture_output=True, text=True, check=True).stdout)
-        result["baseline"] = {"label": args.baseline_label, "kernels": base["kernels"], "wall_s": base["wall_s"]}
+    workers = [Worker(args.src)] + ([Worker(args.baseline_src)] if args.baseline_src else [])
+    try:
+        if args.baseline_src:
+            result["baseline"] = {"label": args.baseline_label, "kernels": workers[1].request("kernels")["kernels"]}
+        result["wall_s"] = time_wall(workers)
+    finally:
+        for w in workers:
+            w.close()
     text = json.dumps(result, indent=2) + "\n"
     if args.output == "-":
         sys.stdout.write(text)

@@ -52,12 +52,9 @@ from .flow import (
 from .sampling import (
     SamplerConfig,
     boundary_member,
-    random_3frame,
     random_bianchi,
-    random_frame_octet,
     random_member,
     random_nonmember,
-    substream,
 )
 from .wedge import (
     barrier_q_expansion,

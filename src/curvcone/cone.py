@@ -281,32 +281,50 @@ def sampled_inf(m, params: ConeParams, n: int, seed):
     A brute-force oracle for the closed forms: each estimate dominates the
     corresponding closed form (where that closed form is the true infimum)
     and converges toward it as n grows.  Deterministic given (seed, n), and
-    estimates are nested: growing n only lowers them.  For a stack, ``seed``
-    is an integer array of its leading shape, as in :func:`two_nonneg_flag`:
-    each operator draws its octets from its own seed's substream, so the
-    stack is evaluated a fixed number of operators at a time and its memory
-    does not grow with its size.
+    estimates are nested: growing n only lowers them.  ``seed`` broadcasts
+    against the stack's leading shape, as in :func:`two_nonneg_flag`: each
+    seed entry's octets are drawn once, from its own substream, and serve
+    every operator that meets that entry (one integer gives every operator
+    the same octets).  The stack is evaluated a fixed number of operators at
+    a time, so its memory does not grow with its size.
     """
     if n < 1:
         raise ValueError("need at least one sample frame")
-    from .sampling import orthonormal_pair_batch, substream
-
-    def octets(seeds):
-        # the n octets of each seed, as its own substream gives them
-        rngs = [substream(s, "sampled-inf") for s in seeds.ravel().tolist()]
-        return orthonormal_pair_batch(rngs, n, 4).reshape(seeds.shape + (n, 4, 2, 3))
-
     m = np.asarray(m, dtype=float)
     seeds = np.asarray(seed)
     lead = np.broadcast_shapes(m.shape[:-2], seeds.shape)
-    ms = np.broadcast_to(m, lead + (6, 6)).reshape(-1, 6, 6)
-    ss = np.broadcast_to(seeds, lead).ravel()
-    shared = octets(seeds) if seeds.ndim == 0 else None  # one seed: every operator meets the same octets
-    mins = np.empty((3, len(ms)))
-    for k in range(0, len(ms), _INF_CHUNK):
+    # stack k of ms holds the operators that meet the seed entries in turn
+    # (for one integer seed, every operator)
+    own = lead[len(lead) - seeds.ndim:] if seeds.ndim else lead
+    seeds = np.broadcast_to(seeds, own).ravel() if seeds.ndim else seeds
+    ms = np.broadcast_to(m, lead + (6, 6)).reshape(math.prod(lead[:len(lead) - len(own)]), math.prod(own), 6, 6)
+    mins = _sampled_minima(ms, [params] * len(ms), n, seeds)
+    return tuple(_scalar_or_array(f) for f in np.moveaxis(mins, 1, 0).reshape((3,) + lead))
+
+
+def _inf_octets(seeds: np.ndarray, n: int) -> np.ndarray:
+    # the n octets (..., n, 4, 2, 3) of each entry of ``seeds``, as its own
+    # substream gives them
+    from .sampling import orthonormal_pair_batch, substream
+
+    rngs = [substream(s, "sampled-inf") for s in seeds.ravel().tolist()]
+    return orthonormal_pair_batch(rngs, n, 4).reshape(seeds.shape + (n, 4, 2, 3))
+
+
+def _sampled_minima(ms: np.ndarray, params, n: int, seeds: np.ndarray) -> np.ndarray:
+    # (len(params), 3, N) sampled minima of F1, F2, F3 for the stacks ms
+    # (len(params), N, 6, 6), stack k under params[k]; operator j of every
+    # stack meets the n octets of seeds[j] ((N,) seeds), or all meet those of
+    # one integer seed.  Each seed's octets are drawn once per chunk of
+    # _INF_CHUNK operators and serve every parameter set
+    shared = _inf_octets(seeds, n) if seeds.ndim == 0 else None
+    mins = np.empty((len(params), 3, ms.shape[1]))
+    for k in range(0, ms.shape[1], _INF_CHUNK):
         part = slice(k, k + _INF_CHUNK)
-        mins[:, part] = _octet_minima(ms[part], params, octets(ss[part]) if shared is None else shared)
-    return tuple(_scalar_or_array(f) for f in mins.reshape((3,) + lead))
+        pairs = _inf_octets(seeds[part], n) if shared is None else shared
+        for out, m, p in zip(mins, ms, params):
+            out[:, part] = _octet_minima(m[part], p, pairs)
+    return mins
 
 
 def _octet_minima(m, params: ConeParams, pairs) -> np.ndarray:
@@ -501,9 +519,13 @@ def two_nonneg_flag(m, n_frames: int, seed, blocks=None):
     Samples R_1313 + R_2323 over random orthonormal 3-frames and returns the
     minimum together with the closed-form lower bound
     (A_1+A_2+C_1+C_2-2B_2-2B_3)/2, which is nonnegative for members with
-    eta <= 1.  For a stack, ``seed`` is an integer array of its leading
-    shape: each operator draws its frames from its own seed's substream (one
-    integer gives every operator the same frames).
+    eta <= 1.  ``seed`` is an integer array that broadcasts against the
+    stack's leading shape: each seed entry's frames are drawn once, from its
+    own substream, and serve every operator that meets that entry.  So one
+    seed per operator gives each operator its own frames, one integer gives
+    every operator the same frames, and (n,) seeds against a (k, n, 6, 6)
+    stack give operator j of every slice the frames of seed j, with the bits
+    of k separate calls.
     """
     if n_frames < 1:
         raise ValueError("need at least one sample frame")

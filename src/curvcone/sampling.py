@@ -12,14 +12,17 @@ from counter c + 1 on.  A uniform is the top 53 bits of a word, offset by
 half a step so that it lies in (0, 1); normals come from Box-Muller on pairs
 of uniforms.
 
-Operators, members, boundary points, non-members, symmetric tensors and
-frames are all Philox draws.  :func:`substream`, a numpy PCG64 Generator
-keyed by a SeedSequence over (seed, path...), stays for the tests and for
-the two frame oracles ``cone.two_nonneg_flag`` and ``cone.sampled_inf``,
-which take one seed per operator and draw many normals for few operators.
-There this numpy Philox kernel is the slower generator: 10 x 12 000
-normals took 17.8 ms against 3.5 ms from PCG64 substreams (one core of a
-2-vCPU VM, BLAS on one thread); only the ``verify`` suites call them.
+Operators, members, boundary points and non-members are all Philox draws.
+:func:`substream`, a numpy PCG64 Generator keyed by a SeedSequence over
+(seed, path...), stays for the tests and for the two frame oracles
+``cone.two_nonneg_flag`` and ``cone.sampled_inf``.  They take one seed per
+entry of a seed array that broadcasts against the operator stack, not one
+per operator: each entry's frames or octets are drawn once and serve every
+operator that meets it, so the cone suite draws them once for all its
+parameter sets.  They draw many normals for few seeds, where this numpy
+Philox kernel is the slower generator: 10 x 12 000 normals took 17.8 ms
+against 3.5 ms from PCG64 substreams (one core of a 2-vCPU VM, BLAS on one
+thread); only the ``verify`` suites call them.
 
 Member sampling is rejection-free by construction: block eigenvalues are
 drawn directly inside the three cone inequalities with a configurable
@@ -47,9 +50,8 @@ the common case, whatever the number of indices, and each retry count is
 the number of attempts rejected before the accepted one, as one index alone
 counts them.
 
-Stacks: the operator samplers take an array of indices and return a stack
-of shape ``index.shape + (6, 6)``; the frame and tensor samplers draw one
-object.
+Stacks: the samplers take an array of indices and return a stack of shape
+``index.shape + (6, 6)``.
 """
 
 from __future__ import annotations
@@ -59,18 +61,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import FACE_DEGREE, ConeParams, FrameOctet, hat_f, is_member
-from .decomposition import block_spectra, canonical_selfdual_basis, reassemble
+from .cone import FACE_DEGREE, ConeParams, hat_f, is_member
+from .decomposition import block_spectra, reassemble
 from .wedge import frobenius, project_bianchi
-
-#: generator algorithms, recorded for reproducibility audits; the two frame
-#: oracles keep PCG64, which draws their many normals per seed about 5x
-#: faster than the numpy Philox kernel (see the module docstring)
-GENERATOR_NAME = (
-    "samplers: Philox4x64-10, key (seed, crc32(tag)), counter (index, attempt, block, 0); "
-    "verify's frame oracles cone.two_nonneg_flag and cone.sampled_inf: PCG64 seeded by "
-    "SeedSequence((seed, crc32(tag))), one substream per operator, kept over Philox for speed"
-)
 
 FACE_TAGS = ("F1", "F2", "F3")
 
@@ -179,11 +172,6 @@ def substream(seed: int, *path) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 
 
-def random_rotation(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Rotation matrix (det +1) from the QR of a Gaussian draw."""
-    return _rotations(rng.standard_normal((n, n)))
-
-
 def _rotations(g: np.ndarray) -> np.ndarray:
     # rotations (det +1) from the QRs of Gaussian draws g of shape (..., n, n)
     q, r = np.linalg.qr(g)
@@ -243,15 +231,6 @@ def random_bianchi(cfg: SamplerConfig, index=0) -> np.ndarray:
     """Gaussian symmetric operator projected onto the Bianchi hyperplane."""
     g = _normals(cfg.seed, "bianchi", index, (6, 6))
     return project_bianchi(0.5 * (g + g.swapaxes(-1, -2)))
-
-
-def random_symmetric_tensor(cfg: SamplerConfig, index: int = 0, traceless: bool = False) -> np.ndarray:
-    """Gaussian symmetric 4x4 tensor, optionally traceless."""
-    g = _normals(cfg.seed, "symtensor", index, (4, 4))
-    h = 0.5 * (g + g.T)
-    if traceless:
-        h = h - (np.trace(h) / 4.0) * np.eye(4)
-    return h
 
 
 def _sum3(v: np.ndarray) -> np.ndarray:
@@ -457,28 +436,6 @@ def boundary_member(cfg: SamplerConfig, params: ConeParams, face: str, index=0):
     if index.ndim == 0:
         return ms[0], certs[0]
     return ms.reshape(index.shape + (6, 6)), certs
-
-
-def random_frame_octet(cfg: SamplerConfig, index: int = 0) -> FrameOctet:
-    """Random frame octet: Gram-Schmidt pairs inside each eigenspace triple."""
-    attempt = 0
-    pairs = _orthonormalize_pair(_normals(cfg.seed, "octet", index, (4, 2, 3)))
-    while not np.isfinite(pairs).all():  # pragma: no cover - probability-zero guard
-        attempt += 1
-        pairs = _orthonormalize_pair(_normals(cfg.seed, "octet", index, (4, 2, 3), attempt))
-    basis = canonical_selfdual_basis()
-    rows = [
-        pairs[0, 0] @ basis.plus, pairs[0, 1] @ basis.plus,
-        pairs[1, 0] @ basis.plus, pairs[1, 1] @ basis.plus,
-        pairs[2, 0] @ basis.minus, pairs[2, 1] @ basis.minus,
-        pairs[3, 0] @ basis.minus, pairs[3, 1] @ basis.minus,
-    ]
-    return FrameOctet(np.array(rows))
-
-
-def random_3frame(cfg: SamplerConfig, index: int = 0) -> np.ndarray:
-    """Three orthonormal vectors in R^4 (rows of the returned (3, 4) array)."""
-    return _three_frames(_normals(cfg.seed, "frame3", index, (4, 3)))
 
 
 def random_nonmember(cfg: SamplerConfig, params: ConeParams, index=0) -> np.ndarray:

@@ -114,9 +114,10 @@ def _tag(eta_mu):
     return f"eta{eta_mu[0]}-mu{eta_mu[1]}"
 
 
-def _l(ms, params):
-    # l over a stack of operators, by the stacked body of cone.lower_bound_l
-    return cn._l(cn._spectra(ms), params)
+def _l(spectra, params):
+    # l over a stack, from its block_spectra, by the stacked body of
+    # cone.lower_bound_l
+    return cn._l(cn._spectra(None, spectra), params)
 
 
 def _dot(u, v):
@@ -216,42 +217,68 @@ def suite_cone(seed: int, n: int) -> list[dict]:
     checks: list[dict] = []
     small = max(2, n // 10)
     i6 = np.eye(6)
+    sets = [_params(eta_mu) for eta_mu in PARAM_SETS]
 
     c = _Check("cone", "l-minus-identity", "l(-I) = 1", "residual", 1e-8, seed)
     c.add(abs(cn.lower_bound_l(-i6, cn.ConeParams(1.0, 2.0)) - 1.0))
     checks.append(c.done())
 
-    for eta_mu in PARAM_SETS:
-        params = _params(eta_mu)
+    # draws, rotations and spectra that do not depend on (eta, mu), taken once
+    # for every parameter set: Bianchi operators R, their multiples 0.1 R and
+    # 10 R, their rotations, and the Bianchi operators of the linear bound
+    sidx = np.arange(small)
+    bms = smp.random_bianchi(cfg, index=1000 + sidx)
+    bnorms = wg.frobenius(bms)
+    bspec = dc.block_spectra(bms)
+    scaled = {c_: dc.block_spectra(c_ * bms) for c_ in (0.1, 10.0)}
+    rbms = wg.rotate_operator(bms, smp._rotations(smp._normals(seed, "cone-rot", sidx, (4, 4))))
+    rspec = dc.block_spectra(rbms)
+    idx = np.arange(n)
+    mbs = smp.random_bianchi(cfg, index=3000 + idx)
+    mbnorms, mbspec = wg.frobenius(mbs), dc.block_spectra(mbs)
+
+    # one sampler call per set for its members, their midpoint partners and
+    # the members of the frame-sampling checks; the flag oracle takes every
+    # set's members in one call, each operator j meeting the frames of seed
+    # + j in every set, and the octet oracle draws each seed's octets once
+    n_mid = min(small, n)
+    draws = [np.split(smp.random_member(cfg, params, index=np.concatenate([idx, n + idx[:n_mid], 5000 + sidx])),
+                      [n, n + n_mid]) for params in sets]
+    members = np.stack([d[0] for d in draws])
+    mspec = dc.block_spectra(members)
+    mnorms = wg.frobenius(members)
+    smins, certs = cn.two_nonneg_flag(members, 50, seed + idx, blocks=mspec)
+    inf_ms = np.stack([d[2] for d in draws])
+    ests = cn._sampled_minima(inf_ms, sets, 500, seed + sidx)
+
+    for p, (eta_mu, params) in enumerate(zip(PARAM_SETS, sets)):
         tag = _tag(eta_mu)
 
         c_scale = _Check("cone", f"membership-scaling-{tag}", "is_member(c R) = is_member(R) for c > 0", "count", 0.0, seed)
         c_mono = _Check("cone", f"shift-monotonicity-{tag}", "alpha -> is_member(R + alpha I) is monotone", "count", 0.0, seed)
         c_rot = _Check("cone", f"rotation-invariance-{tag}", "membership and l are rotation invariant", "count", 0.0, seed)
         c_homl = _Check("cone", f"l-homogeneity-{tag}", "l(c R) = c l(R) for c in {0.1, 10}", "residual", 1e-6, seed)
-        idx = np.arange(small)
-        ms = smp.random_bianchi(cfg, index=1000 + idx)
-        norms = wg.frobenius(ms)
-        base = cn.is_member(ms, params)
-        lv = _l(ms, params)
+        base = cn.is_member(bms, params, blocks=bspec)
+        lv = _l(bspec, params)
         c_scale.add(
-            (cn.is_member(0.1 * ms, params) != base) | (cn.is_member(10.0 * ms, params) != base), idx, ms,
+            (cn.is_member(0.1 * bms, params, blocks=scaled[0.1]) != base)
+            | (cn.is_member(10.0 * bms, params, blocks=scaled[10.0]) != base), sidx, bms,
         )
         alphas = np.linspace(0.0, 2.0 * lv + 1.0, 100, axis=-1)
-        inside = cn.is_member(ms[:, None] + alphas[..., None, None] * i6, params)
+        inside = cn.is_member(bms[:, None] + alphas[..., None, None] * i6, params)
         # once a shift is inside, every larger shift must be too
         after_first = np.arange(100) >= np.argmax(inside, axis=-1)[:, None]
-        c_mono.add(inside.any(axis=-1) & ~(inside | ~after_first).all(axis=-1), idx, ms)
-        m2s = wg.rotate_operator(ms, smp._rotations(smp._normals(seed, "cone-rot", idx, (4, 4))))
-        lv2 = _l(m2s, params)
+        c_mono.add(inside.any(axis=-1) & ~(inside | ~after_first).all(axis=-1), sidx, bms)
+        lv2 = _l(rspec, params)
         c_rot.add(
-            (cn.is_member(m2s, params) != base) | (np.abs(lv - lv2) > 1e-10 * np.maximum(1.0, norms) + 2e-12),
-            idx, ms,
+            (cn.is_member(rbms, params, blocks=rspec) != base)
+            | (np.abs(lv - lv2) > 1e-10 * np.maximum(1.0, bnorms) + 2e-12),
+            sidx, bms,
         )
         c_homl.add(
-            np.stack([np.abs(_l(c_ * ms, params) - c_ * lv) / np.maximum(1.0, c_ * norms)
+            np.stack([np.abs(_l(scaled[c_], params) - c_ * lv) / np.maximum(1.0, c_ * bnorms)
                       for c_ in (0.1, 10.0)], axis=-1),
-            np.repeat(idx, 2), np.repeat(ms, 2, axis=0), ["c=0.1", "c=10.0"] * len(idx),
+            np.repeat(sidx, 2), np.repeat(bms, 2, axis=0), ["c=0.1", "c=10.0"] * len(sidx),
         )
         checks += [c.done() for c in (c_scale, c_mono, c_rot, c_homl)]
 
@@ -263,26 +290,18 @@ def suite_cone(seed: int, n: int) -> list[dict]:
         c_pinch = None
         if params.eta < 9.0 / 16.0:
             c_pinch = _Check("cone", f"ricci-pinch-{tag}", "members with eta < 9/16: Ric >= (1 - 4 sqrt(eta)/3) scal/4", "slack", 0.0, seed)
-        idx = np.arange(n)
-        n_mid = min(small, n)
-        # one sampler call for the members, their midpoint partners and the
-        # members of the frame-sampling checks below
-        ms, m2s, inf_ms = np.split(
-            smp.random_member(cfg, params, index=np.concatenate([idx, n + idx[:n_mid], 5000 + np.arange(small)])),
-            [n, n + n_mid])
-        spectra = dc.block_spectra(ms)
-        norms = wg.frobenius(ms)
+        ms, m2s = draws[p][:2]
+        spectra = tuple(e[p] for e in mspec)
         c_mid.add(~cn.is_member(0.5 * (ms[:n_mid] + m2s), params), idx, ms)
         c_wpic.add(~cn.implies_wpic(ms, params, blocks=spectra), idx, ms)
-        scale1 = np.maximum(1.0, norms)
+        scale1 = np.maximum(1.0, mnorms[p])
         tol = 1e-10 * scale1
-        smin, cert = cn.two_nonneg_flag(ms, 50, seed + idx, blocks=spectra)
-        c_flag.add((np.minimum(cert, smin - cert) + tol) / scale1, idx, ms)
+        cert = certs[p]
+        c_flag.add((np.minimum(cert, smins[p] - cert) + tol) / scale1, idx, ms)
         c_upic.add((cn.uniform_pic_check(ms, params, blocks=spectra) + tol) / scale1, idx, ms)
         if c_pinch is not None:
             c_pinch.add((cn.ricci_pinch_check(ms, params, blocks=spectra) + tol) / scale1, idx, ms)
-        mbs = smp.random_bianchi(cfg, index=3000 + idx)
-        c_linb.add(params.c_eta * wg.frobenius(mbs) + 1e-6 - _l(mbs, params), idx, mbs)
+        c_linb.add(params.c_eta * mbnorms + 1e-6 - _l(mbspec, params), idx, mbs)
         checks += [c.done() for c in (c_mid, c_wpic, c_flag, c_upic)]
         if c_pinch is not None:
             checks.append(c_pinch.done())
@@ -290,22 +309,21 @@ def suite_cone(seed: int, n: int) -> list[dict]:
 
         c_inf = _Check("cone", f"sampled-inf-dominates-{tag}", "frame sampling never beats the closed forms on members", "slack", 1e-10, seed)
         c_ext = _Check("cone", f"extremal-attains-{tag}", "extremal frames reproduce the closed forms", "residual", 1e-10, seed)
-        inf_idx = np.arange(small)
-        est = cn.sampled_inf(inf_ms, params, 500, seed=seed + inf_idx)
-        cf = cn.hat_f(inf_ms, params)
+        ims = inf_ms[p]
+        cf = cn.hat_f(ims, params)
         # the square by pow, as Python's x**2 takes it (see suite_algebra)
-        scale2 = np.maximum(1.0, np.float_power(wg.frobenius(inf_ms), 2))
-        c_inf.add(np.minimum.reduce([(e - c_) / scale2 for e, c_ in zip(est, cf)]), inf_idx, inf_ms)
-        bd = dc.decompose(inf_ms)
-        fr1 = cn.frame_functionals(inf_ms, cn.extremal_frame(inf_ms, "F1", blocks=bd))
-        fr2 = cn.frame_functionals(inf_ms, cn.extremal_frame(inf_ms, "F2", blocks=bd))
+        scale2 = np.maximum(1.0, np.float_power(wg.frobenius(ims), 2))
+        c_inf.add(np.minimum.reduce([(e - c_) / scale2 for e, c_ in zip(ests[p], cf)]), sidx, ims)
+        bd = dc.decompose(ims)
+        fr1 = cn.frame_functionals(ims, cn.extremal_frame(ims, "F1", blocks=bd))
+        fr2 = cn.frame_functionals(ims, cn.extremal_frame(ims, "F2", blocks=bd))
         c_ext.add(
             np.maximum.reduce([
                 np.abs(params.eta * fr1.x * fr1.y - np.float_power(fr1.z, 2) - cf[0]),
                 np.abs(params.mu * fr2.x - fr2.w - cf[1]),
                 np.abs(params.mu * fr2.y - fr2.v - cf[2]),
             ]) / scale2,
-            inf_idx, inf_ms,
+            sidx, ims,
         )
         checks += [c.done() for c in (c_inf, c_ext)]
 

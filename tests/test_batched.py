@@ -22,6 +22,8 @@ from curvcone import flow as fl
 from curvcone import sampling as smp
 from curvcone import wedge as wg
 
+import samplers
+
 P12 = cn.ConeParams(1.0, 2.0)
 P_ETA0 = cn.ConeParams(0.0, 1.5)
 SCALES = (1e-300, 1.0, 1e300)
@@ -169,7 +171,7 @@ def test_sharp_matches_the_dense_contraction(n, pair, finite):
 
 
 def _rotations(n: int) -> np.ndarray:
-    return np.array([smp.random_rotation(smp.substream(4, "rot", i), 4) for i in range(n)])
+    return np.array([samplers.random_rotation(smp.substream(4, "rot", i), 4) for i in range(n)])
 
 
 P05 = cn.ConeParams(0.5, 1.5)
@@ -231,6 +233,27 @@ class TestStackedImpliedConditions:
         _same_bits(cert, [s[1] for s in singles])
         # one integer seed: every operator takes the same frames
         _same_bits(cn.two_nonneg_flag(ms, 5, 7)[0], [cn.two_nonneg_flag(m, 5, 7)[0] for m in ms])
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_oracle_seeds_broadcast_over_a_stack_of_slices(self, n, monkeypatch):
+        # (n,) seeds against a (3, n, 6, 6) stack: operator j of every slice
+        # meets the frames (octets) of seed j, drawn once, with the bits of
+        # one call per slice
+        ms = np.stack([STACK[:n], STACK[::-1][:n], 0.5 * STACK[:n]])
+        seeds = 100 + np.arange(n)
+        spectra = dc.block_spectra(ms)
+        singles = [cn.two_nonneg_flag(m, 5, seeds) for m in ms]
+        inf_singles = [np.stack(cn.sampled_inf(m, P12, 5, seeds)) for m in ms]
+        built = []
+        substream = smp.substream
+        monkeypatch.setattr(smp, "substream", lambda *args: built.append(args) or substream(*args))
+        for blocks in (None, spectra):
+            smin, cert = cn.two_nonneg_flag(ms, 5, seeds, blocks=blocks)
+            _same_bits(smin, [s[0] for s in singles])
+            _same_bits(cert, [s[1] for s in singles])
+        assert len(built) == 2 * n
+        _same_bits(np.stack(cn.sampled_inf(ms, P12, 5, seeds), axis=1), inf_singles)
+        assert len(built) == 3 * n
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_sampled_inf_with_one_seed_per_operator(self, n):
@@ -326,6 +349,23 @@ def test_sampled_inf_over_several_chunks_equals_per_operator_calls():
     assert [f.shape for f in cn.sampled_inf(ms[:0], P12, 20, seeds[:0])] == [(0, 5)] * 3
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_sampled_minima_of_several_parameter_sets_share_the_octets(monkeypatch):
+    # the cone suite's route: one octet draw per seed and chunk serves every
+    # parameter set, with the bits of one sampled_inf call per set
+    k = cn._INF_CHUNK + 5
+    sets = [P05, P12, cn.ConeParams(0.1, 1.1)]
+    cfg = smp.SamplerConfig(seed=12)
+    ms = np.stack([smp.random_member(cfg, p, index=np.arange(k)) for p in sets])
+    seeds = 40 + np.arange(k)
+    singles = [np.stack(cn.sampled_inf(m, p, 20, seeds)) for m, p in zip(ms, sets)]
+    built = []
+    substream = smp.substream
+    monkeypatch.setattr(smp, "substream", lambda *args: built.append(args) or substream(*args))
+    _same_bits(cn._sampled_minima(ms, sets, 20, seeds), singles)
+    assert len(built) == k
+
+
 def test_stacked_octet_validation_rejects_one_bad_octet():
     ms = smp.random_member(smp.SamplerConfig(seed=10), P12, index=np.arange(12)).reshape(3, 4, 6, 6)
     xi = cn.extremal_frame(ms, "F1").xi
@@ -374,7 +414,7 @@ def _monitored_trajectories():
     nonmembers = smp.random_nonmember(cfg, P12, index=np.arange(4))
     members = smp.random_member(cfg, P12, index=np.arange(3))
     # B of rounding size: l = inf at eta = 0 (see the cone module)
-    rotated = wg.rotate_operator(0.3 * np.eye(6), smp.random_rotation(smp.substream(12, "rot"), 4))
+    rotated = wg.rotate_operator(0.3 * np.eye(6), samplers.random_rotation(smp.substream(12, "rot"), 4))
     starts = np.concatenate([nonmembers, members, [3.0 * nonmembers[0], rotated, -np.eye(6), np.zeros((6, 6))]])
     cfgs = [fl.TrajectoryConfig(dt=1e-3, t_max=min(0.02, 0.3 / max(1.0, wg.frobenius(m))), rtol=1e-8)
             for m in starts]

@@ -19,6 +19,8 @@ from curvcone.wedge import operator_from_upper, operator_to_json_dict
 I6 = np.eye(6)
 #: sha256 of the ``verify --suite all --seed 1 --samples 100`` JSON, report version 4
 REPORT_V4_SHA256 = "610748e777dbf43551f98f1b69df30c4df948005ab54c5f949e73d82477ba879"
+#: sha256 of the ``verify --suite cone --seed 1 --samples 20`` JSON, report version 4
+CONE_20_V4_SHA256 = "dedcea3d4adbdb64329b9e1c689e080e3e3b87a4c4e32baf4e6e435fc319f361"
 
 
 def write_ops(path, *ops):
@@ -401,6 +403,22 @@ class TestVerifyCommand:
         # this digest together
         report = vf.report_json(vf.run("all", seed=1, samples=100))
         assert hashlib.sha256(report.encode("utf-8")).hexdigest() == REPORT_V4_SHA256
+
+    def test_cone_suite_draws_its_frames_once_for_every_parameter_set(self, monkeypatch):
+        # 20 flag seeds and 2 octet seeds, each one substream for all three
+        # (eta, mu), with the bits of one substream per seed and set
+        from curvcone import sampling
+
+        built, substream = [], sampling.substream
+
+        def counted(*args):
+            built.append(args)
+            return substream(*args)
+
+        monkeypatch.setattr(sampling, "substream", counted)
+        report = vf.report_json(vf.run("cone", seed=1, samples=20))
+        assert len(built) == 22
+        assert hashlib.sha256(report.encode("utf-8")).hexdigest() == CONE_20_V4_SHA256
 
     def test_certify_checks_match_the_benchmark_reference(self, tmp_path):
         # the (id, samples) list the certify benchmark expects, read only

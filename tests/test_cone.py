@@ -6,15 +6,8 @@ import pytest
 from curvcone import cone as cn
 from curvcone import decomposition as dc
 from curvcone import wedge as wg
-from curvcone.sampling import (
-    SamplerConfig,
-    boundary_member,
-    random_bianchi,
-    random_frame_octet,
-    random_member,
-    random_rotation,
-    substream,
-)
+from curvcone.sampling import SamplerConfig, boundary_member, random_bianchi, random_member, substream
+from samplers import random_frame_octet, random_rotation
 
 I6 = np.eye(6)
 CFG = SamplerConfig(seed=303)

@@ -3,13 +3,8 @@ import pytest
 
 from curvcone import decomposition as dc
 from curvcone import wedge as wg
-from curvcone.sampling import (
-    SamplerConfig,
-    random_bianchi,
-    random_rotation,
-    random_symmetric_tensor,
-    substream,
-)
+from curvcone.sampling import SamplerConfig, random_bianchi, substream
+from samplers import random_rotation, random_symmetric_tensor
 
 I6 = np.eye(6)
 CFG = SamplerConfig(seed=202)

@@ -13,7 +13,8 @@ from curvcone import decomposition as dc
 from curvcone import flow as fl
 from curvcone import verify
 from curvcone import wedge as wg
-from curvcone.sampling import SamplerConfig, random_member, random_nonmember, random_rotation, substream
+from curvcone.sampling import SamplerConfig, random_member, random_nonmember, substream
+from samplers import random_rotation
 
 I6 = np.eye(6)
 CFG = SamplerConfig(seed=404)

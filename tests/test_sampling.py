@@ -8,6 +8,8 @@ from curvcone import decomposition as dc
 from curvcone import sampling as smp
 from curvcone import wedge as wg
 
+import samplers
+
 PARAM_SETS = (cn.ConeParams(0.5, 1.5), cn.ConeParams(1.0, 2.0), cn.ConeParams(0.1, 1.1))
 
 
@@ -146,14 +148,14 @@ def test_boundary_member_f2_hits_eigenvalue_relation():
 def test_frame_octet_invariants():
     cfg = smp.SamplerConfig(seed=29)
     for i in range(300):
-        oct_i = smp.random_frame_octet(cfg, index=i)
+        oct_i = samplers.random_frame_octet(cfg, index=i)
         oct_i.validate(1e-12)
 
 
 def test_three_frames():
     cfg = smp.SamplerConfig(seed=31)
     for i in range(100):
-        fr = smp.random_3frame(cfg, index=i)
+        fr = samplers.random_3frame(cfg, index=i)
         np.testing.assert_allclose(fr @ fr.T, np.eye(3), atol=1e-12)
 
 
@@ -161,7 +163,7 @@ def test_random_rotation_is_special_orthogonal():
     rng = smp.substream(37, "rot")
     for n in (3, 4):
         for _ in range(20):
-            q = smp.random_rotation(rng, n)
+            q = samplers.random_rotation(rng, n)
             np.testing.assert_allclose(q.T @ q, np.eye(n), atol=1e-12)
             assert np.linalg.det(q) == pytest.approx(1.0, abs=1e-12)
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvcone import wedge as wg
-from curvcone.sampling import SamplerConfig, random_bianchi, random_symmetric_tensor, substream
+from curvcone.sampling import SamplerConfig, random_bianchi, substream
+from samplers import random_rotation, random_symmetric_tensor
 
 I6 = np.eye(6)
 CFG = SamplerConfig(seed=101)
@@ -241,8 +242,6 @@ def test_json_rejects_malformed(obj):
 
 def test_rotation_action_is_orthogonal():
     rng = substream(11, "rot")
-    from curvcone.sampling import random_rotation
-
     for _ in range(20):
         q = random_rotation(rng, 4)
         w = wg.induced_wedge_rotation(q)
