@@ -12,7 +12,7 @@ wall-time row below (N_EVOLVE calls per run), and ``cli.build_parser()``
 alone, a fresh build each time, which shows what building the parser
 costs (``cli.main`` builds it once per process).  ``philox`` gives the µs of one
 evaluation of the samplers' Philox kernel on 1 block and on N_STACKED
-blocks (packages without the kernel have no such row).  The ``integrate`` row counts a
+blocks.  The ``integrate`` row counts a
 whole trajectory as one operator: N_TRAJ member starts integrated one by
 one, and as one stack.  Wall times are taken for each ``verify`` suite at the CLI
 default ``--samples 1000``, for ``verify --suite all`` at ``--samples 100`` (the
@@ -211,8 +211,6 @@ def time_philox() -> dict:
     """µs per evaluation of the Philox kernel, on 1 block and on N_STACKED blocks."""
     from curvcone import sampling
 
-    if not hasattr(sampling, "philox"):
-        return {}
     key = np.array([1, 2], dtype=np.uint64)
     out = {}
     for n, reps in ((1, 100), (N_STACKED, 10)):
@@ -357,8 +355,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--label", default="local")
     ap.add_argument("--src", default=str(ROOT / "src"), help="package source to time")
-    ap.add_argument("--single-only", action="store_true", dest="single_only",
-                    help="skip the stacked calls (for packages without them)")
     ap.add_argument("--baseline-src", default=None, dest="baseline_src")
     ap.add_argument("--baseline-label", default="baseline", dest="baseline_label")
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
@@ -379,7 +375,7 @@ def main(argv=None) -> int:
                    "timed runs per row, the packages alternating and the first side alternating "
                    "per pair; Tier-1 one run each; pair_ratio is this / baseline"),
         "environment": environment(),
-        **measure(not args.single_only),
+        **measure(stacked=True),
     }
     workers = [Worker(args.src)] + ([Worker(args.baseline_src)] if args.baseline_src else [])
     try:

@@ -15,14 +15,12 @@ from .cone import (
     null_vector_verify,
     ricci_pinch_check,
     sampled_inf,
-    shifted_membership,
     two_nonneg_flag,
     uniform_pic_check,
 )
 from .cutoff import (
     CutoffSpec,
     base_profile,
-    build_cutoff,
     theorem_variant_check,
     verify_cutoff,
 )

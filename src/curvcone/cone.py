@@ -22,8 +22,7 @@ and leaves B alone, so after a single decomposition each closed form is a
 linear (F2, F3) or quadratic (F1) function of alpha, and l is the largest
 of their explicit roots.
 
-Stacks: every function takes operators of shape ``(..., 6, 6)`` except
-:func:`shifted_membership` and :func:`is_c01`.  A
+Stacks: every function takes operators of shape ``(..., 6, 6)``.  A
 single 6x6 operator gives the single-operator types (floats, bools, a tuple,
 a report of floats); a stack gives arrays over the leading axes in the same
 places, each entry with the bits of the single call on that slice.  Where a
@@ -225,13 +224,6 @@ def is_member(m, params: ConeParams, tol_abs: float = 0.0, blocks=None):
         return _scalar_or_array(_member_from_sums(_sums(*spectra), params, tol_abs), bool)
 
 
-def shifted_membership(m, alpha0: float, params: ConeParams) -> bool:
-    """Membership of R + alpha0 * I, for a nonnegative shift alpha0."""
-    if alpha0 < 0:
-        raise ValueError("shift alpha0 must be nonnegative")
-    return is_member(np.asarray(m, dtype=float) + alpha0 * np.eye(6), params)
-
-
 def extremal_frame(m, target: str, blocks=None) -> FrameOctet:
     """Frame octet at which the named closed form is attained.
 
@@ -304,11 +296,10 @@ def sampled_inf(m, params: ConeParams, n: int, seed):
 
 def _inf_octets(seeds: np.ndarray, n: int) -> np.ndarray:
     # the n octets (..., n, 4, 2, 3) of each entry of ``seeds``, as its own
-    # substream gives them
-    from .sampling import orthonormal_pair_batch, substream
+    # substream gives them; a degenerate pair is NaN, and so is its minimum
+    from .sampling import _oracle_normals, _orthonormalize_pair
 
-    rngs = [substream(s, "sampled-inf") for s in seeds.ravel().tolist()]
-    return orthonormal_pair_batch(rngs, n, 4).reshape(seeds.shape + (n, 4, 2, 3))
+    return _orthonormalize_pair(_oracle_normals(seeds, "sampled-inf", (n, 4, 2, 3)))
 
 
 def _sampled_minima(ms: np.ndarray, params, n: int, seeds: np.ndarray) -> np.ndarray:
@@ -529,15 +520,11 @@ def two_nonneg_flag(m, n_frames: int, seed, blocks=None):
     """
     if n_frames < 1:
         raise ValueError("need at least one sample frame")
-    from .sampling import _three_frames, substream
+    from .sampling import _oracle_normals, _three_frames
     from .wedge import wedge_coefficients
 
     m = np.asarray(m, dtype=float)
-    seeds = np.asarray(seed)
-    g = np.empty(seeds.shape + (n_frames, 4, 3))
-    for s, out in zip(seeds.ravel().tolist(), g.reshape(-1, n_frames, 4, 3)):
-        substream(s, "flag3").standard_normal(out=out)
-    frames = _three_frames(g)  # rows
+    frames = _three_frames(_oracle_normals(seed, "flag3", (n_frames, 4, 3)))  # rows
     w13 = wedge_coefficients(frames[..., 0, :], frames[..., 2, :])
     w23 = wedge_coefficients(frames[..., 1, :], frames[..., 2, :])
     vals = np.einsum("...na,...ab,...nb->...n", w13, m, w13) + np.einsum(
@@ -587,15 +574,13 @@ def uniform_pic_check(m, params: ConeParams, blocks=None):
     return _scalar_or_array(np.where(mx <= 1e-12 * np.maximum(1.0, frobenius(m)), math.nan, slack))
 
 
-def is_c01(m, tol: float) -> bool:
+def is_c01(m, tol: float):
     """Whether R is a nonnegative multiple of the identity, to tolerance.
 
     The intersection of all the cones over mu > 1 at eta = 0 is exactly
     {k * I : k >= 0}.
     """
     m = np.asarray(m, dtype=float)
-    k = float(np.trace(m)) / 6.0
-    return bool(
-        frobenius(m - k * np.eye(6)) <= tol * frobenius(m)
-        and float(np.trace(m)) >= -tol
-    )
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    off = frobenius(m - (tr / 6.0)[..., None, None] * np.eye(6))
+    return _scalar_or_array((off <= tol * frobenius(m)) & (tr >= -tol), bool)

@@ -284,19 +284,6 @@ def verify_cutoff(fn: CutoffFunction) -> CutoffReport:
     return CutoffReport(spec=spec, passed=all(b.margin >= 0.0 for b in bounds), bounds=tuple(bounds))
 
 
-def build_cutoff(spec: CutoffSpec) -> CutoffFunction:
-    """Construct and grid-certify a cutoff; raises naming the worst point."""
-    fn = CutoffFunction(spec)
-    report = verify_cutoff(fn)
-    if not report.passed:
-        worst = report.worst()
-        raise RuntimeError(
-            f"cutoff bound {worst.name} violated at x={worst.worst_x!r} "
-            f"(margin {worst.margin:.3e})"
-        )
-    return fn
-
-
 @dataclass(frozen=True)
 class VariantReport:
     spec: CutoffSpec

@@ -15,14 +15,15 @@ of uniforms.
 Operators, members, boundary points and non-members are all Philox draws.
 :func:`substream`, a numpy PCG64 Generator keyed by a SeedSequence over
 (seed, path...), stays for the tests and for the two frame oracles
-``cone.two_nonneg_flag`` and ``cone.sampled_inf``.  They take one seed per
-entry of a seed array that broadcasts against the operator stack, not one
-per operator: each entry's frames or octets are drawn once and serve every
-operator that meets it, so the cone suite draws them once for all its
-parameter sets.  They draw many normals for few seeds, where this numpy
-Philox kernel is the slower generator: 10 x 12 000 normals took 17.8 ms
-against 3.5 ms from PCG64 substreams (one core of a 2-vCPU VM, BLAS on one
-thread); only the ``verify`` suites call them.
+``cone.two_nonneg_flag`` and ``cone.sampled_inf``, which draw their normals
+through :func:`_oracle_normals`: one substream per entry of a seed array
+that broadcasts against the operator stack, not one per operator.  Each
+entry's frames or octets are drawn once and serve every operator that meets
+it, so the cone suite draws them once for all its parameter sets.  The
+oracles draw many normals for few seeds, where this numpy Philox kernel is
+the slower generator: 10 x 12 000 normals took 17.8 ms against 3.5 ms from
+PCG64 substreams (one core of a 2-vCPU VM, BLAS on one thread); only the
+``verify`` suites call them.
 
 Member sampling is rejection-free by construction: block eigenvalues are
 drawn directly inside the three cone inequalities with a configurable
@@ -39,16 +40,17 @@ smallest A (resp. C) eigenvalue is lowered and the largest raised by the
 same amount onto F2 (resp. F3).
 
 Attempts: an attempt of a member or boundary draw reads three blocks (six
-eigenvalue uniforms, the mixed block's size and three normals).  A call
-draws the first :data:`ROUND` attempts of every index at once, keeps each
-index's first attempt that the trace shift (and for a boundary point its
-ray) accepts, and draws further attempts only for the rare indices still
-pending.  The four rotations come from nine more blocks of the accepted
-attempt, in one more evaluation; an operator that fails its final check
-moves on to its next attempt.  So a call costs two kernel evaluations in
-the common case, whatever the number of indices, and each retry count is
-the number of attempts rejected before the accepted one, as one index alone
-counts them.
+eigenvalue uniforms, the mixed block's size and three normals), and its
+four rotations nine more.  A call runs one loop of rounds.  Each round draws
+the next :data:`ROUND` attempts of every pending index at once and takes
+each index's first attempt that the trace shift (and for a boundary point
+its ray) accepts; it then draws the rotation blocks of those attempts in
+one more evaluation, assembles them and runs the final check.  An index
+with no accepted attempt, or whose operator fails the check, stays pending
+and goes on from its next attempt.  So a call costs two kernel evaluations
+in the common case, whatever the number of indices, at most two more for
+each further round, and each retry count is the number of attempts rejected
+before the accepted one, as one index alone counts them.
 
 Stacks: the samplers take an array of indices and return a stack of shape
 ``index.shape + (6, 6)``.
@@ -61,11 +63,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import FACE_DEGREE, ConeParams, hat_f, is_member
+from .cone import _FACES, FACE_DEGREE, ConeParams, hat_f, is_member
 from .decomposition import block_spectra, reassemble
 from .wedge import frobenius, project_bianchi
-
-FACE_TAGS = ("F1", "F2", "F3")
 
 #: resample statistics, keyed by reason
 RETRY_COUNTS: dict[str, int] = {}
@@ -172,6 +172,17 @@ def substream(seed: int, *path) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 
 
+def _oracle_normals(seeds, tag: str, shape: tuple) -> np.ndarray:
+    """Standard normals of shape ``seeds.shape + shape``: each seed entry's
+    block is ``substream(seed, tag).standard_normal(shape)``, one substream
+    per entry."""
+    seeds = np.asarray(seeds)
+    g = np.empty(seeds.shape + shape)
+    for s, out in zip(seeds.ravel().tolist(), g.reshape((-1,) + shape)):
+        substream(s, tag).standard_normal(out=out)
+    return g
+
+
 def _rotations(g: np.ndarray) -> np.ndarray:
     # rotations (det +1) from the QRs of Gaussian draws g of shape (..., n, n)
     q, r = np.linalg.qr(g)
@@ -199,25 +210,6 @@ def _sum_rows(x: np.ndarray) -> np.ndarray:
     for row in x[1:]:
         acc = acc + row
     return acc
-
-
-def orthonormal_pair_batch(rngs, n: int, pairs: int) -> np.ndarray:
-    """(len(rngs), n, pairs, 2, 3) orthonormal pairs in R^3, one draw per pair.
-
-    Row k holds the n draws of generator ``rngs[k]``, as that generator
-    alone gives them.  Degenerate draws (second vector parallel to the
-    first) have probability zero but are redrawn if they occur.
-    """
-    g = np.empty((len(rngs), n, pairs, 2, 3))
-    for rng, out in zip(rngs, g):
-        rng.standard_normal(out=out)
-    out = _orthonormalize_pair(g)
-    bad = ~np.isfinite(out).all(axis=(-1, -2))
-    for k in np.flatnonzero(bad.any(axis=(-1, -2))).tolist():  # pragma: no cover - probability-zero guard
-        while np.any(bad[k]):
-            out[k][bad[k]] = _orthonormalize_pair(rngs[k].standard_normal((int(bad[k].sum()), 2, 3)))
-            bad[k] = ~np.isfinite(out[k]).all(axis=(-1, -2))
-    return out
 
 
 def _three_frames(g: np.ndarray) -> np.ndarray:
@@ -300,42 +292,6 @@ def _boundary_ray(eigs_a, eigs_c, svals, params: ConeParams, face: str):
     return (moved, eigs_c, svals, s >= 0.0) if face == "F2" else (eigs_a, moved, svals, s >= 0.0)
 
 
-def _settle(cfg: SamplerConfig, params: ConeParams, tag: str, index, start, face=None):
-    """Each index's first attempt from ``start`` on that the trace shift, and
-    for a face its ray, accepts: (attempt, eigs_a, eigs_c, svals) for the flat
-    ``index`` array.  Counts a retry for every attempt rejected before it."""
-    n = len(index)
-    attempt = np.zeros(n, dtype=np.int64)
-    data = np.zeros((3, n, 3))
-    first = np.array(start, dtype=np.int64)
-    pending = np.arange(n)
-    while pending.size:
-        if first[pending].max() >= MAX_ATTEMPTS:
-            raise RuntimeError(
-                f"{tag} sampling found no draw in {MAX_ATTEMPTS} attempts; margin is infeasible "
-                f"for eta={params.eta}, mu={params.mu}, margin={cfg.margin}"
-            )
-        tries = first[pending, None] + np.arange(ROUND)
-        u = _uniforms(cfg.seed, tag, index[pending, None], tries, range(3))
-        with np.errstate(divide="ignore", invalid="ignore"):  # rejected attempts only
-            *drawn, ok = _draw_member_data(u, params, cfg.margin)
-            ray_ok = ok
-            if face is not None:
-                *drawn, ray_ok = _boundary_ray(*drawn, params, face)
-        good = ok & ray_ok
-        hit = good.any(axis=-1)
-        k = np.argmax(good, axis=-1)
-        before = np.arange(ROUND) < np.where(hit, k, ROUND)[:, None]
-        _count_retry("trace-shift", int(np.count_nonzero(before & ~ok)))
-        _count_retry("boundary-ray", int(np.count_nonzero(before & ok & ~ray_ok)))
-        rows = np.flatnonzero(hit)
-        attempt[pending[rows]] = tries[rows, k[rows]]
-        data[:, pending[rows]] = np.stack([v[rows, k[rows]] for v in drawn])
-        first[pending] += ROUND
-        pending = pending[~hit]
-    return attempt, *data
-
-
 def _assemble(g: np.ndarray, eigs_a, eigs_c, svals) -> np.ndarray:
     """Operators with the given block spectra (..., 3), rotated by the QRs of
     the Gaussian draws g (..., 4, 3, 3) for A, C and B's two frames."""
@@ -357,25 +313,46 @@ def _diag(v: np.ndarray) -> np.ndarray:
 
 
 def _sample(cfg: SamplerConfig, params: ConeParams, tag: str, index, face, kept) -> np.ndarray:
-    """(n, 6, 6) operators for the flat ``index`` array.
-
-    ``kept(ms, rows)`` says which assembled operators ``ms`` (for the
-    positions ``rows``) pass the final check; a rejected one moves on to its
-    next attempt, and counts a retry.
+    """(n, 6, 6) operators for the flat ``index`` array, drawn in rounds of
+    attempts (module docstring).  ``kept(ms, rows)`` says which assembled
+    operators ``ms`` (for the positions ``rows``) pass the final check; every
+    rejected attempt counts a retry under its reason.
     """
     out = np.empty((len(index), 6, 6))
-    start = np.zeros(len(index), dtype=np.int64)
+    first = np.zeros(len(index), dtype=np.int64)
     pending = np.arange(len(index))
     reason = "member-verify" if face is None else "boundary-verify"
     while pending.size:
-        attempt, eigs_a, eigs_c, svals = _settle(cfg, params, tag, index[pending], start[pending], face)
-        g = _normals(cfg.seed, tag, index[pending], (4, 3, 3), attempt, first_block=3)
-        ms = _assemble(g, eigs_a, eigs_c, svals)
-        ok = kept(ms, pending)
-        out[pending[ok]] = ms[ok]
-        _count_retry(reason, int(np.count_nonzero(~ok)))
-        start[pending] = attempt + 1
-        pending = pending[~ok]
+        if first[pending].max() >= MAX_ATTEMPTS:
+            raise RuntimeError(
+                f"{tag} sampling found no draw in {MAX_ATTEMPTS} attempts; margin is infeasible "
+                f"for eta={params.eta}, mu={params.mu}, margin={cfg.margin}"
+            )
+        tries = first[pending, None] + np.arange(ROUND)
+        u = _uniforms(cfg.seed, tag, index[pending, None], tries, range(3))
+        with np.errstate(divide="ignore", invalid="ignore"):  # rejected attempts only
+            *drawn, ok = _draw_member_data(u, params, cfg.margin)
+            ray_ok = ok
+            if face is not None:
+                *drawn, ray_ok = _boundary_ray(*drawn, params, face)
+        good = ok & ray_ok
+        hit = good.any(axis=-1)
+        k = np.argmax(good, axis=-1)
+        before = np.arange(ROUND) < np.where(hit, k, ROUND)[:, None]
+        _count_retry("trace-shift", int(np.count_nonzero(before & ~ok)))
+        _count_retry("boundary-ray", int(np.count_nonzero(before & ok & ~ray_ok)))
+        first[pending] += ROUND
+        rows = np.flatnonzero(hit)
+        if rows.size:
+            attempt = tries[rows, k[rows]]
+            g = _normals(cfg.seed, tag, index[pending[rows]], (4, 3, 3), attempt, first_block=3)
+            ms = _assemble(g, *(v[rows, k[rows]] for v in drawn))
+            done = kept(ms, pending[rows])
+            out[pending[rows[done]]] = ms[done]
+            _count_retry(reason, int(np.count_nonzero(~done)))
+            first[pending[rows]] = attempt + 1
+            hit[rows] = done
+        pending = pending[~hit]
     return out
 
 
@@ -412,8 +389,8 @@ def boundary_member(cfg: SamplerConfig, params: ConeParams, face: str, index=0):
     (operator, certificate dict); an array of indices gives a stack of shape
     ``index.shape + (6, 6)`` and a flat list of certificates.
     """
-    if face not in FACE_TAGS:
-        raise ValueError(f"face must be one of {FACE_TAGS}, got {face!r}")
+    if face not in _FACES:
+        raise ValueError(f"face must be one of {_FACES}, got {face!r}")
     if not params.eta > 0:
         raise ValueError("boundary sampling requires eta > 0")
     index = np.asarray(index)
@@ -425,7 +402,7 @@ def boundary_member(cfg: SamplerConfig, params: ConeParams, face: str, index=0):
         spectra = block_spectra(ms)
         fs = np.stack(hat_f(ms, params, blocks=spectra), axis=-1)
         nrm = frobenius(ms)
-        named = fs[:, FACE_TAGS.index(face)]
+        named = fs[:, _FACES.index(face)]
         ok = (0.0 <= named) & (named <= 1e-10 * np.maximum(1.0, nrm**deg)) & is_member(ms, params, blocks=spectra)
         f[rows[ok]], norms[rows[ok]] = fs[ok], nrm[ok]
         return ok

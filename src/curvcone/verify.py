@@ -332,7 +332,8 @@ def suite_cone(seed: int, n: int) -> list[dict]:
     pert = np.zeros((6, 6))
     pert[0, 0], pert[1, 1] = 1.0, -1.0  # Weyl direction in the SD basis sense
     c01.add(
-        [cn.is_c01(k * i6, 1e-8) != (k >= 0.0) for k in ks] + [cn.is_c01(np.eye(6) + 1e-3 * pert, 1e-6)],
+        np.append(cn.is_c01(np.multiply.outer(ks, i6), 1e-8) != (np.array(ks) >= 0.0),
+                  cn.is_c01(i6 + 1e-3 * pert, 1e-6)),
         contexts=[f"k={k}" for k in ks] + ["perturbed identity"],
     )
     checks.append(c01.done())

@@ -36,8 +36,7 @@ Stacks: every kernel takes operators ``(..., 6, 6)``, 2-forms ``(..., 6)``
 or 4x4 tensors ``(..., 4, 4)``, and numbers as arrays of the leading shape.  A
 single input gives the single-input types (a float for a norm or residual), a
 stack gives arrays over the leading axes, and each slice carries the bits of
-the single call on it.  The exceptions take one object: :func:`basis_two_form`,
-:func:`form_inner`, :func:`structure_constants` and the JSON serialization.
+the single call on it.  Only the JSON serialization takes one operator.
 """
 
 from __future__ import annotations
@@ -114,18 +113,6 @@ def identity_operator() -> np.ndarray:
     return np.eye(6)
 
 
-def basis_two_form(i: int, j: int) -> np.ndarray:
-    """Coefficient vector of ei^ej (0-based indices, i != j)."""
-    if i == j:
-        raise ValueError("ei^ei = 0 is not a basis form")
-    u = np.zeros(6)
-    if i < j:
-        u[PAIR_INDEX[(i, j)]] = 1.0
-    else:
-        u[PAIR_INDEX[(j, i)]] = -1.0
-    return u
-
-
 def skew_matrix(u) -> np.ndarray:
     """4x4 skew matrices of 2-forms under ei^ej -> E_ij - E_ji."""
     u = np.asarray(u, dtype=float)
@@ -145,11 +132,6 @@ def _take(a, flat, axes: int = 2) -> np.ndarray:
 def two_form_of_skew(m) -> np.ndarray:
     """Inverse of :func:`skew_matrix`."""
     return _take(m, _IJ)
-
-
-def form_inner(u, v) -> float:
-    """<u, v> = -tr(UV)/2 computed through the skew-matrix picture."""
-    return float(-0.5 * np.trace(skew_matrix(u) @ skew_matrix(v)))
 
 
 def wedge_coefficients(v, w) -> np.ndarray:

@@ -265,6 +265,15 @@ class TestStackedImpliedConditions:
         # one integer seed: every operator takes the same octets
         _same_bits(cn.sampled_inf(ms, P12, 5, 7)[1], [cn.sampled_inf(m, P12, 5, 7)[1] for m in ms])
 
+    def test_is_c01_with_multiples_of_identity(self, n):
+        ms = STACK[:n].copy()
+        ks = np.linspace(-2.0, 3.0, len(ms[::3]))
+        ms[::3] = np.multiply.outer(ks, np.eye(6))
+        for tol in (1e-8, 1e-6):
+            flags = cn.is_c01(ms, tol)
+            _same_bits(flags, [cn.is_c01(m, tol) for m in ms])
+            _equal(flags[::3], ks >= 0.0)
+
     def test_uniform_pic_with_a_zero_operator(self, n):
         ms = STACK[:n].copy()
         ms[n // 2] = 0.0

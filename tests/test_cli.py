@@ -314,6 +314,21 @@ class TestSample:
             ops = [boundary_member(cfg, params, kind[-2:].upper(), index=i)[0] for i in range(6)]
         assert out.read_text() == "".join(json.dumps(operator_to_json_dict(m)) + "\n" for m in ops)
 
+    @pytest.mark.parametrize("kind, eta, mu, samples, seed, digest", [
+        ("member", "2", "4", 200, 5, "9233b27b693162e78b9032fe412d6a7c31472cb35b5a47dfa7a3bb34d6e87949"),
+        ("boundary-f1", "2", "4", 200, 5, "b3fbd9a204955c0b60e986c123941e9780059bd18f3f7c4bee7aa354ad741f1e"),
+        ("boundary-f2", "2", "4", 200, 5, "4c48ac95ac96845b9d784f95872cdb4e62e2f37215d649bd4d390d8b76d7f704"),
+        ("boundary-f3", "2", "4", 200, 5, "f79a76ffc4a690078fd7df74118d3cf1657e76b2257b1956866df89cb86adc89"),
+        # indices 1439 and 1645 first pass the trace shift after ROUND attempts
+        ("member", "1", "2", 1700, 1, "1832ec876b539a7031f9cc49d3169258d7b82eb1621e183bc5c33fb97d2cc3bc"),
+    ])
+    def test_sample_bytes_are_pinned(self, tmp_path, kind, eta, mu, samples, seed, digest):
+        # at (eta, mu) = (2, 4) most draws reject attempts at the trace shift
+        out = tmp_path / "ops.jsonl"
+        assert cli.main(["sample", "--kind", kind, "--eta", eta, "--mu", mu, "--samples", str(samples),
+                         "--seed", str(seed), "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_negative_sample_count_exits_2(self, tmp_path, capsys):
         out = tmp_path / "ops.jsonl"
         assert cli.main(["sample", "--samples", "-3", "--output", str(out)]) == 2

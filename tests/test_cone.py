@@ -154,17 +154,15 @@ class TestLowerBound:
         assert cn.lower_bound_l(-I6, P12, tol=1e-9) == pytest.approx(1.0, abs=1e-8)
 
     def test_member_shift_examples(self):
-        assert cn.shifted_membership(-I6, 1.0, P12)
-        assert not cn.shifted_membership(-I6, 0.5, P12)
-        with pytest.raises(ValueError):
-            cn.shifted_membership(I6, -0.1, P12)
+        assert cn.is_member(-I6 + 1.0 * I6, P12)
+        assert not cn.is_member(-I6 + 0.5 * I6, P12)
 
     def test_shifted_membership_matches_fast_path(self):
         for m in random_bianchi(CFG, index=2900 + np.arange(50)):
             lv = cn.lower_bound_l(m, P12, tol=1e-10)
-            assert cn.shifted_membership(m, lv + 1e-8, P12)
+            assert cn.is_member(m + (lv + 1e-8) * I6, P12)
             if lv > 1e-6:
-                assert not cn.shifted_membership(m, max(0.0, lv - 1e-6), P12)
+                assert not cn.is_member(m + max(0.0, lv - 1e-6) * I6, P12)
 
     def test_homogeneity(self):
         for m in random_bianchi(CFG, index=3200 + np.arange(30)):

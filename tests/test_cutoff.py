@@ -51,14 +51,16 @@ class TestCutoffSpec:
 
 class TestBuildCutoff:
     def test_flat_regions_exact(self):
-        fn = co.build_cutoff(co.CutoffSpec(eps=0.5, sigma=2.0, r=1.0))
+        fn = co.CutoffFunction(co.CutoffSpec(eps=0.5, sigma=2.0, r=1.0))
+        assert co.verify_cutoff(fn).passed
         x = np.array([-10.0, 0.0, 1.0])
         assert np.all(fn(x) == 1.0)
         x = np.array([3.0, 5.0, 100.0])
         assert np.all(fn(x) == 0.0)
 
     def test_eps_one_reduces_to_base_bounds(self):
-        fn = co.build_cutoff(co.CutoffSpec(eps=1.0, sigma=1.0, r=0.0))
+        fn = co.CutoffFunction(co.CutoffSpec(eps=1.0, sigma=1.0, r=0.0))
+        assert co.verify_cutoff(fn).passed
         x = np.linspace(-0.5, 1.5, 4001)
         assert np.all(fn.d1(x) >= -2.0 - 1e-12)
 
@@ -72,7 +74,8 @@ class TestBuildCutoff:
 
     def test_power_bounds_hold_pointwise(self):
         spec = co.CutoffSpec(eps=0.25, sigma=1.5, r=-2.0)
-        fn = co.build_cutoff(spec)
+        fn = co.CutoffFunction(spec)
+        assert co.verify_cutoff(fn).passed
         x = np.linspace(spec.r - 1.0, spec.r + 2.0 * spec.sigma, 5001)
         v, d1, d2 = fn.value(x), fn.d1(x), fn.d2(x)
         mask = v > 0.0

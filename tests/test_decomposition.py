@@ -4,6 +4,7 @@ import pytest
 from curvcone import decomposition as dc
 from curvcone import wedge as wg
 from curvcone.sampling import SamplerConfig, random_bianchi, substream
+from forms import basis_two_form
 from samplers import random_rotation, random_symmetric_tensor
 
 I6 = np.eye(6)
@@ -41,7 +42,7 @@ class TestCanonicalBasis:
 class TestHodgeStar:
     def test_definition_and_involution(self):
         star = dc.hodge_star()
-        np.testing.assert_allclose(star @ wg.basis_two_form(0, 1), wg.basis_two_form(2, 3), atol=0)
+        np.testing.assert_allclose(star @ basis_two_form(0, 1), basis_two_form(2, 3), atol=0)
         np.testing.assert_allclose(star @ star, I6, atol=0)
         np.testing.assert_allclose(star, star.T, atol=0)
 

@@ -214,6 +214,20 @@ def _scalar_draw(word_rows, params, margin):
     raise AssertionError(f"no draw in {smp.MAX_ATTEMPTS} attempts")
 
 
+def _attempt_words(seed, i):
+    # the twelve Philox words of member attempt a of index i, one attempt alone
+    key = np.array([seed, zlib.crc32(b"member")], dtype=np.uint64)
+    return lambda a: smp.philox(key, np.array([[i, a, b, 0] for b in range(3)], dtype=np.uint64)).ravel()
+
+
+def _scalar_member(seed, i, word_rows, params, margin):
+    """(attempt, operator) of index i: the scalar reference's attempt,
+    assembled from its rotation blocks as one index alone."""
+    attempt, ref = _scalar_draw(word_rows, params, margin)
+    g = smp._normals(seed, "member", i, (4, 3, 3), attempt, first_block=3)
+    return attempt, smp._assemble(g, *map(np.array, ref))
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3, 77])
 @pytest.mark.parametrize(
     "params,margin",
@@ -231,22 +245,47 @@ def test_member_draw_equals_six_scalar_uniform_calls(seed, params, margin):
 
     def word_rows(i):
         # the attempts evaluated above, and any later one on its own
-        def rows(a):
-            if a < ahead:
-                return words[i, a]
-            return smp.philox(key, np.array([[i, a, b, 0] for b in range(3)], dtype=np.uint64)).ravel()
-        return rows
+        return lambda a: words[i, a] if a < ahead else _attempt_words(seed, i)(a)
 
     before = smp.RETRY_COUNTS.get("trace-shift", 0)
     cfg = smp.SamplerConfig(seed=seed, margin=margin)
-    attempt, *data = smp._settle(cfg, params, "member", np.arange(n), np.zeros(n, dtype=np.int64))
+    ms = smp.random_member(cfg, params, index=np.arange(n))
     retries = 0
     for i in range(n):
-        ref_attempt, ref = _scalar_draw(word_rows(i), params, margin)
-        assert attempt[i] == ref_attempt
-        for got, want in zip(data, ref):
-            assert got[i].tobytes() == np.array(want).tobytes()
+        ref_attempt, ref = _scalar_member(seed, i, word_rows(i), params, margin)
+        assert ms[i].tobytes() == ref.tobytes()
         retries += ref_attempt
     assert smp.RETRY_COUNTS.get("trace-shift", 0) - before == retries
     if params.mu == 4.0:
         assert retries > 100
+
+
+def test_member_draws_past_the_first_round():
+    # these indices first pass the trace shift at attempts 10, 8, 11 and 8,
+    # so each takes a second round of ROUND attempts; every rejected attempt
+    # counts once, in a stacked call and in a call per index
+    cfg, params, idx = smp.SamplerConfig(seed=1, margin=0.1), cn.ConeParams(1.0, 2.0), [1439, 1645, 4726, 5224]
+    refs = [_scalar_member(1, i, _attempt_words(1, i), params, 0.1) for i in idx]
+    assert [a for a, _ in refs] == [10, 8, 11, 8]
+    assert all(a >= smp.ROUND for a, _ in refs)
+    before = smp.RETRY_COUNTS.get("trace-shift", 0)
+    ms = smp.random_member(cfg, params, index=np.array(idx))
+    assert smp.RETRY_COUNTS.get("trace-shift", 0) - before == 10 + 8 + 11 + 8
+    for m, (_, ref) in zip(ms, refs):
+        assert m.tobytes() == ref.tobytes()
+    for i, (attempt, ref) in zip(idx, refs):
+        before = smp.RETRY_COUNTS.get("trace-shift", 0)
+        assert smp.random_member(cfg, params, index=i).tobytes() == ref.tobytes()
+        assert smp.RETRY_COUNTS.get("trace-shift", 0) - before == attempt
+
+
+@pytest.mark.parametrize("seeds", [np.array([[3, 1, 4], [1, 5, 9]]), 26])
+def test_oracle_normals_are_one_substream_per_seed_entry(seeds, monkeypatch):
+    built = []
+    substream = smp.substream
+    monkeypatch.setattr(smp, "substream", lambda *args: built.append(args) or substream(*args))
+    g = smp._oracle_normals(seeds, "flag3", (5, 4, 3))
+    assert g.shape == np.shape(seeds) + (5, 4, 3)
+    assert built == [(s, "flag3") for s in np.ravel(seeds).tolist()]
+    want = [substream(s, "flag3").standard_normal((5, 4, 3)) for s in np.ravel(seeds).tolist()]
+    assert g.tobytes() == np.array(want).tobytes()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from curvcone import wedge as wg
 from curvcone.sampling import SamplerConfig, random_bianchi, substream
+from forms import basis_two_form, form_inner
 from samplers import random_rotation, random_symmetric_tensor
 
 I6 = np.eye(6)
@@ -27,7 +28,7 @@ entries = st.floats(-10.0, 10.0, allow_nan=False)
 
 
 def test_bracket_closed_formula_examples():
-    b = wg.basis_two_form
+    b = basis_two_form
     np.testing.assert_allclose(wg.lie_bracket(b(0, 1), b(0, 2)), -b(1, 2), atol=0)
     np.testing.assert_allclose(wg.lie_bracket(b(0, 1), b(2, 3)), np.zeros(6), atol=0)
 
@@ -42,8 +43,8 @@ def test_bracket_matches_delta_formula_on_all_basis_pairs():
                 (-int(i == k), (j, l)), (int(i == l), (j, k)),
             ):
                 if d and pair[0] != pair[1]:
-                    expected += d * wg.basis_two_form(*pair)
-            got = wg.lie_bracket(wg.basis_two_form(i, j), wg.basis_two_form(k, l))
+                    expected += d * basis_two_form(*pair)
+            got = wg.lie_bracket(basis_two_form(i, j), basis_two_form(k, l))
             np.testing.assert_allclose(got, expected, atol=0)
 
 
@@ -58,7 +59,7 @@ def test_form_norm_is_coefficient_norm():
     rng = substream(3, "forms")
     for _ in range(50):
         u = rng.standard_normal(6)
-        assert wg.form_inner(u, u) == pytest.approx(float(u @ u), rel=1e-14)
+        assert form_inner(u, u) == pytest.approx(float(u @ u), rel=1e-14)
 
 
 def test_structure_constants_reproduce_bracket():
