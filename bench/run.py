@@ -1,56 +1,55 @@
-"""Kernel timings of curvcone: microseconds per operator, single and stacked.
+"""Timings of curvcone, this checkout against a baseline, in interleaved pairs.
 
     python3 bench/run.py --label batched --baseline-src OTHER/src --baseline-label 4261e7c
 
-Run from the root of a source checkout.  Each kernel is timed with
-``time.perf_counter`` as the best of REPEATS runs: once as a loop of
-N_SINGLE single-operator calls, and once as one call on a stack of N_STACKED
-operators (indices for the samplers).  The CLI rows have only the single
-form: one in-process ``cli.main`` call of ``check`` and of ``l`` on one
-member record, one of ``evolve --t-max 100`` on the blow-up start of the
-wall-time row below (N_EVOLVE calls per run), and ``cli.build_parser()``
-alone, a fresh build each time, which shows what building the parser
-costs (``cli.main`` builds it once per process).  ``philox`` gives the µs of one
-evaluation of the samplers' Philox kernel on 1 block and on N_STACKED
-blocks.  The ``integrate`` row counts a
-whole trajectory as one operator: N_TRAJ member starts integrated one by
-one, and as one stack.  Wall times are taken for each ``verify`` suite at the CLI
-default ``--samples 1000``, for ``verify --suite all`` at ``--samples 100`` (the
-size the certify benchmark runs), for ``evolve``'s integration of a blow-up from
-|R| = 3e7, and for one Tier-1 run (``pytest`` in the checkout that holds the
-package).  With ``--baseline-src`` the single-operator kernels are also
-taken for another checkout's package, in a subprocess, and stored next to
-this one's.  Wall times are taken in worker subprocesses, one per package,
-which time the rows they are sent: each row gets one untimed warm-up run per
-package and then PAIRS timed runs per package, the two packages taking
-turns and the first side alternating from pair to pair (AB, BA, AB, ...), so
-that load drift falls on both sides alike.  Each side's min and quartiles and
-the per-pair ratio (this / baseline) are recorded, with the count of pairs
-this package won; a row whose ratios fall on both sides of 1 is marked
-``noisy``.  Tier-1 runs one pair.  Writes ``BENCH_<label>.json``; a full run
-with a baseline takes three or four minutes.
+Run from the root of a source checkout.  Each package is imported by one
+worker subprocess, which builds a table of rows (``rows``) and times one run
+of a row, with ``time.perf_counter``, each time it is sent the row's name.
+Every row is timed the same way (``time_rows``): one untimed warm-up run per
+package, then PAIRS timed runs per package, the two packages taking turns
+and the first side alternating from pair to pair (AB, BA, AB, ...), so that
+load drift falls on both sides alike.  Tier-1 (``pytest`` in the checkout
+that holds the package) runs one pair, with no warm-up.  Each side's min and
+quartiles and the per-pair ratio (this / baseline) are recorded, with the
+count of pairs this package won; a row whose ratios fall on both sides of 1
+is marked ``noisy``.  Without ``--baseline-src`` only this package's runs
+are taken.
+
+Kernel rows are recorded in µs per operator.  Each kernel has two rows: a
+loop of N_SINGLE single-operator calls, and one call on a stack of N_STACKED
+operators (indices for the samplers), named ``<kernel> [stacked]``.  The CLI
+rows have only the single form: one in-process ``cli.main`` call of
+``check`` and of ``l`` on one member record, ``cli.build_parser()`` alone (a
+fresh build each time, which shows what building the parser costs;
+``cli.main`` builds it once per process), and a loop of N_EVOLVE calls of
+``evolve --t-max 100`` on the blow-up start of the wall-time row below.  The
+``integrate`` rows count a whole trajectory as one operator: N_TRAJ member
+starts integrated one by one, and as one stack.  The ``philox`` rows count
+one evaluation of the samplers' Philox kernel, on 1 block and on N_STACKED
+blocks.  Wall-time rows are recorded in seconds: each ``verify`` suite at the
+CLI default ``--samples 1000``, ``verify --suite all`` at ``--samples 100``
+(the size the certify benchmark runs), ``evolve``'s integration of a blow-up
+from |R| = 3e7, and Tier-1.  Writes ``BENCH_<label>.json``; a full run with
+a baseline takes about five minutes.
 
 Not a test and not a gate: the numbers depend on the machine and its load.
-BLAS is pinned to one thread, as in ``perfbench/run.py``.
+The workers pin BLAS to one thread, as ``perfbench/run.py`` does.
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
+import json
 import os
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
 
-os.environ.update({v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
-
-import argparse  # noqa: E402
-import contextlib  # noqa: E402
-import io  # noqa: E402
-import json  # noqa: E402
-import platform  # noqa: E402
-import subprocess  # noqa: E402
-import sys  # noqa: E402
-import time  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-import numpy as np  # noqa: E402
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SUITES = ("algebra", "cone", "nullvector", "flow", "cutoff")
@@ -60,21 +59,8 @@ N_SINGLE = 1000
 N_STACKED = 10_000
 N_TRAJ = 30  # as many member starts as certify's member-invariance checks
 N_EVOLVE = 20
-REPEATS = 5
 PAIRS = 10
 TIER1_ROW = "tier-1 pytest (one run)"
-WALL_ROWS = (*(f"verify {name} (samples={SUITE_SAMPLES})" for name in SUITES),
-             f"verify all (samples={CERTIFY_SAMPLES})", "evolve blow-up from |R| = 3e7", TIER1_ROW)
-
-
-def best_of(fn, repeats: int) -> float:
-    """Least wall time of ``repeats`` calls of ``fn``, in seconds."""
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 def inputs(n: int):
@@ -158,37 +144,6 @@ def kernels(cfg, params, members, nonmembers):
     }
 
 
-def time_kernels(stacked: bool) -> dict:
-    cfg, params, members, nonmembers = inputs(N_STACKED if stacked else N_SINGLE)
-    single = kernels(cfg, params, members[:N_SINGLE], nonmembers[:N_SINGLE])
-    out = {}
-    for name, (one, _) in single.items():
-        secs = best_of(lambda: [one(i) for i in range(N_SINGLE)], REPEATS)
-        out[name] = {"per_operator_us": 1e6 * secs / N_SINGLE}
-    if stacked:
-        many = kernels(cfg, params, members, nonmembers)
-        for name, (_, stack) in many.items():
-            if stack is not None:
-                out[name]["stacked_us"] = 1e6 * best_of(stack, REPEATS) / N_STACKED
-    return out
-
-
-def time_integrate(stacked: bool) -> dict:
-    """µs per trajectory: N_TRAJ member starts one by one, and as one stack."""
-    from curvcone import cone, flow, sampling, wedge
-
-    params = cone.ConeParams(1.0, 2.0)
-    cfg = sampling.SamplerConfig(seed=0)
-    starts = sampling.random_member(cfg, params, index=np.arange(N_TRAJ))
-    cfgs = [flow.TrajectoryConfig(dt=1e-3, t_max=min(0.05, 0.5 / nrm), rtol=1e-8, blowup_norm=1e6)
-            for nrm in wedge.frobenius(starts).tolist()]
-    row = {"per_operator_us": 1e6 * best_of(
-        lambda: [flow.integrate(r0, c) for r0, c in zip(starts, cfgs)], REPEATS) / N_TRAJ}
-    if stacked:
-        row["stacked_us"] = 1e6 * best_of(lambda: flow.integrate(starts, cfgs), REPEATS) / N_TRAJ
-    return row
-
-
 def blowup_start():
     """The cone parameters and a seed-0 non-member scaled to |R| = 3e7, like extreme-scale's evolve start."""
     from curvcone import cone, sampling, wedge
@@ -198,94 +153,107 @@ def blowup_start():
     return params, m * (3e7 / wedge.frobenius(m))
 
 
-def time_cli_evolve() -> dict:
-    """µs per in-process ``evolve --t-max 100`` call from the blow-up start."""
-    from curvcone import wedge
+def tier1(src: str) -> None:
+    """One Tier-1 run in the checkout whose package is ``src``."""
+    src_dir = Path(src).resolve()
+    env = dict(os.environ, PYTHONPATH=str(src_dir))
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+                          cwd=src_dir.parent, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"Tier-1 failed in {src_dir.parent}:\n{proc.stdout[-2000:]}")
 
-    line = json.dumps(wedge.operator_to_json_dict(blowup_start()[1])) + "\n"
-    secs = best_of(lambda: [cli_call(["evolve", "--t-max", "100"], line) for _ in range(N_EVOLVE)], REPEATS)
-    return {"per_operator_us": 1e6 * secs / N_EVOLVE}
 
+def rows(src: str) -> dict:
+    """Row name -> (a call that runs the row once, the operators it covers).
 
-def time_philox() -> dict:
-    """µs per evaluation of the Philox kernel, on 1 block and on N_STACKED blocks."""
-    from curvcone import sampling
+    A wall-time row covers None operators: it is recorded in seconds.
+    """
+    from curvcone import flow, sampling, verify, wedge
+
+    cfg, params, members, nonmembers = inputs(N_STACKED)
+    table = {}
+    for name, (one, stack) in kernels(cfg, params, members, nonmembers).items():
+        table[name] = (lambda one=one: [one(i) for i in range(N_SINGLE)], N_SINGLE)
+        if stack is not None:
+            table[f"{name} [stacked]"] = (stack, N_STACKED)
+
+    starts = members[:N_TRAJ]
+    cfgs = [flow.TrajectoryConfig(dt=1e-3, t_max=min(0.05, 0.5 / nrm), rtol=1e-8, blowup_norm=1e6)
+            for nrm in wedge.frobenius(starts).tolist()]
+    traj = f"integrate ({N_TRAJ} member starts, per trajectory)"
+    table[traj] = (lambda: [flow.integrate(r0, c) for r0, c in zip(starts, cfgs)], N_TRAJ)
+    table[f"{traj} [stacked]"] = (lambda: flow.integrate(starts, cfgs), N_TRAJ)
+
+    blowup_params, blowup = blowup_start()
+    line = json.dumps(wedge.operator_to_json_dict(blowup)) + "\n"
+    table["cli.main evolve (blow-up from |R| = 3e7)"] = (
+        lambda: [cli_call(["evolve", "--t-max", "100"], line) for _ in range(N_EVOLVE)], N_EVOLVE)
 
     key = np.array([1, 2], dtype=np.uint64)
-    out = {}
     for n, reps in ((1, 100), (N_STACKED, 10)):
         ctr = np.zeros((n, 4), dtype=np.uint64)
         ctr[:, 0] = np.arange(n)
-        out[f"{n} blocks"] = 1e6 * best_of(lambda: [sampling.philox(key, ctr) for _ in range(reps)], REPEATS) / reps
-    return out
+        table[f"philox ({n}-block evaluation)"] = (
+            lambda ctr=ctr, reps=reps: [sampling.philox(key, ctr) for _ in range(reps)], reps)
 
-
-def time_tier1(src: str) -> float:
-    """Seconds of one Tier-1 run in the checkout whose package is ``src``."""
-    src_dir = Path(src).resolve()
-    env = dict(os.environ, PYTHONPATH=str(src_dir))
-    t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
-                          cwd=src_dir.parent, env=env, capture_output=True, text=True)
-    secs = time.perf_counter() - t0
-    if proc.returncode != 0:
-        raise RuntimeError(f"Tier-1 failed in {src_dir.parent}:\n{proc.stdout[-2000:]}")
-    return secs
-
-
-def wall_rows(src: str) -> dict:
-    """WALL_ROWS name -> a call that runs that row once, for the package ``src``."""
-    from curvcone import flow, verify
-
-    params, start = blowup_start()
-    cfg = flow.TrajectoryConfig(dt=1e-3, t_max=100.0)
-    calls = [lambda name=name: verify.run(name, 1, SUITE_SAMPLES) for name in SUITES] + [
-        lambda: verify.run("all", 1, CERTIFY_SAMPLES),
-        lambda: flow.integrate(start, cfg, params=params),
-        lambda: time_tier1(src),
-    ]
-    return dict(zip(WALL_ROWS, calls))
+    for name in SUITES:
+        table[f"verify {name} (samples={SUITE_SAMPLES})"] = (
+            lambda name=name: verify.run(name, 1, SUITE_SAMPLES), None)
+    table[f"verify all (samples={CERTIFY_SAMPLES})"] = (lambda: verify.run("all", 1, CERTIFY_SAMPLES), None)
+    evolve_cfg = flow.TrajectoryConfig(dt=1e-3, t_max=100.0)
+    table["evolve blow-up from |R| = 3e7"] = (
+        lambda: flow.integrate(blowup, evolve_cfg, params=blowup_params), None)
+    table[TIER1_ROW] = (lambda: tier1(src), None)
+    return table
 
 
 def serve(src: str) -> None:
-    """Worker loop: for each request on stdin, one JSON line back.
+    """Worker loop: announce the row table, then time one run of each row named on stdin.
 
-    A wall-time row name gets ``{"s": seconds}`` of one run of that row;
-    ``kernels`` gets the single-operator kernel timings.  Anything the rows
-    print goes to stderr, so stdout carries only replies.
+    The first line out maps each row name to the operators it covers; each
+    request gets back the seconds of one run.  Anything the rows print goes
+    to stderr, so stdout carries only replies.
     """
     reply = sys.stdout
     sys.stdout = sys.stderr
-    rows = wall_rows(src)
-    for line in sys.stdin:
-        name = line.strip()
-        if name == "kernels":
-            out = measure(stacked=False)
-        else:
-            t0 = time.perf_counter()
-            rows[name]()
-            out = {"s": time.perf_counter() - t0}
-        reply.write(json.dumps(out) + "\n")
+
+    def send(obj) -> None:
+        reply.write(json.dumps(obj) + "\n")
         reply.flush()
+
+    table = rows(src)
+    send({name: ops for name, (_, ops) in table.items()})
+    for line in sys.stdin:
+        call = table[line.strip()][0]
+        t0 = time.perf_counter()
+        call()
+        send(time.perf_counter() - t0)
 
 
 class Worker:
-    """A subprocess that imports the package ``src`` and times rows on request."""
+    """A subprocess that imports the package ``src`` and times rows on request.
+
+    ``rows`` is the table it announced: row name -> operators covered.
+    """
 
     def __init__(self, src: str):
+        # BLAS reads these when numpy loads, so they go in the worker's environment
+        env = dict(os.environ, **{v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
         self.proc = subprocess.Popen([sys.executable, __file__, "--src", src, "--worker"],
-                                     stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+                                     stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
+        self.rows = self._read()
 
-    def request(self, name: str) -> dict:
-        self.proc.stdin.write(name + "\n")
-        self.proc.stdin.flush()
+    def _read(self):
         line = self.proc.stdout.readline()
         if not line:
-            raise RuntimeError(f"worker for {name!r} exited with code {self.proc.wait()}")
+            raise RuntimeError(f"worker exited with code {self.proc.wait()}")
         return json.loads(line)
 
     def time(self, row: str) -> float:
-        return self.request(row)["s"]
+        """Seconds of one run of ``row``."""
+        self.proc.stdin.write(row + "\n")
+        self.proc.stdin.flush()
+        return self._read()
 
     def close(self) -> None:
         self.proc.stdin.close()
@@ -294,33 +262,36 @@ class Worker:
         except subprocess.TimeoutExpired:
             self.proc.kill()
             self.proc.wait()
+        self.proc.stdout.close()
 
 
 def spread(runs) -> dict:
-    """min and quartiles of a list of seconds, with the runs themselves."""
+    """min and quartiles of a list of runs, with the runs themselves."""
     q1, med, q3 = np.percentile(runs, [25, 50, 75]).tolist()
     return {"min": min(runs), "q1": q1, "median": med, "q3": q3, "runs": list(runs)}
 
 
-def time_wall(workers) -> dict:
-    """Each wall-time row, PAIRS times per worker: this package's, then
-    optionally the baseline's.
+def time_rows(workers) -> dict:
+    """Every row of ``workers[0].rows``, timed on each worker in interleaved pairs.
 
-    With a baseline the two take turns on each row: one untimed warm-up run
-    each, then PAIRS pairs whose first side alternates (AB, BA, AB, ...).
-    The Tier-1 row runs one pair, with no warm-up.  A row whose pair ratios
-    (this / baseline) fall on both sides of 1 is marked noisy.
+    Each row gets one untimed warm-up run per worker, then PAIRS pairs whose
+    first side alternates (AB, BA, AB, ...); the Tier-1 row runs one pair,
+    with no warm-up.  A row covering ``ops`` operators is recorded in µs per
+    operator under ``us_per_operator``, a wall-time row (``ops`` None) in
+    seconds under ``wall_s``.  A row whose pair ratios (this / baseline)
+    fall on both sides of 1 is marked noisy.
     """
-    out = {}
-    for row in WALL_ROWS:
-        tier1 = row == TIER1_ROW
-        if not tier1:
+    out = {"us_per_operator": {}, "wall_s": {}}
+    for row, ops in workers[0].rows.items():
+        tier1_row = row == TIER1_ROW
+        if not tier1_row:
             for w in workers:
                 w.time(row)
+        scale = 1.0 if ops is None else 1e6 / ops
         runs = [[] for _ in workers]
-        for i in range(1 if tier1 else PAIRS):
+        for i in range(1 if tier1_row else PAIRS):
             for j in (range(len(workers)) if i % 2 == 0 else reversed(range(len(workers)))):
-                runs[j].append(workers[j].time(row))
+                runs[j].append(scale * workers[j].time(row))
         entry = {"this": spread(runs[0])}
         if len(workers) > 1:
             ratios = [a / b for a, b in zip(*runs)]
@@ -328,7 +299,7 @@ def time_wall(workers) -> dict:
             entry["pair_ratio"] = spread(ratios)
             entry["wins"] = sum(r < 1.0 for r in ratios)
             entry["noisy"] = min(ratios) < 1.0 < max(ratios)
-        out[row] = entry
+        out["wall_s" if ops is None else "us_per_operator"][row] = entry
     return out
 
 
@@ -344,13 +315,6 @@ def environment() -> dict:
     }
 
 
-def measure(stacked: bool) -> dict:
-    kernels = time_kernels(stacked)
-    kernels[f"integrate ({N_TRAJ} member starts, per trajectory)"] = time_integrate(stacked)
-    kernels["cli.main evolve (blow-up from |R| = 3e7)"] = time_cli_evolve()
-    return {"kernels": kernels, "philox_us_per_evaluation": time_philox()}
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--label", default="local")
@@ -360,31 +324,31 @@ def main(argv=None) -> int:
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("--output", default=None, help="default BENCH_<label>.json; '-' prints")
     args = ap.parse_args(argv)
-    sys.path.insert(0, str(Path(args.src).resolve()))
     if args.worker:
+        sys.path.insert(0, str(Path(args.src).resolve()))
         serve(args.src)
         return 0
 
-    result = {
-        "label": args.label,
-        "method": (f"kernels: best of {REPEATS} perf_counter runs; per-operator: a loop of "
-                   f"{N_SINGLE} single calls; stacked: one call on {N_STACKED} operators "
-                   f"(indices for the samplers); integrate: per trajectory, {N_TRAJ} starts; "
-                   f"cli.main evolve: a loop of {N_EVOLVE} calls; "
-                   f"wall_s: one worker subprocess per package, a warm-up run then {PAIRS} "
-                   "timed runs per row, the packages alternating and the first side alternating "
-                   "per pair; Tier-1 one run each; pair_ratio is this / baseline"),
-        "environment": environment(),
-        **measure(stacked=True),
-    }
-    workers = [Worker(args.src)] + ([Worker(args.baseline_src)] if args.baseline_src else [])
+    workers = []
     try:
-        if args.baseline_src:
-            result["baseline"] = {"label": args.baseline_label, "kernels": workers[1].request("kernels")["kernels"]}
-        result["wall_s"] = time_wall(workers)
+        for src in [args.src] + ([args.baseline_src] if args.baseline_src else []):
+            workers.append(Worker(src))
+        timed = time_rows(workers)
     finally:
         for w in workers:
             w.close()
+    result = {
+        "label": args.label,
+        "baseline_label": args.baseline_label if args.baseline_src else None,
+        "method": (f"one worker subprocess per package; per row a warm-up run on each side, then {PAIRS} "
+                   "timed runs per side, the sides alternating and the first side alternating per pair; "
+                   "Tier-1 one pair, no warm-up; pair_ratio is this / baseline; us_per_operator: "
+                   f"a run is {N_SINGLE} single-operator calls or one call on {N_STACKED} operators "
+                   f"([stacked]), {N_TRAJ} trajectories for integrate, {N_EVOLVE} calls for cli.main "
+                   "evolve, 100 or 10 evaluations for philox"),
+        "environment": environment(),
+        **timed,
+    }
     text = json.dumps(result, indent=2) + "\n"
     if args.output == "-":
         sys.stdout.write(text)

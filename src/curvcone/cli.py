@@ -218,7 +218,7 @@ def cmd_cutoff(args) -> int:
             "grid_n": spec.grid_n,
             "passed": rep.passed,
             "bounds": [
-                {"name": b.name, "margin": b.margin, "worst_x": b.worst_x}
+                {"name": b.name, "margin": _finite_or_none(b.margin), "worst_x": _finite_or_none(b.worst_x)}
                 for b in rep.bounds
             ],
             "variant_c0": variant.c0,

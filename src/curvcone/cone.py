@@ -86,9 +86,9 @@ class ConeParams:
     lambda_pic: float = field(init=False)
 
     def __post_init__(self):
-        if not (self.mu - 1.0 >= self.eta >= 0.0 and self.mu > 1.0):
+        if not (math.isfinite(self.mu) and self.mu - 1.0 >= self.eta >= 0.0 and self.mu > 1.0):
             raise ValueError(
-                "cone parameters must satisfy mu - 1 >= eta >= 0 and mu > 1 "
+                "cone parameters must be finite and satisfy mu - 1 >= eta >= 0 and mu > 1 "
                 f"(got eta={self.eta}, mu={self.mu})"
             )
         object.__setattr__(

@@ -31,6 +31,7 @@ independent of sigma and r.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -165,6 +166,11 @@ class CutoffSpec:
             raise ValueError("eps must lie in (0, 1]")
         if not self.sigma > 0.0:
             raise ValueError("sigma must be positive")
+        # sigma**2 divides the second derivative, and the grid needs r + sigma > r
+        if not (math.isfinite(self.r) and 0.0 < self.sigma * self.sigma < math.inf):
+            raise ValueError("r must be finite and sigma**2 a positive finite float")
+        if self.r + self.sigma == self.r:
+            raise ValueError("sigma is too small to move r (r + sigma == r)")
         if self.grid_n < 100:
             raise ValueError("grid_n must be at least 100")
 

@@ -324,7 +324,7 @@ def _sample(cfg: SamplerConfig, params: ConeParams, tag: str, index, face, kept)
     reason = "member-verify" if face is None else "boundary-verify"
     while pending.size:
         if first[pending].max() >= MAX_ATTEMPTS:
-            raise RuntimeError(
+            raise ValueError(
                 f"{tag} sampling found no draw in {MAX_ATTEMPTS} attempts; margin is infeasible "
                 f"for eta={params.eta}, mu={params.mu}, margin={cfg.margin}"
             )

@@ -73,8 +73,6 @@ _BIANCHI_DIR[0, 5] = _BIANCHI_DIR[5, 0] = 1.0
 _BIANCHI_DIR[1, 4] = _BIANCHI_DIR[4, 1] = -1.0
 _BIANCHI_DIR[2, 3] = _BIANCHI_DIR[3, 2] = 1.0
 
-_STRUCT: np.ndarray | None = None
-
 #: skew matrix F_a = E_ij - E_ji of each basis 2-form b_a = ei^ej
 _BIVECTORS = np.zeros((6, 4, 4))
 _BIVECTORS[np.arange(6), _ROW, _COL] = 1.0
@@ -158,35 +156,29 @@ def _eye2(i: int, j: int, p: int, q: int) -> int:
     return (1 if (i == p and j == q) else 0) - (1 if (i == q and j == p) else 0)
 
 
+#: C[a, g, h], built from the closed formula of :func:`structure_constants`
+_STRUCT = np.array([[[(j == k) * _eye2(i, l, p, q) - (j == l) * _eye2(i, k, p, q)
+                      - (i == k) * _eye2(j, l, p, q) + (i == l) * _eye2(j, k, p, q)
+                      for k, l in WEDGE_PAIRS] for i, j in WEDGE_PAIRS] for p, q in WEDGE_PAIRS],
+                   dtype=float)
+
+
 def structure_constants() -> np.ndarray:
     """C[a, g, h] with [b_g, b_h] = sum_a C[a, g, h] b_a.
 
-    Built from the closed formula
+    Built at import from the closed formula
     C^{(ij)(kl)}_{(pq)} = d_jk I^{il}_{pq} - d_jl I^{ik}_{pq}
                           - d_ik I^{jl}_{pq} + d_il I^{jk}_{pq}.
     Antisymmetric in (g, h); fully antisymmetric as a 3-tensor because the
     basis is orthonormal and the inner product is ad-invariant.
     """
-    global _STRUCT
-    if _STRUCT is None:
-        c = np.zeros((6, 6, 6))
-        for g, (i, j) in enumerate(WEDGE_PAIRS):
-            for h, (k, l) in enumerate(WEDGE_PAIRS):
-                for a, (p, q) in enumerate(WEDGE_PAIRS):
-                    c[a, g, h] = (
-                        (j == k) * _eye2(i, l, p, q)
-                        - (j == l) * _eye2(i, k, p, q)
-                        - (i == k) * _eye2(j, l, p, q)
-                        + (i == l) * _eye2(j, k, p, q)
-                    )
-        _STRUCT = c
     return _STRUCT
 
 
 def _minor_positions() -> np.ndarray:
     # Each b_a is the bracket of exactly two unordered pairs of basis forms,
     # with C = +-1; (g_p, h_p), p = 0, 1, orients pair p so that C[a, g, h] = +1.
-    _, g, h = np.nonzero(structure_constants() > 0.0)
+    _, g, h = np.nonzero(_STRUCT > 0.0)
     g, h = g.reshape(6, 2), h.reshape(6, 2)
     # pair combinations (p, q) in the order 00, 11, 01, 10; rows a take pair p,
     # columns b pair q

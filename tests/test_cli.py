@@ -329,6 +329,13 @@ class TestSample:
                          "--seed", str(seed), "--output", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    def test_infeasible_margin_exits_2(self, capsys):
+        # admissible only because 1e20 - 1 == 1e20: no attempt lands on the face
+        argv = ["sample", "--kind", "boundary-f1", "--eta", "1e20", "--mu", "1e20", "--samples", "3"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("curvcone: ") and "no draw in" in err and err.count("\n") == 1
+
     def test_negative_sample_count_exits_2(self, tmp_path, capsys):
         out = tmp_path / "ops.jsonl"
         assert cli.main(["sample", "--samples", "-3", "--output", str(out)]) == 2
@@ -348,6 +355,12 @@ class TestCutoffCommand:
         rows = out.read_text().splitlines()
         assert rows[0] == "x,phi,dphi,d2phi"
         assert len(rows) == 2001
+
+    def test_non_finite_margin_is_null(self, capsys):
+        # eps**2 underflows to 0, so the curvature bound's margin is NaN
+        assert cli.main(["cutoff", "--eps", "1e-300", "--sigma", "1", "--r", "0", "--grid", "200"]) == 1
+        rep = json.loads(capsys.readouterr().out, parse_constant=lambda c: pytest.fail(f"non-JSON {c}"))
+        assert {b["name"]: b["margin"] for b in rep["bounds"]}["curvature-power-bound"] is None
 
     def test_dash_writes_the_csv_to_stdout_after_the_report(self, capsys):
         argv = ["cutoff", "--eps", "0.5", "--sigma", "1", "--r", "1", "--grid", "200"]

@@ -22,7 +22,8 @@ class TestConeParams:
         assert p.lambda_pic == 4.0  # max(2, sqrt(2), 4)
         assert cn.ConeParams(0.0, 1.5).c_eta == math.inf
 
-    @pytest.mark.parametrize("eta,mu", [(2.0, 2.0), (-0.1, 2.0), (0.0, 1.0), (0.5, 1.2)])
+    @pytest.mark.parametrize("eta,mu", [(2.0, 2.0), (-0.1, 2.0), (0.0, 1.0), (0.5, 1.2), (math.inf, math.inf),
+                                        (1.0, math.inf)])
     def test_rejects_bad_parameters(self, eta, mu):
         with pytest.raises(ValueError, match="mu - 1 >= eta >= 0 and mu > 1"):
             cn.ConeParams(eta, mu)

@@ -43,7 +43,9 @@ class TestBaseProfile:
 
 
 class TestCutoffSpec:
-    @pytest.mark.parametrize("kwargs", [dict(eps=0.0, sigma=1, r=0), dict(eps=1.5, sigma=1, r=0), dict(eps=0.5, sigma=0, r=0), dict(eps=0.5, sigma=1, r=0, grid_n=10)])
+    @pytest.mark.parametrize("kwargs", [dict(eps=0.0, sigma=1, r=0), dict(eps=1.5, sigma=1, r=0), dict(eps=0.5, sigma=0, r=0), dict(eps=0.5, sigma=1, r=0, grid_n=10),
+                                        dict(eps=1.0, sigma=1e-300, r=0), dict(eps=0.5, sigma=1e200, r=0), dict(eps=0.5, sigma=1, r=float("nan")),
+                                        dict(eps=0.5, sigma=float("inf"), r=0), dict(eps=0.5, sigma=1, r=1e16)])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             co.CutoffSpec(**kwargs)
