@@ -13,8 +13,9 @@ Theta of eta*X*Y - Z^2, mu*X - W and mu*Y - V.  F2 and F3 always equal their
 closed forms mu(A_1+A_2)-(A_2+A_3) and mu(C_1+C_2)-(C_2+C_3); the closed
 form eta(A_1+A_2)(C_1+C_2)-(B_2+B_3)^2 for F1 is the true infimum exactly
 when A_1+A_2 >= 0 and C_1+C_2 >= 0, which F2, F3 >= 0 guarantees -- so
-membership tests F2, F3 first and only then F1.  Membership is closed:
-boundary points count as inside.
+membership tests F2, F3 first and only then F1, as B_2+B_3 <=
+sqrt(eta (A_1+A_2)(C_1+C_2)).  Membership is closed: boundary points count
+as inside.
 
 The lower-bound functional l(R) is the least alpha >= 0 with R + alpha*I in
 the cone.  Shifting by the identity moves every block eigenvalue by alpha
@@ -188,40 +189,36 @@ def hat_f(m, params: ConeParams, blocks=None):
             s = np.maximum(np.maximum(np.abs(x), np.abs(y)), z)
             xs, ys, zs = x / s, y / s, z / s
             f1 = np.where(redo, (params.eta * xs * ys - zs * zs) * s * s, f1)
-    f2 = params.mu * x - w
-    f3 = params.mu * y - v
+        f2 = params.mu * x - w
+        f3 = params.mu * y - v
     return _scalar_or_array(f1), _scalar_or_array(f2), _scalar_or_array(f3)
 
 
-# The private helpers below work on spectra; the public functions calling
-# them silence overflow warnings, since past |R| ~ 1e154 a product may
-# overflow to inf on its way to a correct comparison.
+# Helpers on spectra; their public callers silence the overflow of mu x (large mu, |R| ~ 1e300).
 
 def _sums(ea, ec, sb):
     # x = A_1+A_2, y = C_1+C_2, z = B_2+B_3, w = A_2+A_3, v = C_2+C_3
     return ea[0] + ea[1], ec[0] + ec[1], sb[1] + sb[2], ea[1] + ea[2], ec[1] + ec[2]
 
 
-def _member_from_sums(sums, params: ConeParams, tol_abs: float = 0.0):
+def _member_from_sums(sums, params: ConeParams):
+    # F2, F3 >= 0, then F1 as z <= s = sqrt(eta x y): no square to over- or underflow
     x, y, z, w, v = sums
-    faces = ~((params.mu * x - w < -tol_abs) | (params.mu * y - v < -tol_abs))
-    # F1 as (z - s)(z + s) <= tol_abs with s = sqrt(eta x y), which forms no
-    # square and so cannot overflow to inf - inf
+    faces = ~((params.mu * x - w < 0.0) | (params.mu * y - v < 0.0))
     s = math.sqrt(params.eta) * np.sqrt(np.maximum(x, 0.0)) * np.sqrt(np.maximum(y, 0.0))
-    return faces & ((z <= s) | ((z - s) * (z + s) <= tol_abs))
+    return faces & (z <= s)
 
 
-def is_member(m, params: ConeParams, tol_abs: float = 0.0, blocks=None):
+def is_member(m, params: ConeParams, blocks=None):
     """Closed-cone membership; boundary points (F = 0) count as inside.
 
-    ``tol_abs`` slackens all three inequalities additively; the default 0
-    gives exact-boundary semantics.  At eta = 0, F1 reads -(B_2+B_3)^2 >= 0,
-    so the mixed-block test is exact: an operator whose mixed block is zero
-    only up to rounding (a rotated multiple of I) is not a member.
+    F1 is tested as B_2+B_3 <= sqrt(eta (A_1+A_2)(C_1+C_2)), alike at every
+    scale.  At eta = 0 that is B_2+B_3 <= 0: a mixed block that is zero only
+    up to rounding (a rotated multiple of I) makes a non-member.
     """
     spectra = _spectra(m, blocks)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _scalar_or_array(_member_from_sums(_sums(*spectra), params, tol_abs), bool)
+    with np.errstate(over="ignore"):
+        return _scalar_or_array(_member_from_sums(_sums(*spectra), params), bool)
 
 
 def extremal_frame(m, target: str, blocks=None) -> FrameOctet:
@@ -500,7 +497,7 @@ def implies_wpic(m, params: ConeParams, blocks=None):
     """
     del params  # the test itself is parameter-free; members always pass
     ea, ec, _ = _spectra(m, blocks)
-    tol = 1e-10 * np.maximum(1.0, frobenius(m))
+    tol = 1e-10 * frobenius(m)
     return _scalar_or_array((ea[0] + ea[1] >= -tol) & (ec[0] + ec[1] >= -tol), bool)
 
 
@@ -550,12 +547,9 @@ def ricci_pinch_check(m, params: ConeParams, blocks=None):
     m = np.asarray(m, dtype=float)
     nrm = frobenius(m)
     sc = scalar(m)
-    ea, ec, sb = _spectra(m, blocks)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ok = (sc >= -1e-10 * np.maximum(1.0, nrm)) & ~(
-            np.float_power(sb[1] + sb[2], 2) > params.eta * (ea[0] + ea[1]) * (ec[0] + ec[1])
-            + 1e-10 * np.maximum(1.0, nrm * nrm)
-        )
+    # F1 >= -1e-10 |R|^2 as F1/|R| >= -1e-10 |R|, which cannot overflow
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok = (sc >= -1e-10 * nrm) & ~(np.divide(hat_f(m, params, blocks)[0], nrm) < -1e-10 * nrm)
     lam_min = np.full(m.shape[:-2], math.nan)
     lam_min[ok] = np.linalg.eigvalsh(ricci(m[ok]))[..., 0]
     const = 1.0 - (4.0 / 3.0) * math.sqrt(params.eta)
@@ -570,17 +564,20 @@ def uniform_pic_check(m, params: ConeParams, blocks=None):
     """
     ea, ec, sb = _spectra(m, blocks)
     mx = np.maximum(np.maximum(ea[2], ec[2]), sb[2])
-    slack = params.lambda_pic * np.minimum(ea[0] + ea[1], ec[0] + ec[1]) - mx
-    return _scalar_or_array(np.where(mx <= 1e-12 * np.maximum(1.0, frobenius(m)), math.nan, slack))
+    with np.errstate(over="ignore"):  # a large mu at |R| ~ 1e300
+        slack = params.lambda_pic * np.minimum(ea[0] + ea[1], ec[0] + ec[1]) - mx
+    return _scalar_or_array(np.where(mx <= 1e-12 * frobenius(m), math.nan, slack))
 
 
 def is_c01(m, tol: float):
     """Whether R is a nonnegative multiple of the identity, to tolerance.
 
     The intersection of all the cones over mu > 1 at eta = 0 is exactly
-    {k * I : k >= 0}.
+    {k * I : k >= 0}.  R is first divided, exactly, by the power of two of
+    its largest entry, so the answer is the same at every scale.
     """
     m = np.asarray(m, dtype=float)
+    m = np.ldexp(m, -np.frexp(np.abs(m).max(axis=(-2, -1)))[1][..., None, None])
     tr = np.trace(m, axis1=-2, axis2=-1)
     off = frobenius(m - (tr / 6.0)[..., None, None] * np.eye(6))
     return _scalar_or_array((off <= tol * frobenius(m)) & (tr >= -tol), bool)

@@ -86,9 +86,10 @@ def frobenius(m):
     """Frobenius norm over the last two axes, the norm every tolerance uses.
 
     The sum of squares is one BLAS dot per matrix, as in ``np.linalg.norm``.
-    Past |M| ~ 1e154 that sum overflows; only then, and only for matrices
-    with finite entries, is the matrix divided by its largest entry first,
-    so the value stays finite up to the largest double.
+    Past |M| ~ 1e154 that sum overflows; only then, and only for finite
+    matrices, is the matrix divided by its largest entry first, so the value
+    stays finite up to the largest double.  Below |M| ~ 1e-154 the squares
+    are subnormal and it loses digits; below |M| ~ 1e-162 it is 0.
     """
     m = np.asarray(m, dtype=float)
     flat = m.reshape(*m.shape[:-2], 1, m.shape[-2] * m.shape[-1])

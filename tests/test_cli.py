@@ -17,6 +17,8 @@ from curvcone.sampling import SamplerConfig, random_nonmember
 from curvcone.wedge import operator_from_upper, operator_to_json_dict
 
 I6 = np.eye(6)
+#: S^3 x R: A = B = C = I/2, a non-member that fails F1 alone at eta < 1
+S3_X_R = np.diag([1.0, 1.0, 0.0, 1.0, 0.0, 0.0])
 #: sha256 of the ``verify --suite all --seed 1 --samples 100`` JSON, report version 4
 REPORT_V4_SHA256 = "610748e777dbf43551f98f1b69df30c4df948005ab54c5f949e73d82477ba879"
 #: sha256 of the ``verify --suite cone --seed 1 --samples 20`` JSON, report version 4
@@ -142,6 +144,31 @@ class TestCheckAtExtremeScale:
         recs = [json.loads(line, parse_constant=_no_constants) for line in out.read_text().splitlines()]
         assert recs[0]["ricci_pinch_slack"] > 0.0
         assert recs[1]["ricci_pinch_slack"] is None and recs[2]["ricci_pinch_slack"] is None
+
+    def test_tiny_f1_only_non_member(self, tmp_path):
+        # at 1e-170 a squared F1 test underflows to 0 <= 0
+        p = tmp_path / "tiny.jsonl"
+        write_ops(p, 1e-170 * S3_X_R)
+        out = tmp_path / "out.jsonl"
+        assert cli.main(["check", "--eta", "0.5", "--mu", "1.5", "--input", str(p), "--output", str(out)]) == 0
+        rec = json.loads(out.read_text())
+        assert rec["member"] is False and rec["l_face"] == "F1"
+
+    @pytest.mark.parametrize("eta_mu", [(0.5, 1.5), (1.0, 2.0), (0.0, 1.5), (0.5, 1e10)], ids=str)
+    def test_records_warn_nothing_at_any_scale(self, eta_mu):
+        from curvcone.sampling import random_member
+
+        params = ConeParams(*eta_mu)
+        cfg = SamplerConfig(seed=3)
+        member = random_member(cfg, params, index=0) if params.eta > 0.0 else 3.0 * I6
+        bases = (member, random_nonmember(cfg, params, index=0), S3_X_R, -I6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cli._check_record(np.zeros((6, 6)), params)
+            for m in bases:
+                m = m / np.linalg.norm(m)  # so that 1e300 m is finite
+                for k in range(-300, 301):
+                    cli._check_record(10.0 ** k * m, params)
 
     def test_one_block_spectra_per_record(self, tmp_path, monkeypatch):
         from curvcone import cone as cn

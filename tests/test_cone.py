@@ -13,6 +13,15 @@ I6 = np.eye(6)
 CFG = SamplerConfig(seed=303)
 P12 = cn.ConeParams(1.0, 2.0)
 PARAM_SETS = (cn.ConeParams(0.5, 1.5), cn.ConeParams(1.0, 2.0), cn.ConeParams(0.1, 1.1))
+#: S^3 x R and the metric cone over S^3(a): A = B = C = I/2, non-members that
+#: fail F1 alone for every eta < 1
+F1_ONLY = (np.diag([1.0, 1.0, 0.0, 1.0, 0.0, 0.0]), np.diag([0.0, 0.0, 0.0, 1.0, 1.0, 1.0]))
+
+
+def _member_within(m, p, tol):
+    """Membership slackened by tol on every closed form (at eta = 0, F1 is
+    -(B_2+B_3)^2, so F1 >= -tol forgives a rounding-size mixed block)."""
+    return min(cn.hat_f(m, p)) >= -tol
 
 
 class TestConeParams:
@@ -198,7 +207,7 @@ class TestLowerBound:
         m = dc.reassemble(a, np.zeros((3, 3)), c)
         lv = cn.lower_bound_l(m, p0, tol=1e-10)
         assert math.isfinite(lv) and lv > 0.0
-        assert cn.is_member(m + (lv + 1e-8) * I6, p0, tol_abs=1e-12)
+        assert _member_within(m + (lv + 1e-8) * I6, p0, 1e-12)
 
 
 class TestEtaZeroMembership:
@@ -273,13 +282,17 @@ class TestLFace:
         assert cn.l_face(m, cn.ConeParams(0.0, 2.0)) == "F1"
 
 
-def _bisected_l(m, p, tol_abs=0.0):
-    """Independent oracle for l: bisection over is_member(R + alpha I)."""
-    if cn.is_member(m, p, tol_abs=tol_abs):
+def _bisected_l(m, p, tol=None):
+    """Independent oracle for l: bisection over is_member(R + alpha I), or
+    over _member_within(R + alpha I, p, tol) when tol is given."""
+    def inside(a):
+        return cn.is_member(a, p) if tol is None else _member_within(a, p, tol)
+
+    if inside(m):
         return 0.0
     hi = max(1.0, np.linalg.norm(m))
     for _ in range(64):
-        if cn.is_member(m + hi * I6, p, tol_abs=tol_abs):
+        if inside(m + hi * I6):
             break
         hi *= 2.0
     else:
@@ -287,7 +300,7 @@ def _bisected_l(m, p, tol_abs=0.0):
     lo = 0.0
     while hi - lo > 1e-13 * hi:
         mid = 0.5 * (lo + hi)
-        if cn.is_member(m + mid * I6, p, tol_abs=tol_abs):
+        if inside(m + mid * I6):
             hi = mid
         else:
             lo = mid
@@ -320,7 +333,7 @@ class TestLowerBoundClosedForm:
             # reassembly leaves a rounding-level mixed block, which eta = 0
             # only forgives with a slack on F1
             assert math.isfinite(lv)
-            assert abs(lv - _bisected_l(m, p0, tol_abs=1e-24)) <= 1e-11 * max(1.0, np.linalg.norm(m))
+            assert abs(lv - _bisected_l(m, p0, tol=1e-24)) <= 1e-11 * max(1.0, np.linalg.norm(m))
 
     @pytest.mark.parametrize("c", [1e-300, 1e-150, 1e6, 1e12, 1e300])
     def test_scale_homogeneity_across_range(self, c):
@@ -341,6 +354,17 @@ class TestLowerBoundClosedForm:
         lv = cn.lower_bound_l(m, p0)
         assert 0.0 < lv < math.inf
         assert abs(cn.lower_bound_l(c * m, p0) / c - lv) <= 1e-12 * lv
+        # F1-only non-members at every decade 1e-300..1e300, where a squared
+        # F1 test under- or overflows
+        cs = 10.0 ** np.arange(-300, 301)
+        for p in (cn.ConeParams(0.5, 1.5), cn.ConeParams(0.1, 1.1), cn.ConeParams(0.9, 2.0)):
+            for m in F1_ONLY:
+                lv = cn.lower_bound_l(m, p)
+                assert lv > 0.0 and cn.l_face(m, p) == "F1"
+                ms = cs[:, None, None] * m
+                assert not cn.is_member(ms, p).any()
+                assert (cn.l_face(ms, p) == "F1").all()
+                assert np.abs(cn.lower_bound_l(ms, p) / cs - lv).max() <= 1e-14 * lv
 
 
 class TestNullVector:
@@ -408,7 +432,7 @@ class TestImpliedConditions:
             m = dc.reassemble(a, np.zeros((3, 3)), a)
             # reassembly rounding leaves |B| ~ 1e-17, so F1 = -(B2+B3)^2 sits
             # a hair below the exact eta = 0 boundary; allow for that
-            assert cn.is_member(m, p0, tol_abs=1e-12)
+            assert _member_within(m, p0, 1e-12)
             assert cn.ricci_pinch_check(m, p0) == pytest.approx(0.0, abs=1e-10)
 
     def test_ricci_pinch_preconditions(self):
@@ -450,3 +474,20 @@ class TestImpliedConditions:
         assert cn.is_c01(np.zeros((6, 6)), 1e-8)
         pert = dc.reassemble(np.diag([1.0, -1.0, 0.0]), np.zeros((3, 3)), np.zeros((3, 3)))
         assert not cn.is_c01(I6 + 1e-3 * pert, 1e-6)
+
+    def test_tolerances_relative_to_norm_at_every_scale(self):
+        cs = 10.0 ** np.arange(-300, 301)[:, None, None]
+        assert cn.is_c01(cs * I6, 1e-8).all()
+        assert not cn.is_c01(-cs * I6, 1e-8).any()
+        assert not cn.is_c01(cs * random_bianchi(CFG, index=7000), 1e-8).any()
+        assert not cn.implies_wpic(-cs * I6, P12).any()
+        m = random_member(CFG, P12, index=7000)
+        upic = cn.uniform_pic_check(cs * m, P12) / cs[:, 0, 0]
+        assert np.abs(upic - cn.uniform_pic_check(m, P12)).max() <= 1e-12 * np.linalg.norm(m)
+        # scalar curvature -1e-8 |R|: the pinching bound does not apply
+        p5 = cn.ConeParams(0.5, 1.5)
+        m = random_member(CFG, p5, index=7001)
+        m = m - (wg.scalar(m) + 1e-8 * np.linalg.norm(m)) / 12.0 * I6
+        assert np.isnan(cn.ricci_pinch_check(cs * m, p5)).all()
+        # S^3 x R fails F1 alone; below |R| ~ 1e-162 its F1 underflows to 0
+        assert np.isnan(cn.ricci_pinch_check(cs[150:] * F1_ONLY[0], p5)).all()
