@@ -5,23 +5,27 @@
 Run from the root of a source checkout.  Each package is imported by one
 worker subprocess, which builds a table of rows (``rows``) and times one run
 of a row, with ``time.perf_counter``, each time it is sent the row's name.
-Every row is timed the same way (``time_rows``): one untimed warm-up run per
-package, then PAIRS timed runs per package, the two packages taking turns
-and the first side alternating from pair to pair (AB, BA, AB, ...), so that
-load drift falls on both sides alike.  Tier-1 (``pytest`` in the checkout
-that holds the package) runs one pair, with no warm-up.  Each side's min and
-quartiles and the per-pair ratio (this / baseline) are recorded, with the
-count of pairs this package won; a row whose ratios fall on both sides of 1
-is marked ``noisy``.  Without ``--baseline-src`` only this package's runs
-are taken.
+Every row is timed the same way (``time_rows``): PAIRS timed runs per
+package, the two packages taking turns and the first side alternating from
+pair to pair (AB, BA, AB, ...), so that load drift falls on both sides
+alike.  The pairs run in BLOCKS blocks, each on a fresh pair of workers that
+gives every row one untimed warm-up run per package first, so that an offset
+of one worker process shows as a disagreement between blocks.  Tier-1
+(``pytest`` in the checkout that holds the package) runs one pair, in the
+first block, with no warm-up.  Each side's min and quartiles and the
+per-pair ratio (this / baseline) are recorded, with the count of pairs this
+package won; a row whose ratios fall on both sides of 1 is marked ``noisy``,
+and one whose blocks' median ratios fall on opposite sides of 1 ``split``.
+Without ``--baseline-src`` only this package's runs are taken.
 
 Kernel rows are recorded in µs per operator.  Each kernel has two rows: a
 loop of N_SINGLE single-operator calls, and one call on a stack of N_STACKED
 operators (indices for the samplers), named ``<kernel> [stacked]``.  The CLI
 rows have only the single form: one in-process ``cli.main`` call of
-``check`` and of ``l`` on one member record, ``cli.build_parser()`` alone (a
-fresh build each time, which shows what building the parser costs;
-``cli.main`` builds it once per process), and a loop of N_EVOLVE calls of
+``check`` and of ``l`` on one member record, of ``check`` on one member
+record scaled by 1e-300 (where the scale rescue runs),
+``cli.build_parser()`` alone (a fresh build each time, which shows what
+building the parser costs; ``cli.main`` builds it once per process), and a loop of N_EVOLVE calls of
 ``evolve --t-max 100`` on the blow-up start of the wall-time row below.  The
 ``integrate`` rows count a whole trajectory as one operator: N_TRAJ member
 starts integrated one by one, and as one stack.  The ``philox`` rows count
@@ -60,6 +64,7 @@ N_STACKED = 10_000
 N_TRAJ = 30  # as many member starts as certify's member-invariance checks
 N_EVOLVE = 20
 PAIRS = 10
+BLOCKS = 2  # PAIRS // BLOCKS pairs per fresh pair of workers
 TIER1_ROW = "tier-1 pytest (one run)"
 
 
@@ -102,7 +107,9 @@ def kernels(cfg, params, members, nonmembers):
     p05 = cone.ConeParams(0.5, 1.5)
     pinched = sampling.random_member(cfg, p05, index=idx)
     lines = [json.dumps(wedge.operator_to_json_dict(m)) + "\n" for m in members[:N_SINGLE]]
+    tiny_lines = [json.dumps(wedge.operator_to_json_dict(1e-300 * m)) + "\n" for m in members[:N_SINGLE]]
     return {
+        "frobenius": (lambda i: wedge.frobenius(members[i]), lambda: wedge.frobenius(members)),
         "q_operator": (lambda i: wedge.q_operator(members[i]), lambda: wedge.q_operator(members)),
         "sharp (M#M)": (lambda i: wedge.sharp(members[i], members[i]), lambda: wedge.sharp(members, members)),
         "sharp (M#N)": (lambda i: wedge.sharp(members[i], nonmembers[i]),
@@ -126,6 +133,7 @@ def kernels(cfg, params, members, nonmembers):
         "boundary_member": (lambda i: sampling.boundary_member(cfg, params, "F1", index=i),
                             lambda: sampling.boundary_member(cfg, params, "F1", index=idx)),
         "cli.main check (one record)": (lambda i: cli_call(["check"], lines[i]), None),
+        "cli.main check (one record at 1e-300)": (lambda i: cli_call(["check"], tiny_lines[i]), None),
         "cli.main l (one record)": (lambda i: cli_call(["l"], lines[i]), None),
         "cli.build_parser": (lambda i: cli.build_parser(), None),
         "rk4_step": (lambda i: flow._rk4_step(members[i], 1e-3), lambda: flow._rk4_step(members, 1e-3)),
@@ -139,6 +147,7 @@ def kernels(cfg, params, members, nonmembers):
                               lambda: cone.uniform_pic_check(members, params)),
         "ricci_pinch_check (eta 0.5)": (lambda i: cone.ricci_pinch_check(pinched[i], p05),
                                         lambda: cone.ricci_pinch_check(pinched, p05)),
+        "is_c01": (lambda i: cone.is_c01(members[i], 1e-8), lambda: cone.is_c01(members, 1e-8)),
         "random_bianchi": (lambda i: sampling.random_bianchi(cfg, index=i),
                            lambda: sampling.random_bianchi(cfg, index=idx)),
     }
@@ -271,35 +280,59 @@ def spread(runs) -> dict:
     return {"min": min(runs), "q1": q1, "median": med, "q3": q3, "runs": list(runs)}
 
 
-def time_rows(workers) -> dict:
-    """Every row of ``workers[0].rows``, timed on each worker in interleaved pairs.
+def time_rows(srcs, spawn=Worker) -> dict:
+    """Every row of the first worker's table, timed on one worker per package
+    in ``srcs`` (this package first) in interleaved pairs.
 
-    Each row gets one untimed warm-up run per worker, then PAIRS pairs whose
-    first side alternates (AB, BA, AB, ...); the Tier-1 row runs one pair,
+    The PAIRS pairs run in BLOCKS blocks.  Each block starts a fresh worker
+    per package with ``spawn(src)`` and closes them at its end; in it every
+    row gets one untimed warm-up run per worker, then its PAIRS // BLOCKS
+    pairs, whose first side alternates from pair to pair across the blocks
+    (AB, BA, AB, ...).  The Tier-1 row runs one pair, in the first block,
     with no warm-up.  A row covering ``ops`` operators is recorded in µs per
     operator under ``us_per_operator``, a wall-time row (``ops`` None) in
     seconds under ``wall_s``.  A row whose pair ratios (this / baseline)
-    fall on both sides of 1 is marked noisy.
+    fall on both sides of 1 is marked noisy; each block's median ratio is
+    recorded under ``block_ratios``, and a row whose blocks fall on opposite
+    sides of 1 is marked split.
     """
-    out = {"us_per_operator": {}, "wall_s": {}}
-    for row, ops in workers[0].rows.items():
-        tier1_row = row == TIER1_ROW
-        if not tier1_row:
+    per_block = PAIRS // BLOCKS
+    table, runs = {}, {}
+    for block in range(BLOCKS):
+        workers = []
+        try:
+            for src in srcs:
+                workers.append(spawn(src))
+            table = workers[0].rows
+            for row, ops in table.items():
+                tier1_row = row == TIER1_ROW
+                if tier1_row and block > 0:
+                    continue
+                if not tier1_row:
+                    for w in workers:
+                        w.time(row)
+                scale = 1.0 if ops is None else 1e6 / ops
+                sides = runs.setdefault(row, [[] for _ in workers])
+                first = block * per_block
+                for i in range(first, first + (1 if tier1_row else per_block)):
+                    for j in (range(len(workers)) if i % 2 == 0 else reversed(range(len(workers)))):
+                        sides[j].append(scale * workers[j].time(row))
+        finally:
             for w in workers:
-                w.time(row)
-        scale = 1.0 if ops is None else 1e6 / ops
-        runs = [[] for _ in workers]
-        for i in range(1 if tier1_row else PAIRS):
-            for j in (range(len(workers)) if i % 2 == 0 else reversed(range(len(workers)))):
-                runs[j].append(scale * workers[j].time(row))
-        entry = {"this": spread(runs[0])}
-        if len(workers) > 1:
-            ratios = [a / b for a, b in zip(*runs)]
-            entry["baseline"] = spread(runs[1])
+                w.close()
+    out = {"us_per_operator": {}, "wall_s": {}}
+    for row, sides in runs.items():
+        entry = {"this": spread(sides[0])}
+        if len(sides) > 1:
+            ratios = [a / b for a, b in zip(*sides)]
+            blocks = [float(np.median(ratios[k:k + per_block])) for k in range(0, len(ratios), per_block)]
+            entry["baseline"] = spread(sides[1])
             entry["pair_ratio"] = spread(ratios)
             entry["wins"] = sum(r < 1.0 for r in ratios)
             entry["noisy"] = min(ratios) < 1.0 < max(ratios)
-        out["wall_s" if ops is None else "us_per_operator"][row] = entry
+            entry["block_ratios"] = blocks
+            entry["split"] = min(blocks) < 1.0 < max(blocks)
+        out["wall_s" if table[row] is None else "us_per_operator"][row] = entry
     return out
 
 
@@ -329,20 +362,14 @@ def main(argv=None) -> int:
         serve(args.src)
         return 0
 
-    workers = []
-    try:
-        for src in [args.src] + ([args.baseline_src] if args.baseline_src else []):
-            workers.append(Worker(src))
-        timed = time_rows(workers)
-    finally:
-        for w in workers:
-            w.close()
+    timed = time_rows([args.src] + ([args.baseline_src] if args.baseline_src else []))
     result = {
         "label": args.label,
         "baseline_label": args.baseline_label if args.baseline_src else None,
-        "method": (f"one worker subprocess per package; per row a warm-up run on each side, then {PAIRS} "
-                   "timed runs per side, the sides alternating and the first side alternating per pair; "
-                   "Tier-1 one pair, no warm-up; pair_ratio is this / baseline; us_per_operator: "
+        "method": (f"{PAIRS} timed runs per side in {BLOCKS} blocks, each block on a fresh worker "
+                   "subprocess per package, with a warm-up run per row on each side; the sides alternate and "
+                   "the first side alternates per pair; Tier-1 one pair, in the first block, no warm-up; "
+                   "pair_ratio is this / baseline, block_ratios each block's median; us_per_operator: "
                    f"a run is {N_SINGLE} single-operator calls or one call on {N_STACKED} operators "
                    f"([stacked]), {N_TRAJ} trajectories for integrate, {N_EVOLVE} calls for cli.main "
                    "evolve, 100 or 10 evaluations for philox"),

@@ -47,7 +47,7 @@ from .decomposition import (
     decompose,
     hodge_star,
 )
-from .wedge import frobenius, q_operator, ricci, scalar
+from .wedge import _unit_scale, frobenius, q_operator, ricci, scalar
 
 _FACES = ("F1", "F2", "F3")
 #: homogeneity degree of each face functional in the operator
@@ -176,22 +176,19 @@ def hat_f(m, params: ConeParams, blocks=None):
 
     The F1 value is the true frame infimum only where F2, F3 >= 0; callers
     that need a membership decision should use :func:`is_member`, which
-    orders the tests accordingly.  Past |R| ~ 1e154 the products in F1
-    overflow; only where that leaves F1 non-finite for finite spectra is it
-    recomputed from the sums divided by their largest magnitude, which gives
-    its sign, and its value wherever that fits in a double.
+    orders the tests accordingly.  Scale (see :mod:`curvcone.wedge`): on
+    spectra scaled by 2^k the values scale by (4^k, 2^k, 2^k) wherever they
+    are normal doubles, and F1 keeps its sign where it under- or overflows.
     """
-    x, y, z, w, v = _sums(*_spectra(m, blocks))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        f1 = params.eta * x * y - z * z
-        if not np.isfinite(f1).all():
-            redo = ~np.isfinite(f1) & np.isfinite(x) & np.isfinite(y) & np.isfinite(z)
-            s = np.maximum(np.maximum(np.abs(x), np.abs(y)), z)
-            xs, ys, zs = x / s, y / s, z / s
-            f1 = np.where(redo, (params.eta * xs * ys - zs * zs) * s * s, f1)
-        f2 = params.mu * x - w
-        f3 = params.mu * y - v
-    return _scalar_or_array(f1), _scalar_or_array(f2), _scalar_or_array(f3)
+    sums = _sums(*_spectra(m, blocks))
+    try:
+        with np.errstate(over="raise", under="raise", invalid="ignore"):
+            f = _faces(*sums, params)
+    except FloatingPointError:
+        unit, (e,) = _unit_scale(np.array(sums), 0)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            f = np.ldexp(_faces(*unit, params), (2 * e, e, e))
+    return tuple(map(_scalar_or_array, f))
 
 
 # Helpers on spectra; their public callers silence the overflow of mu x (large mu, |R| ~ 1e300).
@@ -199,6 +196,11 @@ def hat_f(m, params: ConeParams, blocks=None):
 def _sums(ea, ec, sb):
     # x = A_1+A_2, y = C_1+C_2, z = B_2+B_3, w = A_2+A_3, v = C_2+C_3
     return ea[0] + ea[1], ec[0] + ec[1], sb[1] + sb[2], ea[1] + ea[2], ec[1] + ec[2]
+
+
+def _faces(x, y, z, w, v, params: ConeParams):
+    # F1, F2, F3 as eta X Y - Z^2, mu X - W and mu Y - V, of sums or of frame values
+    return params.eta * x * y - z * z, params.mu * x - w, params.mu * y - v
 
 
 def _member_from_sums(sums, params: ConeParams):
@@ -337,10 +339,7 @@ def _octet_minima(m, params: ConeParams, pairs) -> np.ndarray:
     y = form(r1, bd.c, r1) + form(r2, bd.c, r2)
     v = form(s1, bd.c, s1) + form(s2, bd.c, s2)
     z = form(q1, bd.b, s1) + form(q2, bd.b, s2)
-    f1 = params.eta * x * y - z * z
-    f2 = params.mu * x - w
-    f3 = params.mu * y - v
-    return np.stack([f.min(axis=-1) for f in (f1, f2, f3)])
+    return np.stack([f.min(axis=-1) for f in _faces(x, y, z, w, v, params)])
 
 
 # ---------------------------------------------------------------------------
@@ -539,21 +538,29 @@ def _flag2_certificate(m, blocks=None):
 def ricci_pinch_check(m, params: ConeParams, blocks=None):
     """Slack of Ric >= (1 - 4 sqrt(eta)/3) (scal/4) g, for eta < 9/16.
 
-    Requires nonnegative scalar curvature and the first cone inequality;
-    NaN where a requirement fails, and everywhere when eta >= 9/16.
+    Requires scal >= -1e-10 |R| and F1 >= -1e-10 |R|^2 at every scale (see
+    :mod:`curvcone.wedge`); NaN where one fails, and everywhere if eta >= 9/16.
     """
     if not params.eta < 9.0 / 16.0:
         return _scalar_or_array(np.full(np.shape(m)[:-2], math.nan))
     m = np.asarray(m, dtype=float)
-    nrm = frobenius(m)
-    sc = scalar(m)
-    # F1 >= -1e-10 |R|^2 as F1/|R| >= -1e-10 |R|, which cannot overflow
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ok = (sc >= -1e-10 * nrm) & ~(np.divide(hat_f(m, params, blocks)[0], nrm) < -1e-10 * nrm)
+    spectra = _spectra(m, blocks)
+
+    def applies(m, spectra):
+        # in numpy, so that a product raises its flag; an F1 of NaN excludes no row
+        nrm = np.asarray(frobenius(m))
+        return (scalar(m) >= -1e-10 * nrm) & ~(_faces(*_sums(*spectra), params)[0] < -1e-10 * nrm * nrm)
+
+    try:
+        with np.errstate(over="raise", under="raise"):
+            ok = applies(m, spectra)
+    except FloatingPointError:
+        unit, e = _unit_scale(m, (-2, -1))
+        ok = applies(unit, [np.ldexp(s, -e[..., 0, 0]) for s in spectra])
     lam_min = np.full(m.shape[:-2], math.nan)
     lam_min[ok] = np.linalg.eigvalsh(ricci(m[ok]))[..., 0]
     const = 1.0 - (4.0 / 3.0) * math.sqrt(params.eta)
-    return _scalar_or_array(lam_min - const * sc / 4.0)
+    return _scalar_or_array(lam_min - const * scalar(m) / 4.0)
 
 
 def uniform_pic_check(m, params: ConeParams, blocks=None):
@@ -573,11 +580,9 @@ def is_c01(m, tol: float):
     """Whether R is a nonnegative multiple of the identity, to tolerance.
 
     The intersection of all the cones over mu > 1 at eta = 0 is exactly
-    {k * I : k >= 0}.  R is first divided, exactly, by the power of two of
-    its largest entry, so the answer is the same at every scale.
+    {k * I : k >= 0}.  R is tested as :func:`curvcone.wedge._unit_scale` scales it.
     """
-    m = np.asarray(m, dtype=float)
-    m = np.ldexp(m, -np.frexp(np.abs(m).max(axis=(-2, -1)))[1][..., None, None])
+    m = _unit_scale(m, (-2, -1))[0]
     tr = np.trace(m, axis1=-2, axis2=-1)
     off = frobenius(m - (tr / 6.0)[..., None, None] * np.eye(6))
     return _scalar_or_array((off <= tol * frobenius(m)) & (tr >= -tol), bool)

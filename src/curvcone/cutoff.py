@@ -166,9 +166,10 @@ class CutoffSpec:
             raise ValueError("eps must lie in (0, 1]")
         if not self.sigma > 0.0:
             raise ValueError("sigma must be positive")
-        # sigma**2 divides the second derivative, and the grid needs r + sigma > r
-        if not (math.isfinite(self.r) and 0.0 < self.sigma * self.sigma < math.inf):
-            raise ValueError("r must be finite and sigma**2 a positive finite float")
+        # eps**2 sigma**2 divides the curvature bound, and the grid needs r + sigma > r
+        if not (math.isfinite(self.r) and self.sigma * self.sigma < math.inf
+                and self.eps * self.eps * self.sigma * self.sigma >= np.finfo(float).tiny):
+            raise ValueError("r must be finite, sigma**2 finite and eps**2 sigma**2 a normal float")
         if self.r + self.sigma == self.r:
             raise ValueError("sigma is too small to move r (r + sigma == r)")
         if self.grid_n < 100:
@@ -218,9 +219,11 @@ class CutoffFunction:
         psi1 = self.psi.d1(ui)
         val[inner] = pi ** self.k
         d1[inner] = (self.k / self.spec.sigma) * pi ** (self.k - 1.0) * psi1
-        d2[inner] = (self.k / self.spec.sigma**2) * pi ** (self.k - 2.0) * (
-            (self.k - 1.0) * psi1 * psi1 + pi * self.psi.d2(ui)
-        )
+        # phi'' may pass the largest double near the least accepted eps**2 sigma**2
+        with np.errstate(over="ignore", invalid="ignore"):
+            d2[inner] = (self.k / self.spec.sigma**2) * pi ** (self.k - 2.0) * (
+                (self.k - 1.0) * psi1 * psi1 + pi * self.psi.d2(ui)
+            )
         return p, inner, val, d1, d2
 
     def value(self, x):
@@ -281,11 +284,13 @@ def verify_cutoff(fn: CutoffFunction) -> CutoffReport:
     slack1 = 1e-12 * np.maximum(1.0, allow1)
     mg1, wg1 = margin_of(allow1 + slack1, actual1)
     bounds.append(CutoffBound("slope-power-bound", mg1, wg1))
-    allow2 = 5.0 * pk2 / (eps * eps * sig * sig)
-    actual2 = np.abs(d2[inner])
-    slack2 = 1e-12 * np.maximum(1.0, allow2)
-    mg2, wg2 = margin_of(allow2 + slack2, actual2)
-    bounds.append(CutoffBound("curvature-power-bound", mg2, wg2))
+    # near the least accepted eps**2 sigma**2 the bound or phi'' is inf, and the margin inf or NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        allow2 = 5.0 * pk2 / (eps * eps * sig * sig)
+        actual2 = np.abs(d2[inner])
+        slack2 = 1e-12 * np.maximum(1.0, allow2)
+        mg2, wg2 = margin_of(allow2 + slack2, actual2)
+        bounds.append(CutoffBound("curvature-power-bound", mg2, wg2))
 
     return CutoffReport(spec=spec, passed=all(b.margin >= 0.0 for b in bounds), bounds=tuple(bounds))
 

@@ -37,6 +37,13 @@ or 4x4 tensors ``(..., 4, 4)``, and numbers as arrays of the leading shape.  A
 single input gives the single-input types (a float for a norm or residual), a
 stack gives arrays over the leading axes, and each slice carries the bits of
 the single call on it.  Only the JSON serialization takes one operator.
+
+Scale: each function whose products of entries can over- or underflow for
+1e-300 <= |R| <= 1e300 runs its fast path first; only where that raises an
+over- or underflow flag is the input rescaled by :func:`_unit_scale`, the one
+scale rescue.  So results at ordinary scale keep the fast path's bits, and
+the rescued arithmetic is exact: :func:`frobenius` of 2^k M is 2^k times
+that of M, bit for bit, wherever both are normal doubles.
 """
 
 from __future__ import annotations
@@ -83,28 +90,23 @@ _RICCI_MAP = np.einsum("aij,bil->abjl", _BIVECTORS, _BIVECTORS).reshape(36, 16)
 
 
 def frobenius(m):
-    """Frobenius norm over the last two axes, the norm every tolerance uses.
-
-    The sum of squares is one BLAS dot per matrix, as in ``np.linalg.norm``.
-    Past |M| ~ 1e154 that sum overflows; only then, and only for finite
-    matrices, is the matrix divided by its largest entry first, so the value
-    stays finite up to the largest double.  Below |M| ~ 1e-154 the squares
-    are subnormal and it loses digits; below |M| ~ 1e-162 it is 0.
-    """
+    """Frobenius norm over the last two axes, alike at every scale (see Scale)."""
     m = np.asarray(m, dtype=float)
     flat = m.reshape(*m.shape[:-2], 1, m.shape[-2] * m.shape[-1])
     try:
-        with np.errstate(over="raise"):
+        with np.errstate(over="raise", under="raise"):
             nrm = np.sqrt(flat @ flat.swapaxes(-1, -2))[..., 0, 0]
     except FloatingPointError:
-        with np.errstate(over="ignore"):
-            nrm = np.array(np.sqrt(flat @ flat.swapaxes(-1, -2))[..., 0, 0])
-        over = np.isinf(nrm) & np.isfinite(flat).all(axis=(-2, -1))
-        unit = flat[over]
-        big = np.abs(unit).max(axis=(-2, -1), keepdims=True)
-        unit = unit / big
-        nrm[over] = big[:, 0, 0] * np.sqrt(unit @ unit.swapaxes(-1, -2))[:, 0, 0]
+        flat, e = _unit_scale(flat, (-2, -1))
+        nrm = np.ldexp(np.sqrt(flat @ flat.swapaxes(-1, -2)), e)[..., 0, 0]
     return float(nrm) if nrm.ndim == 0 else nrm
+
+
+def _unit_scale(a, axes):
+    """(a * 2**-e, e), e the exponent of the largest |entry| over ``axes``
+    (kept as axes of length 1): an exact division."""
+    e = np.frexp(np.abs(a).max(axis=axes, keepdims=True))[1]
+    return np.ldexp(a, -e), e
 
 
 def identity_operator() -> np.ndarray:

@@ -146,13 +146,14 @@ class TestCheckAtExtremeScale:
         assert recs[1]["ricci_pinch_slack"] is None and recs[2]["ricci_pinch_slack"] is None
 
     def test_tiny_f1_only_non_member(self, tmp_path):
-        # at 1e-170 a squared F1 test underflows to 0 <= 0
+        # at 1e-170 a squared F1 test underflows to 0 <= 0, and F1 itself to -0.0
         p = tmp_path / "tiny.jsonl"
         write_ops(p, 1e-170 * S3_X_R)
         out = tmp_path / "out.jsonl"
         assert cli.main(["check", "--eta", "0.5", "--mu", "1.5", "--input", str(p), "--output", str(out)]) == 0
         rec = json.loads(out.read_text())
         assert rec["member"] is False and rec["l_face"] == "F1"
+        assert np.signbit(rec["F1"]) and rec["ricci_pinch_slack"] is None
 
     @pytest.mark.parametrize("eta_mu", [(0.5, 1.5), (1.0, 2.0), (0.0, 1.5), (0.5, 1e10)], ids=str)
     def test_records_warn_nothing_at_any_scale(self, eta_mu):
@@ -384,10 +385,20 @@ class TestCutoffCommand:
         assert len(rows) == 2001
 
     def test_non_finite_margin_is_null(self, capsys):
-        # eps**2 underflows to 0, so the curvature bound's margin is NaN
-        assert cli.main(["cutoff", "--eps", "1e-300", "--sigma", "1", "--r", "0", "--grid", "200"]) == 1
+        # eps**2 sigma**2 is just above the least normal double: the curvature
+        # bound and phi'' pass the largest double, so the margin is NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["cutoff", "--eps", "1", "--sigma", "1.5e-154", "--r", "0", "--grid", "200"]) == 1
         rep = json.loads(capsys.readouterr().out, parse_constant=lambda c: pytest.fail(f"non-JSON {c}"))
         assert {b["name"]: b["margin"] for b in rep["bounds"]}["curvature-power-bound"] is None
+
+    @pytest.mark.parametrize("eps_sigma", [("1e-300", "1"), ("0.5", "1e-155"), ("1.0", "1e-160")], ids=str)
+    def test_tiny_eps_sigma_exits_2(self, capsys, eps_sigma):
+        eps, sigma = eps_sigma
+        assert cli.main(["cutoff", "--eps", eps, "--sigma", sigma, "--r", "0", "--grid", "200"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("curvcone: ") and err.count("\n") == 1
 
     def test_dash_writes_the_csv_to_stdout_after_the_report(self, capsys):
         argv = ["cutoff", "--eps", "0.5", "--sigma", "1", "--r", "1", "--grid", "200"]

@@ -1,5 +1,7 @@
 import json
+import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -45,10 +47,22 @@ class TestBaseProfile:
 class TestCutoffSpec:
     @pytest.mark.parametrize("kwargs", [dict(eps=0.0, sigma=1, r=0), dict(eps=1.5, sigma=1, r=0), dict(eps=0.5, sigma=0, r=0), dict(eps=0.5, sigma=1, r=0, grid_n=10),
                                         dict(eps=1.0, sigma=1e-300, r=0), dict(eps=0.5, sigma=1e200, r=0), dict(eps=0.5, sigma=1, r=float("nan")),
-                                        dict(eps=0.5, sigma=float("inf"), r=0), dict(eps=0.5, sigma=1, r=1e16)])
+                                        dict(eps=0.5, sigma=float("inf"), r=0), dict(eps=0.5, sigma=1, r=1e16),
+                                        dict(eps=1e-300, sigma=1, r=0), dict(eps=0.5, sigma=1e-155, r=0),
+                                        dict(eps=1.0, sigma=1e-160, r=0)])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             co.CutoffSpec(**kwargs)
+
+    def test_no_warning_down_to_the_least_accepted_eps_sigma(self):
+        # eps**2 sigma**2 from just above the least normal double up: a bound
+        # past the largest double is inf (its margin inf or NaN), never a warning
+        least = math.sqrt(np.finfo(float).tiny)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for eps in (1.0, 0.75, 0.5, 0.1, 1e-3, 1e-100):
+                for f in (1.0 + 1e-12, 2.0, 10.0, 1e10, 1e100):
+                    co.verify_cutoff(co.CutoffFunction(co.CutoffSpec(eps=eps, sigma=f * least / eps, r=0.0)))
 
 
 class TestBuildCutoff:

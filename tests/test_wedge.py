@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -251,13 +252,24 @@ def test_rotation_action_is_orthogonal():
         np.testing.assert_allclose(wg.rotate_operator(I6, q), I6, atol=1e-13)
 
 
-@pytest.mark.parametrize("c", [1e155, 1e160, 1e300])
+@pytest.mark.parametrize("c", [1e155, 1e160, 1e300, 1e-170, 1e-300])
 def test_frobenius_past_square_overflow(c):
+    # and past its underflow: the squares of 1e-170 entries are below the least subnormal
     rng = np.random.default_rng(44)
     m = sym6(rng)
     assert wg.frobenius(c * m) / c == pytest.approx(wg.frobenius(m), rel=1e-14)
     stack = np.stack([m, c * m, np.zeros((6, 6))])
     np.testing.assert_allclose(wg.frobenius(stack) / [1.0, c, 1.0], [wg.frobenius(m)] * 2 + [0.0], rtol=1e-14)
+
+
+def test_frobenius_commutes_with_powers_of_two():
+    rng = np.random.default_rng(46)
+    ks = np.arange(-1000, 1001, 25)
+    for _ in range(20):
+        m = sym6(rng)
+        ref = wg.frobenius(m)
+        assert all(wg.frobenius(np.ldexp(m, k)) == math.ldexp(ref, k) for k in ks.tolist())
+        assert (wg.frobenius(np.ldexp(m, ks[:, None, None])) == np.ldexp(ref, ks)).all()
 
 
 def test_frobenius_keeps_norm_bits_and_non_finite_input():
