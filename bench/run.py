@@ -15,7 +15,8 @@ of one worker process shows as a disagreement between blocks.  Tier-1
 first block, with no warm-up.  Each side's min and quartiles and the
 per-pair ratio (this / baseline) are recorded, with the count of pairs this
 package won; a row whose ratios fall on both sides of 1 is marked ``noisy``,
-and one whose blocks' median ratios fall on opposite sides of 1 ``split``.
+and one where every pair of one block favours one package and every pair of
+another block the other (a per-process offset) ``split``.
 Without ``--baseline-src`` only this package's runs are taken.
 
 Kernel rows are recorded in µs per operator.  Each kernel has two rows: a
@@ -293,8 +294,9 @@ def time_rows(srcs, spawn=Worker) -> dict:
     operator under ``us_per_operator``, a wall-time row (``ops`` None) in
     seconds under ``wall_s``.  A row whose pair ratios (this / baseline)
     fall on both sides of 1 is marked noisy; each block's median ratio is
-    recorded under ``block_ratios``, and a row whose blocks fall on opposite
-    sides of 1 is marked split.
+    recorded under ``block_ratios``, and a row is marked split when every
+    pair of one block favours one side and every pair of another block the
+    other.
     """
     per_block = PAIRS // BLOCKS
     table, runs = {}, {}
@@ -325,13 +327,13 @@ def time_rows(srcs, spawn=Worker) -> dict:
         entry = {"this": spread(sides[0])}
         if len(sides) > 1:
             ratios = [a / b for a, b in zip(*sides)]
-            blocks = [float(np.median(ratios[k:k + per_block])) for k in range(0, len(ratios), per_block)]
+            blocks = [ratios[k:k + per_block] for k in range(0, len(ratios), per_block)]
             entry["baseline"] = spread(sides[1])
             entry["pair_ratio"] = spread(ratios)
             entry["wins"] = sum(r < 1.0 for r in ratios)
             entry["noisy"] = min(ratios) < 1.0 < max(ratios)
-            entry["block_ratios"] = blocks
-            entry["split"] = min(blocks) < 1.0 < max(blocks)
+            entry["block_ratios"] = [float(np.median(b)) for b in blocks]
+            entry["split"] = any(max(b) < 1.0 for b in blocks) and any(min(b) > 1.0 for b in blocks)
         out["wall_s" if table[row] is None else "us_per_operator"][row] = entry
     return out
 

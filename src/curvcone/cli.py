@@ -11,13 +11,13 @@ Behaviour is a pure function of (argv, input files, seed): no clocks and no
 environment dependence, except that CURVCONE_SEED is the default --seed.
 An optional config file (plain ``key = value`` lines, # comments) sets the
 chosen subcommand's flag defaults, parsed as the flags are (a bad value
-exits 2; ``true``/``false`` for --require-member); keys naming no flag of
-it are ignored.  Precedence: flag (even abbreviated) > config > env > 0.
+exits 2, even where a flag overrides it; ``true``/``false`` for
+--require-member); keys naming no flag of it, or a required flag, are
+ignored.  Precedence: flag (even abbreviated) > config > env > 0.
 
-The parser is built once per process, on the first ``main`` call.  The
-config file and CURVCONE_SEED are read on every call: ``main`` makes them
-that call's flag defaults and puts the built defaults back when the parse
-ends, with an error or not, so calls from two threads must not overlap.
+The parser is built once per process, on the first ``main`` call, and never
+changed.  The config file and CURVCONE_SEED are read on every call and
+parsed as flags of the chosen subcommand, ahead of the command line's own.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def _output(path):
 
 
 def _read_operators(path):
-    """Yield (line_number, operator) from a JSON-lines file or stdin."""
+    """Yield each operator of a JSON-lines file or stdin."""
     stream = sys.stdin if path in (None, "-") else open(path, "r", encoding="utf-8")
     try:
         for lineno, line in enumerate(stream, start=1):
@@ -89,18 +89,12 @@ def _read_operators(path):
                 continue
             try:
                 obj = json.loads(line)
-                yield lineno, operator_from_json_dict(obj)
+                yield operator_from_json_dict(obj)
             except ValueError as exc:
-                raise _LineError(lineno, str(exc)) from exc
+                raise ValueError(f"line {lineno}: {exc}") from exc
     finally:
         if stream is not sys.stdin:
             stream.close()
-
-
-class _LineError(Exception):
-    def __init__(self, lineno, message):
-        super().__init__(f"line {lineno}: {message}")
-        self.lineno = lineno
 
 
 def _cone_params(args) -> ConeParams:
@@ -113,7 +107,7 @@ def _cone_params(args) -> ConeParams:
 
 def cmd_decompose(args) -> int:
     with _output(args.output) as out:
-        for _, m in _read_operators(args.input):
+        for m in _read_operators(args.input):
             out.write(json.dumps(decompose(m).to_json_dict()) + "\n")
     return EXIT_OK
 
@@ -142,7 +136,7 @@ def cmd_check(args) -> int:
     params = _cone_params(args)
     all_member = True
     with _output(args.output) as out:
-        for _, m in _read_operators(args.input):
+        for m in _read_operators(args.input):
             rec = _check_record(m, params)
             all_member = all_member and rec["member"]
             out.write(json.dumps(rec) + "\n")
@@ -154,7 +148,7 @@ def cmd_check(args) -> int:
 def cmd_l(args) -> int:
     params = _cone_params(args)
     with _output(args.output) as out:
-        for _, m in _read_operators(args.input):
+        for m in _read_operators(args.input):
             lv = lower_bound_l(m, params)
             out.write(json.dumps({"l": _finite_or_none(lv)}) + "\n")
     return EXIT_OK
@@ -164,8 +158,8 @@ def cmd_evolve(args) -> int:
     params = _cone_params(args)
     ops = list(_read_operators(args.input))
     if not ops:
-        raise _LineError(0, "no operator supplied")
-    m = ops[0][1]
+        raise ValueError("line 0: no operator supplied")
+    m = ops[0]
     cfg = TrajectoryConfig(
         dt=args.dt, t_max=args.t_max, rtol=args.tol, blowup_norm=args.blowup_norm
     )
@@ -305,8 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="optional CSV of (x, phi, phi', phi''); '-' writes it to stdout after the report")
 
     v = sub.add_parser("verify", help="run the certification suites")
-    v.add_argument("--suite", default="all",
-                   choices=["all", "algebra", "cone", "nullvector", "flow", "cutoff"])
+    v.add_argument("--suite", default="all", choices=["all", *vf.SUITE_NAMES])
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--samples", type=int, default=1000)
     v.add_argument("--output", default=None, help="write the JSON report here instead of stdout")
@@ -322,35 +315,15 @@ def _load_config(path) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise _LineError(lineno, "expected 'key = value'")
+                raise ValueError(f"line {lineno}: expected 'key = value'")
             key, _, raw = line.partition("=")
             values[key.strip().replace("-", "_")] = raw.strip()
     return values
 
 
-def _set_config_defaults(sub, config) -> None:
-    """Make the config values for the flags of subparser ``sub`` their defaults.
-
-    argparse checks neither ``choices`` nor a flag that takes no value
-    against a default, so those two are checked here.
-    """
-    for action in sub._actions:
-        raw = config.get(action.dest)
-        if raw is None or action.default is argparse.SUPPRESS:
-            continue
-        if action.nargs == 0:
-            if raw.lower() not in ("true", "false"):
-                sub.error(f"config {action.dest}: expected true or false, got {raw!r}")
-            raw = raw.lower() == "true"
-        elif action.choices is not None and raw not in action.choices:
-            sub.error(f"config {action.dest}: invalid choice {raw!r} "
-                      f"(choose from {', '.join(action.choices)})")
-        action.default = raw
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    # the process's one parser; main restores its defaults after every parse
+    # the process's one parser, never changed after it is built
     return build_parser()
 
 
@@ -363,25 +336,39 @@ _COMMANDS = {
 
 
 def _parse(argv):
-    """Parse ``argv`` with this call's defaults: CURVCONE_SEED for --seed,
-    then the config file's values for the chosen subcommand's flags."""
+    """Parse ``argv`` with CURVCONE_SEED, then the config file's values, as
+    flags of the chosen subcommand ahead of the command line's own."""
     parser = _parser()
-    (subs,) = (a.choices for a in parser._actions if a.dest == "command")
-    actions = [a for sub in subs.values() for a in sub._actions]
-    built = [a.default for a in actions]
-    env_seed = os.environ.get("CURVCONE_SEED", "0")
-    try:
-        for action in actions:
-            if action.dest == "seed":
-                action.default = env_seed
-        args = parser.parse_args(argv)
-        if args.config is not None:
-            _set_config_defaults(subs[args.command], _load_config(args.config))
-            args = parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    env_seed = os.environ.get("CURVCONE_SEED")
+    pairs = [] if env_seed is None else [("seed", env_seed)]
+    if args.config is not None:
+        pairs += _load_config(args.config).items()
+    if not pairs:
         return args
-    finally:
-        for action, default in zip(actions, built):
-            action.default = default
+    (subs,) = (a.choices for a in parser._actions if a.dest == "command")
+    sub = subs[args.command]
+    actions = {a.dest: a for a in sub._actions}
+    flags = []
+    for key, raw in pairs:
+        action = actions.get(key)
+        if action is None or action.default is argparse.SUPPRESS or action.required:
+            continue
+        if action.nargs != 0:
+            flags.append(f"{action.option_strings[0]}={raw}")
+        elif raw.lower() not in ("true", "false"):
+            sub.error(f"config {key}: expected true or false, got {raw!r}")
+        elif raw.lower() == "true":
+            flags.append(action.option_strings[0])
+    if not flags:
+        return args
+    # the top level takes only --config and -h, so the subcommand is the first
+    # token naming it that is not the value of --config or of an abbreviation
+    # of it written without '='
+    i = 0
+    while argv[i] != args.command:
+        i += 2 if len(argv[i]) > 2 and "--config".startswith(argv[i]) else 1
+    return parser.parse_args(argv[:i + 1] + flags + argv[i + 1:])
 
 
 def main(argv=None) -> int:
@@ -392,7 +379,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on a bad flag or config value: the format-error code
         return EXIT_FORMAT if exc.code else EXIT_OK
-    except (_LineError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         _err(str(exc))
         return EXIT_FORMAT
     except StepUnderflowError as exc:

@@ -40,6 +40,14 @@ PARAM_SETS = ((0.5, 1.5), (1.0, 2.0), (0.1, 1.1))
 
 _MAX_FAILURES = 3
 
+# check kind -> (fold of the values into the worst one, pass test of a value
+# against tol); a NaN value compares false, so it fails, and each fold keeps it
+_KINDS = {
+    "residual": (np.max, lambda v, tol: v <= tol),
+    "slack": (np.min, lambda v, tol: v >= -tol),
+    "count": (np.sum, lambda v, tol: v == 0.0),
+}
+
 
 class _Check:
     def __init__(self, suite, check_id, claim, kind, tol, seed):
@@ -70,13 +78,8 @@ class _Check:
             operators = None if operators is None else [operators]
         vals = vals.ravel()
         rec["samples"] += vals.size
-        # NaN compares false, so it counts as bad, and each fold keeps it
-        if rec["kind"] == "residual":
-            bad, fold = ~(vals <= rec["tol"]), np.max
-        elif rec["kind"] == "slack":
-            bad, fold = ~(vals >= -rec["tol"]), np.min
-        else:  # count: accumulate violations
-            bad, fold = vals != 0.0, np.sum
+        fold, passes = _KINDS[rec["kind"]]
+        bad = ~passes(vals, rec["tol"])
         if vals.size:
             rec["worst"] = float(fold(np.append(vals, [] if rec["worst"] is None else rec["worst"])))
         for k in np.flatnonzero(bad)[: _MAX_FAILURES - len(rec["failures"])].tolist():
@@ -91,12 +94,8 @@ class _Check:
     def done(self):
         rec = self.record
         worst = 0.0 if rec["worst"] is None else rec["worst"]
-        if rec["kind"] == "residual":
-            rec["passed"] = worst <= rec["tol"]
-        elif rec["kind"] == "slack":
-            rec["passed"] = worst >= -rec["tol"]
-        else:
-            rec["passed"] = worst == 0.0
+        # a Python bool, which json can write
+        rec["passed"] = bool(_KINDS[rec["kind"]][1](worst, rec["tol"]))
         # strict JSON has no NaN or infinity
         rec["worst"] = _finite_or_none(worst)
         return rec

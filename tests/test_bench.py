@@ -31,15 +31,18 @@ class FakeWorker:
 
 
 def test_time_rows_interleaves_warm_up_and_pairs():
-    rows = {"k": 1000, "w": None, "s": 1, bench.TIER1_ROW: None}
+    rows = {"k": 1000, "w": None, "s": 1, "m": 1, bench.TIER1_ROW: None}
 
     def seconds(side, row, block, nth):
         # "k": A always the faster; "w": A's runs alternate about B's constant
-        # 1.5 s; "s": A faster on the first workers, slower on the second
+        # 1.5 s; "s": A faster on the first workers, slower on the second;
+        # "m": like "s" in the first three pairs of a block, the reverse after
         if row == "w":
             return 1.5 if side == "B" else 1.0 + nth % 2
         if row == "s":
             return 2e-6 if side == "B" else (1e-6, 3e-6)[block]
+        if row == "m":
+            return 2e-6 if side == "B" else (1e-6, 3e-6)[block ^ (nth > 4)]
         return {"A": 2e-3, "B": 4e-3}[side]
 
     log = []
@@ -47,7 +50,7 @@ def test_time_rows_interleaves_warm_up_and_pairs():
 
     per_block = bench.PAIRS // bench.BLOCKS
     order = ["AB" if i % 2 == 0 else "BA" for i in range(bench.PAIRS)]
-    for row in ("k", "w", "s"):
+    for row in ("k", "w", "s", "m"):
         calls = "".join(side for side, r in log if r == row)
         # each block: a warm-up run per side, then its pairs
         assert calls == "".join("AB" + "".join(order[b * per_block:(b + 1) * per_block]) for b in range(bench.BLOCKS))
@@ -71,9 +74,12 @@ def test_time_rows_interleaves_warm_up_and_pairs():
     s = out["us_per_operator"]["s"]
     assert s["block_ratios"] == pytest.approx([0.5, 1.5]) and s["split"] is True and s["noisy"] is True
     assert s["wins"] == per_block
+    m = out["us_per_operator"]["m"]
+    # block medians on both sides of 1, but each block mixes wins and losses
+    assert m["block_ratios"] == pytest.approx([0.5, 1.5]) and m["split"] is False and m["noisy"] is True
     t1 = out["wall_s"][bench.TIER1_ROW]
     assert len(t1["this"]["runs"]) == 1 and len(t1["pair_ratio"]["runs"]) == 1
-    assert set(out["us_per_operator"]) == {"k", "s"} and set(out["wall_s"]) == {"w", bench.TIER1_ROW}
+    assert set(out["us_per_operator"]) == {"k", "s", "m"} and set(out["wall_s"]) == {"w", bench.TIER1_ROW}
 
 
 def test_time_rows_without_a_baseline_records_one_side():

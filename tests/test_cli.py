@@ -567,6 +567,8 @@ class TestConfigAndEnv:
         ("eta = abc", ["check"], "--eta"),
         ("kind = bogus", ["sample"], "kind"),
         ("require_member = maybe", ["check"], "require_member"),
+        # a bad value is an error even where a flag overrides it
+        ("samples = abc", ["sample", "--samples", "1"], "--samples"),
     ])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, ops_file, line, argv, flag):
         cfgf = tmp_path / "conf"
@@ -662,6 +664,39 @@ class TestConfigAndEnv:
         # build_parser itself still builds a new parser on every call
         assert cli.build_parser() is not cli.build_parser()
         assert len(built) == 3
+
+    def test_config_file_named_like_the_subcommand(self, tmp_path, ops_file, monkeypatch):
+        # the first "check" is --config's value, the second the subcommand
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "check").write_text("eta = 0.5\nmu = 1.5\n")
+        out = tmp_path / "chk.jsonl"
+        for config in (["--config", "check"], ["--conf", "check"], ["--config=check"]):
+            assert cli.main(config + ["check", "--input", str(ops_file), "--output", str(out)]) == 0
+            assert json.loads(out.read_text().splitlines()[0])["F1"] == pytest.approx(2.0, abs=1e-9)
+
+    def test_config_help_line_is_ignored(self, tmp_path, ops_file, capsys):
+        cfgf = tmp_path / "conf"
+        cfgf.write_text("help = true\neta = 0.5\n")
+        out = tmp_path / "chk.jsonl"
+        assert cli.main(["--config", str(cfgf), "check", "--input", str(ops_file), "--output", str(out)]) == 0
+        assert "usage:" not in capsys.readouterr().out
+        assert json.loads(out.read_text().splitlines()[0])["F1"] == pytest.approx(2.0, abs=1e-9)
+
+    def test_calls_leave_the_parser_as_built(self, tmp_path, ops_file, monkeypatch):
+        def defaults(parser):
+            (subs,) = (a.choices for a in parser._actions if a.dest == "command")
+            return [(a.dest, a.default) for a in parser._actions] + [
+                (name, a.dest, a.default) for name, sub in subs.items() for a in sub._actions]
+
+        good, bad = tmp_path / "good", tmp_path / "bad"
+        good.write_text("eta = 0.5\nseed = 3\nkind = member\nsamples = 2\nrequire_member = true\n")
+        bad.write_text("eta = 0.5\nrequire_member = maybe\n")
+        out = str(tmp_path / "out")
+        assert cli.main(["--config", str(good), "check", "--input", str(ops_file), "--output", out]) == 1
+        assert cli.main(["--config", str(bad), "check", "--input", str(ops_file), "--output", out]) == 2
+        monkeypatch.setenv("CURVCONE_SEED", "9")
+        assert cli.main(["sample", "--samples", "1", "--output", out]) == 0
+        assert defaults(cli._parser()) == defaults(cli.build_parser())
 
     def test_missing_or_malformed_config_exits_2(self, tmp_path, ops_file, capsys):
         assert cli.main(["--config", str(tmp_path / "absent"), "check", "--input", str(ops_file)]) == 2
